@@ -8,6 +8,7 @@ runtime/numerical error.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import json
 from dataclasses import asdict
@@ -30,13 +31,32 @@ from dyngem.graph import (
 )
 from dyngem.model import Hyperparameters
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 EMB_FMT = "emb_{:04d}.csv"
-CKPT_FMT = "checkpoint_{:04d}.txt"
+CKPT_FMT = "checkpoint_{:04d}.npz"
 
 # Methods whose stored decoder matches their stored embeddings; everything
 # else (rotated or factorized) is scored by embedding inner products.
 DECODER_SCORED = ("dyngem", "sdne_retrain")
+
+# glibc serves requests above a moving mmap threshold with fresh mappings
+# and hands freed heap above its trim threshold back to the kernel, so each
+# training batch page-faults again the tens of MB of temporaries that the
+# batch before it freed.  Fixing both thresholds keeps that memory in the
+# process: up to 1 GiB of freed heap stays mapped, and every request under
+# 32 MB (glibc's largest mmap threshold) comes from the heap.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def retain_freed_memory():
+    """Keep freed heap memory in the process for reuse; returns whether the
+    C library accepted the setting (False where it has no ``mallopt``)."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    return bool(mallopt(_M_TRIM_THRESHOLD, 1 << 30)) and bool(mallopt(_M_MMAP_THRESHOLD, 32 << 20))
+
 
 _HYPER_FIELDS = (
     "alpha", "beta", "nu1", "nu2", "rho", "d", "base_lr", "momentum",
@@ -191,6 +211,7 @@ def train_options(f):
 @click.version_option(__version__, prog_name="dyngem")
 def main():
     """Dynamic-graph embeddings: generate data, train, evaluate, export."""
+    retain_freed_memory()
 
 
 @main.command("generate")

@@ -4,6 +4,7 @@ factorization, and Procrustes rotation alignment."""
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -11,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from dyngem import model
-from dyngem.errors import ConfigError
+from dyngem.errors import ConfigError, ConvergenceError
 from dyngem.growth import apply_plan, propsize_plan
 from dyngem.kernels import gf_epoch, jacobi_svd
 from dyngem.model import Hyperparameters
@@ -168,29 +169,32 @@ def procrustes_align(reference, target):
 
 def align_series(embeddings):
     """Chain-wise alignment: each step is rotated onto the already-aligned
-    previous step over their common (prefix) node rows."""
+    previous step over their common (prefix) node rows.
+
+    Returns ``(aligned, rotations, seconds)``; ``seconds[t]`` is the time
+    spent aligning step t, 0 for the reference step 0.
+    """
     if not embeddings:
-        return [], []
+        return [], [], []
     aligned = [embeddings[0]]
     rotations = [np.eye(embeddings[0].shape[1])]
+    seconds = [0.0]
     for t in range(1, len(embeddings)):
+        start = time.perf_counter()
         m = aligned[t - 1].shape[0]
         r, _ = procrustes_align(aligned[t - 1], embeddings[t][:m])
         aligned.append(embeddings[t] @ r)
         rotations.append(r)
-    return aligned, rotations
+        seconds.append(time.perf_counter() - start)
+    return aligned, rotations, seconds
 
 
 def _aligned_variant(base, method):
-    out = EmbeddingSeries(
-        method, [], list(base.seconds), list(base.iterations), list(base.traces), base.checkpoints
+    aligned, _, align_seconds = align_series(base.embeddings)
+    seconds = [s + a for s, a in zip(base.seconds, align_seconds)]
+    return EmbeddingSeries(
+        method, aligned, seconds, list(base.iterations), list(base.traces), base.checkpoints
     )
-    start = time.perf_counter()
-    aligned, _ = align_series(base.embeddings)
-    align_cost = (time.perf_counter() - start) / len(base.embeddings)
-    out.embeddings = aligned
-    out.seconds = [s + align_cost for s in base.seconds]
-    return out
 
 
 def run_sdne_align(series, config):
@@ -222,10 +226,13 @@ def _gf_one(snap, config, t, y0=None):
     weights = np.fromiter((e[2] for e in edges), dtype=np.float64, count=len(edges))
     rng = np.random.default_rng(_step_seed(config.hyper.seed, t, _SALT_TRAIN))
     trace = []
-    for _ in range(config.gf_iters):
+    for it in range(config.gf_iters):
         order = rng.permutation(len(edges)).astype(np.intp)
         gf_epoch(y, heads, tails, weights, order, config.gf_lr, config.gf_lambda)
-        trace.append(_gf_objective(y, heads, tails, weights, config.gf_lambda))
+        value = _gf_objective(y, heads, tails, weights, config.gf_lambda)
+        if not math.isfinite(value):
+            raise ConvergenceError(f"snapshot {t}: factorization objective is {value} in iteration {it}")
+        trace.append(value)
     return y, time.perf_counter() - start, trace
 
 

@@ -6,7 +6,7 @@ class ConfigError(ValueError):
 
 
 class ParseError(ValueError):
-    """Malformed input file; the message names the offending line."""
+    """Malformed input file; the message names the file (and line, in text)."""
 
 
 class UndefinedMetricError(ValueError):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -333,12 +334,21 @@ def save_snapshot(snapshot, path):
 
 
 def load_series(dirpath):
-    """Load ``snapshot_*.edges`` files from a directory, lexicographic order."""
+    """Load ``snapshot_<t>.edges`` files from a directory in order of the
+    integer step ``t``, so unpadded names load in step order too."""
     dirpath = Path(dirpath)
-    files = sorted(dirpath.glob(SNAPSHOT_GLOB))
+    files = {}
+    for path in sorted(dirpath.glob(SNAPSHOT_GLOB)):
+        match = re.fullmatch(r"snapshot_([0-9]+)\.edges", path.name)
+        if match is None:
+            raise ConfigError(f"{path}: snapshot file name has no integer step")
+        step = int(match.group(1))
+        if step in files:
+            raise ConfigError(f"{files[step]} and {path} both hold step {step}")
+        files[step] = path
     if not files:
         raise ConfigError(f"no {SNAPSHOT_GLOB} files found in {dirpath}")
-    return DynamicGraph([load_snapshot(f) for f in files])
+    return DynamicGraph([load_snapshot(files[t]) for t in sorted(files)])
 
 
 def save_series(graph, dirpath):

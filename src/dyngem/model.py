@@ -3,16 +3,21 @@ first-order proximity objective, minibatch training, and checkpoint I/O."""
 
 from __future__ import annotations
 
+import math
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from dyngem import nn
-from dyngem.errors import ConfigError, ParseError
+from dyngem.errors import ConfigError, ConvergenceError, ParseError
 from dyngem.nn import LayerParams, OptimizerState
 
-CHECKPOINT_HEADER = "dyngem-checkpoint v1"
+# First bytes of the schema-1 text checkpoints, which are rejected by name,
+# and of the zip archives that np.load reads as npz.
+TEXT_CHECKPOINT_MAGIC = b"dyngem-checkpoint"
+ZIP_MAGIC = (b"PK\x03\x04", b"PK\x05\x06")
 
 
 @dataclass(frozen=True)
@@ -206,34 +211,29 @@ def loss_net_batch(params, batch, hyper):
     acts_enc = nn.forward(params.encoder, x)
     y = acts_enc[-1]
     acts_dec = nn.forward(params.decoder, y)
-    x_hat = acts_dec[-1]
 
-    b = np.where(x == 0.0, 1.0, hyper.beta)
-    diff = (x_hat - x) * b
-    l_glob = float(np.sum(diff * diff))
-    g_xhat = 2.0 * diff * b
+    # The reconstruction error is weighted by beta where x is non-zero and
+    # by 1 elsewhere, so only the non-zero positions need a multiply.
+    nonzero = np.flatnonzero(x)
+    diff = acts_dec[-1] - x
+    diff.reshape(-1)[nonzero] *= hyper.beta
+    l_glob = float(np.vdot(diff, diff))
+    g_xhat = 2.0 * diff
+    g_xhat.reshape(-1)[nonzero] *= hyper.beta
 
     pair_diff = y[:m] - y[m:]
     sq = np.einsum("ij,ij->i", pair_diff, pair_diff)
     l_loc = float(batch.weights @ sq)
-    g_y = np.zeros_like(y)
-    g_y[:m] = (2.0 * hyper.alpha) * batch.weights[:, None] * pair_diff
-    g_y[m:] = -g_y[:m]
+    g_loc = (2.0 * hyper.alpha) * batch.weights[:, None] * pair_diff
 
-    l1 = 0.0
-    l2 = 0.0
-    for layer in params.layers():
-        w = layer.weights
-        l1 += float(np.abs(w).sum())
-        l2 += float((w * w).sum())
+    dec_grads, g_y = nn.backward(params.decoder, acts_dec, g_xhat)
+    g_y[:m] += g_loc
+    g_y[m:] -= g_loc
+    enc_grads, _ = nn.backward(params.encoder, acts_enc, g_y, input_grad=False)
 
-    dec_grads, g_y_rec = nn.backward(params.decoder, acts_dec, g_xhat)
-    enc_grads, _ = nn.backward(params.encoder, acts_enc, g_y_rec + g_y)
-
-    _, reg_grads = nn.regularizer_value_and_grads(params.layers(), hyper.nu1, hyper.nu2)
-    k = len(params.encoder)
-    enc_grads = [(gw + rw, gb + rb) for (gw, gb), (rw, rb) in zip(enc_grads, reg_grads[:k])]
-    dec_grads = [(gw + rw, gb + rb) for (gw, gb), (rw, rb) in zip(dec_grads, reg_grads[k:])]
+    l1, l2, reg_grads = nn.regularizer_value_and_grads(params.layers(), hyper.nu1, hyper.nu2)
+    for (gw, _), rw in zip(enc_grads + dec_grads, reg_grads):
+        gw += rw
 
     total = l_glob + hyper.alpha * l_loc + hyper.nu1 * l1 + hyper.nu2 * l2
     parts = {"global": l_glob, "local": l_loc, "l1": l1, "l2": l2}
@@ -269,7 +269,7 @@ def train_snapshot(params, snapshot, hyper, epochs, seed=None):
     flat = _flatten(params)
     state = OptimizerState.for_params(flat, hyper.base_lr, hyper.momentum, hyper.decay)
     trace = []
-    for _ in range(epochs):
+    for epoch in range(epochs):
         perm = rng.permutation(len(edges))
         epoch_loss = 0.0
         for start in range(0, len(edges), hyper.batch_size):
@@ -282,6 +282,8 @@ def train_snapshot(params, snapshot, hyper, epochs, seed=None):
                 flat_grads.append(gb)
             nn.nesterov_step(flat, flat_grads, state)
             epoch_loss += total
+        if not math.isfinite(epoch_loss):
+            raise ConvergenceError(f"training objective is {epoch_loss} in epoch {epoch}")
         trace.append(epoch_loss)
     return params, trace
 
@@ -320,78 +322,45 @@ def symmetrize_scores(scores):
 
 
 def save_checkpoint(params, path):
-    """Write parameters as text; values keep 17 significant digits so the
-    load/save round trip is exact for float64."""
+    """Write parameters as an uncompressed npz archive (exact float64) at
+    exactly ``path``; returns the path.
+
+    The archive is what ``np.savez`` writes, except that every member keeps
+    zipfile's fixed 1980-01-01 stamp where ``np.savez`` stamps the current
+    time, so two runs from one manifest write identical bytes.
+    """
     path = Path(path)
-    lines = [CHECKPOINT_HEADER, f"n {params.n} d {params.d} K {len(params.encoder)}"]
+    arrays = {"layer_counts": np.array([len(params.encoder), len(params.decoder)])}
     for tag, side in (("enc", params.encoder), ("dec", params.decoder)):
-        for k, layer in enumerate(side, 1):
-            lines.append(f"{tag} {k} {layer.out_dim} {layer.in_dim}")
-            for row in layer.weights:
-                lines.append(" ".join(f"{v:.17g}" for v in row))
-            lines.append(" ".join(f"{v:.17g}" for v in layer.bias))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        for k, layer in enumerate(side):
+            arrays[f"{tag}{k}_w"] = layer.weights
+            arrays[f"{tag}{k}_b"] = layer.bias
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as archive:
+        for name, value in arrays.items():
+            with archive.open(zipfile.ZipInfo(f"{name}.npy"), "w", force_zip64=True) as fh:
+                np.lib.format.write_array(fh, value, allow_pickle=False)
     return path
 
 
-def _parse_floats(line, count, path, lineno):
-    parts = line.split()
-    if len(parts) != count:
-        raise ParseError(f"{path}:{lineno}: expected {count} values, found {len(parts)}")
-    try:
-        return np.array([float(p) for p in parts])
-    except ValueError:
-        raise ParseError(f"{path}:{lineno}: non-numeric value") from None
-
-
 def load_checkpoint(path):
-    """Read a checkpoint written by :func:`save_checkpoint`."""
+    """Read a checkpoint written by :func:`save_checkpoint`; any other file
+    raises ``ParseError`` naming the path."""
     path = Path(path)
-    raw = path.read_text(encoding="utf-8").splitlines()
-    if not raw or raw[0] != CHECKPOINT_HEADER:
-        raise ParseError(f"{path}:1: expected header {CHECKPOINT_HEADER!r}")
-    if len(raw) < 2:
-        raise ParseError(f"{path}:2: missing dimension line")
-    parts = raw[1].split()
-    if len(parts) != 6 or parts[0] != "n" or parts[2] != "d" or parts[4] != "K":
-        raise ParseError(f"{path}:2: expected 'n <n> d <d> K <K>'")
-    try:
-        n, d, k = int(parts[1]), int(parts[3]), int(parts[5])
-    except ValueError:
-        raise ParseError(f"{path}:2: dimensions must be integers") from None
-    if n < 1 or d < 1 or k < 1:
-        raise ParseError(f"{path}:2: dimensions must be positive")
-
-    sides = {"enc": [], "dec": []}
-    lineno = 2
-    while lineno < len(raw):
-        header = raw[lineno].split()
-        lineno += 1
-        if len(header) != 4 or header[0] not in sides:
-            raise ParseError(f"{path}:{lineno}: expected 'enc|dec <k> <out> <in>'")
+    with open(path, "rb") as fh:
+        head = fh.read(len(TEXT_CHECKPOINT_MAGIC))
+        if head == TEXT_CHECKPOINT_MAGIC:
+            raise ParseError(f"{path}: text checkpoints (schema 1) are no longer read; re-run train")
+        if not head.startswith(ZIP_MAGIC):
+            raise ParseError(f"{path}: not an npz checkpoint")
+        fh.seek(0)
         try:
-            idx, out_dim, in_dim = int(header[1]), int(header[2]), int(header[3])
-        except ValueError:
-            raise ParseError(f"{path}:{lineno}: layer header must be integers") from None
-        if idx != len(sides[header[0]]) + 1:
-            raise ParseError(f"{path}:{lineno}: layer index {idx} out of order")
-        rows = []
-        for _ in range(out_dim):
-            if lineno >= len(raw):
-                raise ParseError(f"{path}:{lineno + 1}: unexpected end of file in weights")
-            rows.append(_parse_floats(raw[lineno], in_dim, path, lineno + 1))
-            lineno += 1
-        if lineno >= len(raw):
-            raise ParseError(f"{path}:{lineno + 1}: unexpected end of file in bias")
-        bias = _parse_floats(raw[lineno], out_dim, path, lineno + 1)
-        lineno += 1
-        sides[header[0]].append(LayerParams(np.array(rows).reshape(out_dim, in_dim), bias))
-
-    if len(sides["enc"]) != k:
-        raise ParseError(f"{path}: expected {k} encoder layers, found {len(sides['enc'])}")
-    if not sides["dec"]:
-        raise ParseError(f"{path}: missing decoder layers")
-    params = AutoencoderParams(sides["enc"], sides["dec"])
-    if params.n != n or params.d != d:
-        raise ParseError(f"{path}: layer shapes disagree with the header dimensions")
-    return params
+            with np.load(fh, allow_pickle=False) as archive:
+                sides = [
+                    [LayerParams(archive[f"{tag}{k}_w"], archive[f"{tag}{k}_b"]) for k in range(count)]
+                    for tag, count in zip(("enc", "dec"), archive["layer_counts"].tolist())
+                ]
+            return AutoencoderParams(*sides)
+        except KeyError as exc:
+            raise ParseError(f"{path}: missing array ({exc.args[0]})") from None
+        except (ValueError, TypeError, zipfile.BadZipFile) as exc:
+            raise ParseError(f"{path}: not a valid checkpoint ({exc})") from None

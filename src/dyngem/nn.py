@@ -55,13 +55,14 @@ def forward(layers, x):
     return acts
 
 
-def backward(layers, activations, grad_out):
+def backward(layers, activations, grad_out, input_grad=True):
     """Backpropagate grad_out (d loss / d final activation) through the stack.
 
     ``activations`` must come from a matching :func:`forward` call.  Returns
     ``(grads, grad_input)`` where grads is a list of (dW, db) per layer.
-    ReLU masking uses activation > 0, which matches a zero subgradient at
-    exactly 0.
+    With ``input_grad=False`` the first layer's input gradient is not formed
+    and grad_input is None.  ReLU masking uses activation > 0, which matches
+    a zero subgradient at exactly 0.
     """
     if len(activations) != len(layers) + 1:
         raise ValueError("activation list does not match the layer stack")
@@ -76,6 +77,8 @@ def backward(layers, activations, grad_out):
             gw = np.outer(g, a_prev)
             gb = g.copy()
         grads[k - 1] = (gw, gb)
+        if k == 1 and not input_grad:
+            return grads, None
         g = g @ layers[k - 1].weights
         if k - 1 > 0:
             g = g * (activations[k - 1] > 0)
@@ -83,20 +86,26 @@ def backward(layers, activations, grad_out):
 
 
 def regularizer_value_and_grads(layers, nu1, nu2):
-    """L1 plus squared-L2 penalty over weight matrices only (biases excluded).
+    """L1 and squared-L2 penalty over weight matrices only (biases excluded).
 
-    Returns ``(nu1 * sum|W| + nu2 * sum W^2, grads)`` with per-layer gradients
-    ``nu1 * sign(W) + 2 * nu2 * W`` and zero bias gradients; sign(0) is 0.
+    Returns ``(l1, l2, grads)``: the raw sums ``sum|W|`` and ``sum W^2`` over
+    all layers, and per-layer weight gradients ``nu1 * sign(W) + 2 * nu2 * W``
+    of the penalty ``nu1 * l1 + nu2 * l2``; sign(0) is 0.
     """
     if nu1 < 0 or nu2 < 0:
         raise ValueError("penalty coefficients must be non-negative")
-    value = 0.0
+    l1 = 0.0
+    l2 = 0.0
     grads = []
     for layer in layers:
         w = layer.weights
-        value += nu1 * float(np.abs(w).sum()) + nu2 * float((w * w).sum())
-        grads.append((nu1 * np.sign(w) + 2.0 * nu2 * w, np.zeros_like(layer.bias)))
-    return value, grads
+        grad = np.sign(w)
+        l1 += float(np.vdot(grad, w))
+        l2 += float(np.vdot(w, w))
+        grad *= nu1
+        grad += 2.0 * nu2 * w
+        grads.append(grad)
+    return l1, l2, grads
 
 
 @dataclass
@@ -136,9 +145,10 @@ def nesterov_step(params, grads, state):
     for p, g, v in zip(params, grads, state.velocities):
         if p.shape != g.shape:
             raise ValueError("gradient shape does not match its parameter")
+        step = lr * g
         v *= mu
-        v -= lr * g
+        v -= step
         p += mu * v
-        p -= lr * g
+        p -= step
     state.step_count += 1
     return params, state

@@ -72,7 +72,7 @@ def desk_runs():
         start = time.perf_counter()
         ret, _ = run_method(graphs, RunConfig(hyper=hyper, method="sdne_retrain"))
         t_ret = time.perf_counter() - start
-        aligned, _ = align_series(ret.embeddings)
+        aligned, _, _ = align_series(ret.embeddings)
         runs[seed] = SimpleNamespace(
             graphs=graphs, dyn=dyn, ret=ret, aligned=aligned, t_dyn=t_dyn, t_ret=t_ret
         )
@@ -264,7 +264,7 @@ def test_10_rotation_alignment_recovers_and_preserves_geometry():
     for _ in range(4):
         step, _ = np.linalg.qr(rng.standard_normal((16, 16)))
         series.append(series[-1] @ step + rng.normal(0, 0.01, x.shape))
-    aligned, _ = align_series(series)
+    aligned, _, _ = align_series(series)
     isometry = max(
         float(np.max(np.abs(_pdist(al) - _pdist(raw)))) for raw, al in zip(series, aligned)
     )

@@ -1,10 +1,15 @@
 import json
+import platform
+import resource
+import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from dyngem.cli import main
+from dyngem import model
+from dyngem.cli import main, retain_freed_memory
 
 GEN_FLAGS = [
     "--nodes", "30", "--communities", "3", "--p-in", "0.25", "--p-out", "0.03",
@@ -83,6 +88,7 @@ def test_train_run_directory_contents(workspace):
     for t, entry in enumerate(manifest["per_step"]):
         assert entry["step"] == t
         assert (run / entry["embedding"]).exists()
+        assert entry["checkpoint"] == f"checkpoint_{t:04d}.npz"
         assert (run / entry["checkpoint"]).exists()
         assert entry["iterations"] > 0
         assert entry["final_objective"] > 0
@@ -118,6 +124,22 @@ def test_train_from_manifest_commandline_overrides(workspace, tmp_path):
     assert (out / "emb_0000.csv").read_bytes() != (run / "emb_0000.csv").read_bytes()
 
 
+def test_train_non_finite_objective_exits_three(workspace, tmp_path, monkeypatch):
+    _, data, _ = workspace
+    real = model.loss_net_batch
+
+    def nan_loss(params, batch, hyper):
+        _, parts, grads = real(params, batch, hyper)
+        return float("nan"), parts, grads
+
+    monkeypatch.setattr(model, "loss_net_batch", nan_loss)
+    out = tmp_path / "nan"
+    result = _invoke(["train", "--in", str(data), "--out", str(out), *FAST_TRAIN])
+    assert result.exit_code == 3
+    assert "objective is nan" in result.output
+    assert not (out / "manifest.json").exists()
+
+
 def test_train_rejects_bad_flags(tmp_path, workspace):
     _, data, _ = workspace
     result = _invoke(["train", "--in", str(data), "--out", str(tmp_path / "x"),
@@ -139,7 +161,7 @@ def test_eval_reconstruction_report(workspace, tmp_path):
     assert result.exit_code == 0, result.output
     assert "average reconstruction MAP:" in result.output
     report = json.loads(out.read_text())
-    assert report["schema_version"] == 1
+    assert report["schema_version"] == 2
     assert report["method"] == "dyngem"
     assert len(report["per_step"]) == 3
     for entry in report["per_step"]:
@@ -243,7 +265,7 @@ def test_export_with_external_ids(workspace, tmp_path):
 
 
 def test_eval_rejects_empty_or_corrupt_run(tmp_path, workspace):
-    _, data, _ = workspace
+    _, data, run = workspace
     empty = tmp_path / "empty"
     empty.mkdir()
     result = _invoke(["eval", "reconstruction", "--run", str(empty),
@@ -256,6 +278,14 @@ def test_eval_rejects_empty_or_corrupt_run(tmp_path, workspace):
     result = _invoke(["eval", "anomaly", "--run", str(corrupt),
                       "--data", str(data), "--out", str(tmp_path / "a.json")])
     assert result.exit_code == 2
+    # a run whose checkpoint is in the old text format
+    old = tmp_path / "old"
+    shutil.copytree(run, old)
+    (old / "checkpoint_0001.npz").write_text("dyngem-checkpoint v1\n", encoding="utf-8")
+    result = _invoke(["eval", "reconstruction", "--run", str(old),
+                      "--data", str(data), "--out", str(tmp_path / "o.json")])
+    assert result.exit_code == 2
+    assert "re-run train" in result.output
 
 
 def test_usage_errors_exit_two():
@@ -263,3 +293,20 @@ def test_usage_errors_exit_two():
     assert result.exit_code == 2
     result = _invoke(["frobnicate"])
     assert result.exit_code == 2
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt thresholds are glibc's")
+def test_freed_memory_is_reused_without_page_faults():
+    assert retain_freed_memory()
+
+    def batch():
+        # Four 16 MB temporaries alive at once, like one training batch's.
+        return sum(float(a[0]) for a in [np.ones(2 << 20) for _ in range(4)])
+
+    batch()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(5):
+        batch()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    # Memory handed back to the kernel would fault about 16,000 pages a batch.
+    assert faults < 1000

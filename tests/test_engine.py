@@ -5,7 +5,9 @@ import pytest
 
 from dyngem.engine import (
     METHODS,
+    EmbeddingSeries,
     RunConfig,
+    _aligned_variant,
     align_series,
     procrustes_align,
     run_dyngem,
@@ -115,7 +117,7 @@ def test_align_series_isometry_and_continuity():
     for _ in range(3):
         q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
         embeddings.append(embeddings[-1] @ q + rng.normal(0, 1e-3, base.shape))
-    aligned, rotations = align_series(embeddings)
+    aligned, rotations, _ = align_series(embeddings)
     np.testing.assert_array_equal(rotations[0], np.eye(5))
     for t in range(4):
         # rotation preserves every pairwise distance
@@ -137,7 +139,7 @@ def test_align_series_handles_growing_rows():
     a = rng.standard_normal((10, 3))
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
     b = np.vstack([a, rng.standard_normal((4, 3))]) @ q
-    aligned, _ = align_series([a, b])
+    aligned, _, _ = align_series([a, b])
     np.testing.assert_allclose(aligned[1][:10], a, atol=1e-8)
     assert aligned[1].shape == (14, 3)
 
@@ -187,3 +189,14 @@ def test_aligned_variants_only_rotate():
             plain.embeddings[t] @ plain.embeddings[t].T,
             atol=1e-8,
         )
+
+
+def test_aligned_variant_charges_each_step_its_own_alignment():
+    rng = np.random.default_rng(3)
+    embeddings = [rng.standard_normal((6 + t, 3)) for t in range(3)]
+    base = EmbeddingSeries("gf", embeddings, [1.0, 1.0, 1.0], [5, 5, 5], [[], [], []])
+    _, _, align_seconds = align_series(embeddings)
+    assert align_seconds[0] == 0.0 and all(s > 0 for s in align_seconds[1:])
+    aligned = _aligned_variant(base, "gf_align")
+    assert aligned.seconds[0] == 1.0
+    assert all(s > 1.0 for s in aligned.seconds[1:])

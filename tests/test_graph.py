@@ -208,6 +208,17 @@ def test_series_roundtrip_and_order(tmp_path):
         load_series(tmp_path / "nowhere")
 
 
+def test_series_loads_unpadded_names_in_step_order(tmp_path):
+    snaps = [GraphSnapshot(3 + t, [(0, 1, 1.0 + t)]) for t in range(11)]
+    for t, snap in enumerate(snaps):
+        save_snapshot(snap, tmp_path / f"snapshot_{t}.edges")
+    loaded = load_series(tmp_path)
+    assert [g.node_count for g in loaded] == list(range(3, 14))
+    save_snapshot(snaps[1], tmp_path / "snapshot_01.edges")
+    with pytest.raises(ConfigError, match="both hold step 1"):
+        load_series(tmp_path)
+
+
 def test_grow_to_appends_isolated_nodes():
     g = GraphSnapshot(3, [(0, 1, 1.0)])
     bigger = grow_to(g, 5)

@@ -211,7 +211,7 @@ def test_expand_input_output_old_coordinates_exact():
 
 def test_expand_checkpoint_roundtrip(tmp_path):
     params = expand_input_output(build_autoencoder(8, (5,), 2, seed=1), 12, seed=2)
-    loaded = load_checkpoint(save_checkpoint(params, tmp_path / "ck.txt"))
+    loaded = load_checkpoint(save_checkpoint(params, tmp_path / "ck.npz"))
     for a, b in zip(params.layers(), loaded.layers()):
         np.testing.assert_array_equal(a.weights, b.weights)
         np.testing.assert_array_equal(a.bias, b.bias)

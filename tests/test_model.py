@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -186,7 +188,10 @@ def test_train_snapshot_input_validation():
 def test_checkpoint_roundtrip_exact(tmp_path):
     params = build_autoencoder(17, (9, 5), 3, seed=6)
     params.encoder[0].weights[0, 0] = 1.0 / 3.0  # not exactly representable in decimal
-    path = save_checkpoint(params, tmp_path / "ck.txt")
+    path = save_checkpoint(params, tmp_path / "ck.npz")
+    assert path == tmp_path / "ck.npz"
+    with zipfile.ZipFile(path) as archive:
+        assert {info.date_time for info in archive.infolist()} == {(1980, 1, 1, 0, 0, 0)}
     loaded = load_checkpoint(path)
     assert loaded.encoder_sizes == params.encoder_sizes
     assert loaded.decoder_sizes == params.decoder_sizes
@@ -197,29 +202,45 @@ def test_checkpoint_roundtrip_exact(tmp_path):
 
 def test_checkpoint_parse_errors(tmp_path):
     params = build_autoencoder(5, (4,), 2, seed=0)
-    path = save_checkpoint(params, tmp_path / "ok.txt")
-    good = path.read_text(encoding="utf-8").splitlines()
+    with np.load(save_checkpoint(params, tmp_path / "ok.npz")) as archive:
+        good = dict(archive)
+
+    def write_npz(name, arrays):
+        path = tmp_path / name
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        return path
+
+    v1_text = tmp_path / "v1.txt"
+    v1_text.write_text("dyngem-checkpoint v1\nn 5 d 2 K 2\n", encoding="utf-8")
+    other_text = tmp_path / "other.txt"
+    other_text.write_text("1 2 3\n", encoding="utf-8")
+    empty = tmp_path / "empty.npz"
+    empty.write_bytes(b"")
+    npy = tmp_path / "plain.npy"
+    np.save(npy, np.zeros(3))
+    missing = write_npz("missing.npz", {k: v for k, v in good.items() if k != "dec1_w"})
+    no_counts = write_npz("no_counts.npz", {k: v for k, v in good.items() if k != "layer_counts"})
+    bad_chain = dict(good, enc1_w=np.zeros((2, 3)))
+    unchained = write_npz("unchained.npz", bad_chain)
+    truncated = tmp_path / "truncated.npz"
+    truncated.write_bytes((tmp_path / "ok.npz").read_bytes()[:-10])
 
     cases = [
-        ["not-a-header"] + good[1:],
-        [good[0], "n 5 d 2"] + good[2:],
-        [good[0], "n x d 2 K 2"] + good[2:],
-        [good[0], "n 5 d 2 K 2", "bogus line"],
-        good[:-1],  # truncated bias
-        [good[0], good[1], good[2].replace("enc 1", "enc 2")] + good[3:],
+        (v1_text, "schema 1"),
+        (other_text, "not an npz"),
+        (empty, "not an npz"),
+        (npy, "not an npz"),
+        (missing, "dec1_w"),
+        (no_counts, "layer_counts"),
+        (unchained, "chain"),
+        (truncated, "not a valid"),
     ]
-    for k, lines in enumerate(cases):
-        p = tmp_path / f"bad_{k}.txt"
-        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        with pytest.raises(ParseError):
-            load_checkpoint(p)
-
-    # header dims disagreeing with layer shapes
-    mismatched = [good[0], "n 6 d 2 K 2"] + good[2:]
-    p = tmp_path / "mismatch.txt"
-    p.write_text("\n".join(mismatched) + "\n", encoding="utf-8")
-    with pytest.raises(ParseError):
-        load_checkpoint(p)
+    for path, needle in cases:
+        with pytest.raises(ParseError) as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value)
+        assert needle in str(info.value)
 
 
 def test_embed_and_reconstruct_shapes_and_blocks():

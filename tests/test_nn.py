@@ -97,6 +97,21 @@ def test_backward_masks_dead_units():
     np.testing.assert_array_equal(grads[0][0][1], x)
 
 
+def test_backward_without_input_grad_keeps_weight_grads():
+    rng = np.random.default_rng(4)
+    layers = [LayerParams(rng.standard_normal((o, i)), rng.standard_normal(o))
+              for i, o in ((7, 5), (5, 4), (4, 3))]
+    x = rng.standard_normal((6, 7))
+    c = rng.standard_normal((6, 3))
+    acts = forward(layers, x)
+    full, grad_in = backward(layers, acts, c)
+    skipped, none = backward(layers, acts, c, input_grad=False)
+    assert grad_in.shape == x.shape and none is None
+    for (gw, gb), (sw, sb) in zip(full, skipped):
+        np.testing.assert_array_equal(gw, sw)
+        np.testing.assert_array_equal(gb, sb)
+
+
 def test_backward_activation_mismatch():
     layer = LayerParams(np.eye(2), np.zeros(2))
     with pytest.raises(ValueError):
@@ -106,10 +121,10 @@ def test_backward_activation_mismatch():
 def test_regularizer_hand_case():
     # L1 = 9, L2 = 29 for W = [[3,-4],[0,2]]
     layer = LayerParams(np.array([[3.0, -4.0], [0.0, 2.0]]), np.zeros(2))
-    value, grads = regularizer_value_and_grads([layer], 0.1, 0.01)
-    assert value == pytest.approx(0.1 * 9 + 0.01 * 29)
-    np.testing.assert_allclose(grads[0][0], [[0.1 + 0.06, -0.1 - 0.08], [0.0, 0.1 + 0.04]])
-    np.testing.assert_array_equal(grads[0][1], [0.0, 0.0])
+    l1, l2, grads = regularizer_value_and_grads([layer, layer], 0.1, 0.01)
+    assert (l1, l2) == (18.0, 58.0)
+    np.testing.assert_allclose(grads[0], [[0.1 + 0.06, -0.1 - 0.08], [0.0, 0.1 + 0.04]])
+    np.testing.assert_array_equal(grads[1], grads[0])
     with pytest.raises(ValueError):
         regularizer_value_and_grads([layer], -0.1, 0.0)
 

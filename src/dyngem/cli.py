@@ -11,7 +11,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import click
@@ -58,10 +58,7 @@ def retain_freed_memory():
     return bool(mallopt(_M_TRIM_THRESHOLD, 1 << 30)) and bool(mallopt(_M_MMAP_THRESHOLD, 32 << 20))
 
 
-_HYPER_FIELDS = (
-    "alpha", "beta", "nu1", "nu2", "rho", "d", "base_lr", "momentum",
-    "decay", "batch_size", "epochs_first", "epochs_warm", "seed",
-)
+_HYPER_FIELDS = {f.name for f in fields(Hyperparameters)}
 
 
 class _ExitError(click.ClickException):
@@ -117,49 +114,29 @@ def _parse_hidden(text):
         raise ConfigError(f"hidden sizes {text!r} must be comma-separated integers") from None
 
 
-def _config_from_flags(flags):
-    hyper = Hyperparameters(**{name: flags[name] for name in _HYPER_FIELDS})
-    return RunConfig(
-        hyper=hyper,
-        method=flags["method"],
-        hidden_sizes=_parse_hidden(flags["hidden"]),
-        gf_lambda=flags["gf_lambda"],
-        gf_iters=flags["gf_iters"],
-        gf_lr=flags["gf_lr"],
-        growth_noise=flags["growth_noise"],
-        jobs=flags["jobs"],
-    )
-
-
-def _config_to_flat(config):
-    flat = {name: getattr(config.hyper, name) for name in _HYPER_FIELDS}
-    flat.update(
-        method=config.method,
-        hidden=",".join(str(h) for h in config.hidden_sizes),
-        gf_lambda=config.gf_lambda,
-        gf_iters=config.gf_iters,
-        gf_lr=config.gf_lr,
-        growth_noise=config.growth_noise,
-        jobs=config.jobs,
-    )
-    return flat
-
-
 def _config_to_dict(config):
     payload = asdict(config)
     payload["hidden_sizes"] = [int(h) for h in config.hidden_sizes]
     return payload
 
 
-def _config_from_dict(payload):
-    data = dict(payload)
-    hyper = Hyperparameters(**data.pop("hyper"))
-    data["hidden_sizes"] = tuple(int(h) for h in data["hidden_sizes"])
-    return RunConfig(hyper=hyper, **data)
+def _config_from_dict(payload, flags):
+    """RunConfig from a config echo, with the given train flags (named as
+    the config's fields) overriding its values."""
+    try:
+        data = {**payload, "hyper": dict(payload["hyper"])}
+        for name, value in flags.items():
+            (data["hyper"] if name in _HYPER_FIELDS else data)[name] = value
+        hyper = Hyperparameters(**data.pop("hyper"))
+        data["hidden_sizes"] = _parse_hidden(data["hidden_sizes"])
+        return RunConfig(hyper=hyper, **data)
+    except (KeyError, TypeError) as exc:
+        raise ConfigError(f"malformed config echo: {exc!r}") from None
 
 
 _H = Hyperparameters()
 _R = RunConfig()
+_DEFAULT_CONFIG = _config_to_dict(_R)
 
 
 def train_options(f):
@@ -168,7 +145,7 @@ def train_options(f):
                      show_default=True, help="embedding method"),
         click.option("--d", "d", type=int, default=_H.d, show_default=True,
                      help="embedding dimension"),
-        click.option("--hidden", default=",".join(str(h) for h in _R.hidden_sizes),
+        click.option("--hidden", "hidden_sizes", default=",".join(str(h) for h in _R.hidden_sizes),
                      show_default=True, help="comma-separated hidden widths"),
         click.option("--alpha", type=float, default=_H.alpha, show_default=True,
                      help="first-order proximity weight"),
@@ -290,7 +267,10 @@ def _read_embedding_csv(path):
                 rows.append([float(v) for v in parts[1:]])
             except ValueError:
                 raise ParseError(f"{path}:{lineno}: non-numeric embedding value") from None
-    return np.array(rows, dtype=np.float64).reshape(len(rows), len(header) - 1)
+    emb = np.array(rows, dtype=np.float64).reshape(len(rows), len(header) - 1)
+    if not np.isfinite(emb).all():
+        raise FloatingPointError(f"{path}: embedding holds non-finite values")
+    return emb
 
 
 def _write_run(out_dir, input_dir, series, config, result, growth):
@@ -348,13 +328,12 @@ def cmd_train(ctx, input_dir, output_dir, from_manifest, **flags):
             payload = json.load(fh)
         if "config" not in payload:
             raise ConfigError(f"{from_manifest}: manifest has no config echo")
-        flat = _config_to_flat(_config_from_dict(payload["config"]))
-        for name, value in flags.items():
-            if ctx.get_parameter_source(name) is ParameterSource.COMMANDLINE:
-                flat[name] = value
-        config = _config_from_flags(flat)
+        config = _config_from_dict(payload["config"], {
+            name: value for name, value in flags.items()
+            if ctx.get_parameter_source(name) is ParameterSource.COMMANDLINE
+        })
     else:
-        config = _config_from_flags(flags)
+        config = _config_from_dict(_DEFAULT_CONFIG, flags)
     series = load_series(input_dir)
     result, growth = run_method(series, config)
     _write_run(output_dir, input_dir, series, config, result, growth)
@@ -425,16 +404,14 @@ def eval_reconstruction_cmd(run_dir, data_dir, out_path):
 @_guarded
 def eval_linkpred_cmd(data_dir, out_path, hide_fraction, hide_seed, **flags):
     """Hide last-snapshot edges, train on the modified series, rank them."""
-    config = _config_from_flags(flags)
+    config = _config_from_dict(_DEFAULT_CONFIG, flags)
     series = load_series(data_dir)
     last = len(series) - 1
     train_last, hidden = hide_edges(series[last], hide_fraction, hide_seed)
     modified = DynamicGraph([series[t] for t in range(last)] + [train_last])
     result, _ = run_method(modified, config)
-    if config.method in DECODER_SCORED:
-        scores = _step_scores(config.method, train_last, result.embeddings[last], result.checkpoints[last])
-    else:
-        scores = _step_scores(config.method, train_last, result.embeddings[last], None)
+    checkpoint = result.checkpoints[last] if result.checkpoints else None
+    scores = _step_scores(config.method, train_last, result.embeddings[last], checkpoint)
     value = metrics.eval_link_prediction(scores, train_last, hidden)
     per_step = [{"step": last, "map": value, "hidden_edges": len(hidden)}]
     aggregate = {"average_map": value, "hide_fraction": hide_fraction, "hide_seed": hide_seed}
@@ -455,25 +432,18 @@ def eval_stability_cmd(run_dir, data_dir, out_path):
         raise ConfigError("run and data directories disagree on the number of steps")
     if len(series) < 2:
         raise ConfigError("stability needs at least two snapshots")
+    try:
+        report = metrics.stability_constant(embeddings, series)
+    except UndefinedMetricError:
+        report = metrics.stability_transitions(embeddings, series)
     per_step = []
-    for t in range(len(series) - 1):
-        m = series[t].node_count
-        common = np.arange(m)
-        f_curr, f_next = embeddings[t], embeddings[t + 1][:m]
-        s_curr = series[t].induced_adjacency(common)
-        s_next = series[t + 1].induced_adjacency(common)
-        s_abs = metrics.stability_absolute(f_next, f_curr, s_next, s_curr)
-        s_rel = metrics.stability_relative(f_next, f_curr, s_next, s_curr)
+    for t, (s_abs, s_rel) in enumerate(zip(report.s_abs, report.s_rel)):
         entry = {"step": t + 1, "s_abs": s_abs, "s_rel": s_rel, "defined": s_rel is not None}
         if s_rel is None:
             entry["reason"] = "adjacency unchanged" if s_abs is None else "zero embedding or adjacency norm"
         per_step.append(entry)
-    defined = [e["s_rel"] for e in per_step if e["defined"]]
-    aggregate = {"defined_transitions": len(defined)}
-    if len(defined) >= 2:
-        aggregate["k_s"] = float(max(defined) - min(defined))
-    else:
-        aggregate["k_s"] = None
+    aggregate = {"defined_transitions": len(report.s_rel) - len(report.skipped), "k_s": report.k_s}
+    if report.k_s is None:
         aggregate["reason"] = "fewer than two defined relative stabilities"
     _write_report(out_path, manifest["method"], manifest["config"], per_step, aggregate)
     shown = "undefined" if aggregate["k_s"] is None else f"{aggregate['k_s']:.6g}"
@@ -579,11 +549,10 @@ def cmd_export(run_dir, output_dir, ids_path):
                 if ext_of is not None:
                     prefix += f",{ext_of.get(node, node)}"
                 fh.write(prefix + "," + ",".join(f"{v:.17g}" for v in row) + "\n")
+    deltas = metrics.anomaly_series(embeddings) if len(embeddings) > 1 else []
     with open(out / "deltas.csv", "w", encoding="utf-8") as fh:
         fh.write("step,delta\n")
-        for t in range(len(embeddings) - 1):
-            m = embeddings[t].shape[0]
-            delta = float(np.linalg.norm(embeddings[t + 1][:m] - embeddings[t]))
+        for t, delta in enumerate(deltas):
             fh.write(f"{t + 1},{delta:.17g}\n")
     rows = sum(e.shape[0] for e in embeddings)
     click.echo(f"exported {rows} embedding rows to {out}")

@@ -220,14 +220,11 @@ def _gf_one(snap, config, t, y0=None):
     else:
         y = np.vstack([y0, rng_init.uniform(-0.1, 0.1, (n - y0.shape[0], d))])
     y = np.ascontiguousarray(y)
-    edges = snap.edges()
-    heads = np.fromiter((e[0] for e in edges), dtype=np.intp, count=len(edges))
-    tails = np.fromiter((e[1] for e in edges), dtype=np.intp, count=len(edges))
-    weights = np.fromiter((e[2] for e in edges), dtype=np.float64, count=len(edges))
+    heads, tails, weights = snap.heads, snap.tails, snap.weights
     rng = np.random.default_rng(_step_seed(config.hyper.seed, t, _SALT_TRAIN))
     trace = []
     for it in range(config.gf_iters):
-        order = rng.permutation(len(edges)).astype(np.intp)
+        order = rng.permutation(snap.edge_count).astype(np.intp)
         gf_epoch(y, heads, tails, weights, order, config.gf_lr, config.gf_lambda)
         value = _gf_objective(y, heads, tails, weights, config.gf_lambda)
         if not math.isfinite(value):

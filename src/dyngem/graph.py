@@ -14,58 +14,72 @@ SNAPSHOT_GLOB = "snapshot_*.edges"
 SNAPSHOT_FMT = "snapshot_{:04d}.edges"
 
 
+class _InvalidEdge(ValueError):
+    """An invalid edge, with its position in the input."""
+
+    def __init__(self, index, message):
+        super().__init__(message)
+        self.index = index
+
+
+def _canonical_edges(n, edges):
+    """``(heads, tails, weights)`` arrays of a ``{(i, j): w}`` dict or an
+    iterable of ``(i, j, w)``, each pair stored as ``i < j`` and sorted by
+    ``(i, j)``.
+
+    Raises ``_InvalidEdge`` at the first edge in input order that is a
+    self-loop, leaves 0..n-1, has a weight that is not positive and finite,
+    or repeats an earlier undirected pair.
+    """
+    if hasattr(edges, "items"):
+        edges = [(i, j, w) for (i, j), w in edges.items()]
+    triples = np.array(list(edges) or np.empty((0, 3)), dtype=np.float64)
+    if triples.ndim != 2 or triples.shape[1] != 3:
+        raise ValueError("edges must be (i, j, w) triples")
+    i, j, w = triples[:, 0].astype(np.intp), triples[:, 1].astype(np.intp), triples[:, 2]
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    order = np.lexsort((hi, lo))
+    repeat = np.zeros(i.size, dtype=bool)
+    repeat[order[1:]] = (lo[order[1:]] == lo[order[:-1]]) & (hi[order[1:]] == hi[order[:-1]])
+    checks = (
+        (i == j, "self-loop on node {i} is not allowed"),
+        ((i < 0) | (i >= n) | (j < 0) | (j >= n), "edge ({i}, {j}) out of range for node_count {n}"),
+        (~(w > 0.0) | ~np.isfinite(w), "edge ({i}, {j}) must have a positive finite weight, got {w}"),
+        (repeat, "duplicate undirected edge ({lo}, {hi})"),
+    )
+    bad = np.flatnonzero(np.any([mask for mask, _ in checks], axis=0))
+    if bad.size:
+        k = int(bad[0])
+        message = next(text for mask, text in checks if mask[k])
+        raise _InvalidEdge(k, message.format(i=i[k], j=j[k], n=n, w=float(w[k]), lo=lo[k], hi=hi[k]))
+    return lo[order], hi[order], w[order]
+
+
 class GraphSnapshot:
     """One weighted undirected graph over dense node ids 0..node_count-1.
 
-    Each edge is stored once under its canonical key ``(i, j)`` with
-    ``i < j``; a symmetric CSR view is built eagerly so that rows of the
-    adjacency matrix can be extracted cheaply.  Instances are treated as
-    immutable after construction.
+    The edges are stored once, in the ``heads``, ``tails`` and ``weights``
+    arrays: one entry per undirected pair ``(i, j)`` with ``i < j``, sorted
+    by ``(i, j)``.  A symmetric CSR view built from them extracts rows of
+    the adjacency matrix cheaply.  ``edges`` accepts a ``{(i, j): w}`` dict
+    or an iterable of ``(i, j, w)``.  Instances and their arrays are
+    treated as immutable after construction.
     """
 
     def __init__(self, node_count, edges=()):
         if not isinstance(node_count, (int, np.integer)) or node_count < 0:
             raise ValueError(f"node_count must be a non-negative integer, got {node_count!r}")
         self._n = int(node_count)
-        canonical = {}
-        items = edges.items() if hasattr(edges, "items") else edges
-        for entry in items:
-            if hasattr(edges, "items"):
-                (i, j), w = entry
-            else:
-                i, j, w = entry
-            i, j, w = int(i), int(j), float(w)
-            if i == j:
-                raise ValueError(f"self-loop on node {i} is not allowed")
-            if not (0 <= i < self._n and 0 <= j < self._n):
-                raise ValueError(f"edge ({i}, {j}) out of range for node_count {self._n}")
-            if not (w > 0.0) or not np.isfinite(w):
-                raise ValueError(f"edge ({i}, {j}) must have a positive finite weight, got {w}")
-            key = (i, j) if i < j else (j, i)
-            if key in canonical:
-                raise ValueError(f"duplicate undirected edge ({key[0]}, {key[1]})")
-            canonical[key] = w
-        self._edges = canonical
-        self._edge_list = sorted((i, j, w) for (i, j), w in canonical.items())
+        self.heads, self.tails, self.weights = _canonical_edges(self._n, edges)
         self._build_csr()
 
     def _build_csr(self):
-        n, m = self._n, len(self._edges)
-        if m:
-            heads = np.fromiter((e[0] for e in self._edge_list), dtype=np.intp, count=m)
-            tails = np.fromiter((e[1] for e in self._edge_list), dtype=np.intp, count=m)
-            wts = np.fromiter((e[2] for e in self._edge_list), dtype=np.float64, count=m)
-            rows = np.concatenate([heads, tails])
-            cols = np.concatenate([tails, heads])
-            data = np.concatenate([wts, wts])
-            order = np.lexsort((cols, rows))
-            self._indices = cols[order]
-            self._data = data[order]
-            counts = np.bincount(rows, minlength=n)
-        else:
-            self._indices = np.empty(0, dtype=np.intp)
-            self._data = np.empty(0, dtype=np.float64)
-            counts = np.zeros(n, dtype=np.intp)
+        rows = np.concatenate([self.heads, self.tails])
+        cols = np.concatenate([self.tails, self.heads])
+        order = np.lexsort((cols, rows))
+        self._indices = cols[order]
+        self._data = np.concatenate([self.weights, self.weights])[order]
+        counts = np.bincount(rows, minlength=self._n)
         self._indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.intp)
 
     @property
@@ -74,16 +88,11 @@ class GraphSnapshot:
 
     @property
     def edge_count(self):
-        return len(self._edges)
+        return self.heads.size
 
     def edges(self):
         """Canonical edge list, sorted tuples ``(i, j, w)`` with ``i < j``."""
-        return list(self._edge_list)
-
-    def weight(self, i, j):
-        """Weight of the undirected edge between i and j, or 0.0 if absent."""
-        key = (i, j) if i < j else (j, i)
-        return self._edges.get(key, 0.0)
+        return list(zip(self.heads.tolist(), self.tails.tolist(), self.weights.tolist()))
 
     def neighbors(self, node):
         """Sorted neighbor ids and their weights for one node (views)."""
@@ -91,13 +100,6 @@ class GraphSnapshot:
             raise IndexError(f"node {node} out of range for node_count {self._n}")
         lo, hi = self._indptr[node], self._indptr[node + 1]
         return self._indices[lo:hi], self._data[lo:hi]
-
-    def neighbor_vector(self, node):
-        """Dense adjacency row s_i as a float64 vector of length node_count."""
-        idx, wts = self.neighbors(node)
-        vec = np.zeros(self._n, dtype=np.float64)
-        vec[idx] = wts
-        return vec
 
     def dense_rows(self, nodes):
         """Dense adjacency rows for an array of node ids, shape (len(nodes), n)."""
@@ -129,18 +131,23 @@ class GraphSnapshot:
                 raise IndexError("node_set contains ids out of range")
         pos = np.full(self._n, -1, dtype=np.intp)
         pos[ns] = np.arange(ns.size)
+        a, b = pos[self.heads], pos[self.tails]
+        keep = (a >= 0) & (b >= 0)
+        a, b, w = a[keep], b[keep], self.weights[keep]
         out = np.zeros((ns.size, ns.size), dtype=np.float64)
-        for local, node in enumerate(ns):
-            idx, wts = self.neighbors(int(node))
-            mapped = pos[idx]
-            keep = mapped >= 0
-            out[local, mapped[keep]] = wts[keep]
+        out[a, b] = w
+        out[b, a] = w
         return out
 
     def __eq__(self, other):
         if not isinstance(other, GraphSnapshot):
             return NotImplemented
-        return self._n == other._n and self._edges == other._edges
+        return (
+            self._n == other._n
+            and np.array_equal(self.heads, other.heads)
+            and np.array_equal(self.tails, other.tails)
+            and np.array_equal(self.weights, other.weights)
+        )
 
     __hash__ = None
 
@@ -281,7 +288,7 @@ def load_snapshot(path):
     """
     path = Path(path)
     node_count = None
-    edges = {}
+    triples, linenos = [], []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
@@ -308,19 +315,17 @@ def load_snapshot(path):
                 w = float(parts[2])
             except ValueError:
                 raise ParseError(f"{path}:{lineno}: weight {parts[2]!r} is not a number") from None
-            if i == j:
-                raise ParseError(f"{path}:{lineno}: self-loop on node {i}")
+            # checked here because ids beyond intp would not survive the array conversion
             if not (0 <= i < node_count and 0 <= j < node_count):
                 raise ParseError(f"{path}:{lineno}: node id out of range for n {node_count}")
-            if not (w > 0.0) or not np.isfinite(w):
-                raise ParseError(f"{path}:{lineno}: weight must be positive and finite")
-            key = (i, j) if i < j else (j, i)
-            if key in edges:
-                raise ParseError(f"{path}:{lineno}: duplicate undirected edge ({key[0]}, {key[1]})")
-            edges[key] = w
+            triples.append((i, j, w))
+            linenos.append(lineno)
     if node_count is None:
         raise ParseError(f"{path}: missing 'n <node_count>' header")
-    return GraphSnapshot(node_count, edges)
+    try:
+        return GraphSnapshot(node_count, triples)
+    except _InvalidEdge as exc:
+        raise ParseError(f"{path}:{linenos[exc.index]}: {exc}") from None
 
 
 def save_snapshot(snapshot, path):
@@ -370,23 +375,14 @@ def hide_edges(snapshot, fraction, seed):
     """
     if not (0.0 < fraction < 1.0):
         raise ValueError("fraction must lie strictly between 0 and 1")
-    if snapshot.edge_count == 0:
+    m = snapshot.edge_count
+    if m == 0:
         raise ValueError("cannot hide edges of an empty graph")
-    edges = snapshot.edges()
-    k = int(round(fraction * len(edges)))
     rng = np.random.default_rng(seed)
-    chosen = rng.choice(len(edges), size=k, replace=False)
-    mask = np.zeros(len(edges), dtype=bool)
+    chosen = rng.choice(m, size=int(round(fraction * m)), replace=False)
+    mask = np.zeros(m, dtype=bool)
     mask[chosen] = True
-    hidden = [e for e, hide in zip(edges, mask) if hide]
-    kept = [e for e, hide in zip(edges, mask) if not hide]
+    parts = (snapshot.heads, snapshot.tails, snapshot.weights)
+    hidden = list(zip(*(a[mask].tolist() for a in parts)))
+    kept = zip(*(a[~mask] for a in parts))
     return GraphSnapshot(snapshot.node_count, kept), hidden
-
-
-def grow_to(snapshot, node_count):
-    """Return a copy with extra isolated nodes appended."""
-    if node_count < snapshot.node_count:
-        raise ValueError("cannot shrink a snapshot")
-    if node_count == snapshot.node_count:
-        return snapshot
-    return GraphSnapshot(node_count, snapshot.edges())

@@ -99,14 +99,6 @@ def propsize_plan(current_encoder_sizes, new_n, rho, d):
     )
 
 
-def widen_mapping(old_width, new_width, seed):
-    """Replication map g for the extra units: g[u] is the copied original unit."""
-    if new_width < old_width:
-        raise ValueError("new_width cannot shrink the layer")
-    rng = np.random.default_rng(seed)
-    return rng.integers(0, old_width, size=new_width - old_width)
-
-
 def _side_layers(params, side):
     if side == "enc":
         return list(params.encoder)
@@ -129,6 +121,8 @@ def net2wider(params, side, layer, new_width, noise_scale=0.0, seed=0):
     so with ``noise_scale == 0`` the network output is unchanged.  Noise, if
     any, perturbs only the copied incoming weights.  The side's last layer
     (the embedding, or the reconstruction output) cannot be widened.
+    Returns ``(new_params, mapping)``; ``mapping[u]`` is the original unit
+    that new unit ``old_width + u`` copies.
     """
     layers = _side_layers(params, side)
     if not (1 <= layer <= len(layers) - 1):
@@ -139,11 +133,10 @@ def net2wider(params, side, layer, new_width, noise_scale=0.0, seed=0):
     old_width = target.out_dim
     if new_width < old_width:
         raise ValueError("net2wider cannot shrink a layer")
-    if new_width == old_width:
-        return params.copy()
-
     rng = np.random.default_rng(seed)
     mapping = rng.integers(0, old_width, size=new_width - old_width)
+    if new_width == old_width:
+        return params.copy(), mapping
     new_rows = target.weights[mapping]
     if noise_scale:
         new_rows = new_rows + rng.uniform(-noise_scale, noise_scale, new_rows.shape)
@@ -159,7 +152,7 @@ def net2wider(params, side, layer, new_width, noise_scale=0.0, seed=0):
     layers = [l.copy() for l in layers]
     layers[layer - 1] = widened
     layers[layer] = LayerParams(scaled, nxt.bias.copy())
-    return _rebuild(params, side, layers)
+    return _rebuild(params, side, layers), mapping
 
 
 def net2deeper(params, side, position):
@@ -269,7 +262,7 @@ def apply_plan(params, plan, noise_scale=0.0, seed=0):
             construction = "identity"
             if width > incoming:
                 op_seed = _op_seed(seed, counter)
-                out = net2wider(out, side, position + 1, width, noise_scale, op_seed)
+                out, _ = net2wider(out, side, position + 1, width, noise_scale, op_seed)
                 construction = "identity_then_widen"
         else:
             out = _push_inserted(out, side, position, width)
@@ -286,9 +279,7 @@ def apply_plan(params, plan, noise_scale=0.0, seed=0):
         counter += 1
 
     for side, layer, old_width, new_width in plan.widen_ops:
-        op_seed = _op_seed(seed, counter)
-        mapping = widen_mapping(old_width, new_width, op_seed)
-        out = net2wider(out, side, layer, new_width, noise_scale, op_seed)
+        out, mapping = net2wider(out, side, layer, new_width, noise_scale, _op_seed(seed, counter))
         report.append(
             {
                 "op": "widen",

@@ -1,5 +1,5 @@
-"""Ranking quality (precision@k, MAP), embedding stability constants,
-anomaly deltas, and the warm-start speedup model."""
+"""Ranking quality (MAP), embedding stability constants, anomaly deltas,
+and the warm-start speedup model."""
 
 from __future__ import annotations
 
@@ -10,77 +10,13 @@ import numpy as np
 from dyngem.errors import UndefinedMetricError
 
 
-def ranked_candidates(scores, candidates):
-    """Candidate ids ordered by descending score, ties broken by ascending id."""
-    candidates = np.asarray(candidates, dtype=np.intp)
+def _finite_scores(scores, n):
     scores = np.asarray(scores, dtype=np.float64)
-    if scores.shape != candidates.shape:
-        raise ValueError("scores and candidates must align")
-    order = np.lexsort((candidates, -scores))
-    return candidates[order]
-
-
-@dataclass
-class RankedPrediction:
-    """One node's candidates sorted by descending score (ties by ascending id)."""
-
-    node: int
-    candidates: np.ndarray
-    scores: np.ndarray
-
-    @classmethod
-    def from_scores(cls, node, candidates, scores):
-        candidates = np.asarray(candidates, dtype=np.intp)
-        scores = np.asarray(scores, dtype=np.float64)
-        if node in candidates:
-            raise ValueError("candidates must not include the node itself")
-        if not np.isfinite(scores).all():
-            raise ValueError("scores must be finite")
-        order = np.lexsort((candidates, -scores))
-        return cls(int(node), candidates[order], scores[order])
-
-
-def precision_at_k(ranked, truth, k):
-    """Fraction of the top k ranked items that are true."""
-    ranked = list(ranked)
-    if not (1 <= k <= len(ranked)):
-        raise ValueError(f"k must lie in [1, {len(ranked)}]")
-    truth = set(truth)
-    return sum(1 for item in ranked[:k] if item in truth) / k
-
-
-def average_precision(ranked, truth):
-    """Mean of precision@rank over the ranks holding true items.
-
-    Returns None when ``truth`` is empty (the node contributes nothing).
-    """
-    truth = set(truth)
-    if not truth:
-        return None
-    hits = 0
-    total = 0.0
-    for rank, item in enumerate(ranked, 1):
-        if item in truth:
-            hits += 1
-            total += hits / rank
-    return total / len(truth)
-
-
-def mean_average_precision(rankings, truths):
-    """Mean AP over the nodes that have at least one true item.
-
-    ``rankings`` and ``truths`` are parallel sequences (one ranked candidate
-    list and one truth collection per node).  Raises UndefinedMetricError if
-    no node has any truth.
-    """
-    values = []
-    for ranked, truth in zip(rankings, truths):
-        ap = average_precision(ranked, truth)
-        if ap is not None:
-            values.append(ap)
-    if not values:
-        raise UndefinedMetricError("MAP is undefined: no node has a true neighbor")
-    return float(np.mean(values))
+    if scores.shape != (n, n):
+        raise ValueError("scores must be (n, n) for the snapshot")
+    if not np.isfinite(scores).all():
+        raise FloatingPointError("scores hold non-finite values; they cannot be ranked")
+    return scores
 
 
 def _ap_from_row(scores_row, candidates, truth_idx):
@@ -97,12 +33,11 @@ def eval_reconstruction(scores, snapshot):
     """MAP of neighborhood reconstruction from a symmetric pair-score matrix.
 
     For every node the candidates are all other nodes and the truth is its
-    neighbor set; nodes without neighbors are skipped.
+    neighbor set; nodes without neighbors are skipped.  Non-finite scores
+    raise FloatingPointError.
     """
-    scores = np.asarray(scores, dtype=np.float64)
     n = snapshot.node_count
-    if scores.shape != (n, n):
-        raise ValueError("scores must be (n, n) for the snapshot")
+    scores = _finite_scores(scores, n)
     everyone = np.arange(n)
     values = []
     for i in range(n):
@@ -121,12 +56,11 @@ def eval_link_prediction(scores, train_snapshot, hidden):
 
     Candidates for node i exclude i itself and every edge present in the
     training snapshot; the truth is the hidden edges incident to i.  Nodes
-    without hidden edges are skipped; an empty ``hidden`` is an error.
+    without hidden edges are skipped; an empty ``hidden`` is an error, and
+    non-finite scores raise FloatingPointError.
     """
-    scores = np.asarray(scores, dtype=np.float64)
     n = train_snapshot.node_count
-    if scores.shape != (n, n):
-        raise ValueError("scores must be (n, n) for the snapshot")
+    scores = _finite_scores(scores, n)
     if not hidden:
         raise UndefinedMetricError("link-prediction MAP undefined: no hidden edges")
     truth_of = {}
@@ -179,62 +113,65 @@ def stability_relative(f_next, f_curr, s_next, s_curr):
 
 @dataclass
 class StabilityReport:
-    """Per-transition stability values plus the spread of the defined ones."""
+    """Per-transition stability values plus the spread of the defined ones
+    (None until it is known to be defined)."""
 
     s_abs: list
     s_rel: list
     skipped: list
-    k_s: float
+    k_s: float | None
 
 
-def _common_views(embeddings, graphs, t):
-    m = graphs[t].node_count
-    f_curr = embeddings[t]
-    f_next = embeddings[t + 1][:m]
-    common = np.arange(m)
-    s_curr = graphs[t].induced_adjacency(common)
-    s_next = graphs[t + 1].induced_adjacency(common)
-    return f_next, f_curr, s_next, s_curr
+def stability_transitions(series, graphs):
+    """Per-step S_abs and S_rel over each transition's common nodes, as a
+    StabilityReport with ``k_s`` None.
 
-
-def stability_constant(series, graphs):
-    """Per-step S_abs and S_rel plus the stability constant K_S.
-
-    ``series`` may be an EmbeddingSeries or a plain list of matrices.  K_S is
-    the spread (max minus min) of the defined S_rel values; transitions with
-    an unchanged adjacency are recorded in ``skipped`` and excluded.  Fewer
-    than two defined values leave K_S undefined (error).
+    ``series`` may be an EmbeddingSeries or a plain list of matrices.
+    Transitions with an undefined S_rel are listed in ``skipped``.
     """
     embeddings = getattr(series, "embeddings", series)
     if len(embeddings) != len(graphs):
         raise ValueError("embedding series and graph series must share their length")
-    s_abs, s_rel, skipped = [], [], []
+    s_abs, s_rel = [], []
     for t in range(len(graphs) - 1):
-        f_next, f_curr, s_next, s_curr = _common_views(embeddings, graphs, t)
-        a = stability_absolute(f_next, f_curr, s_next, s_curr)
-        r = stability_relative(f_next, f_curr, s_next, s_curr)
-        s_abs.append(a)
-        s_rel.append(r)
-        if r is None:
-            skipped.append(t)
-    defined = [r for r in s_rel if r is not None]
+        common = np.arange(graphs[t].node_count)
+        views = (embeddings[t + 1][: common.size], embeddings[t],
+                 graphs[t + 1].induced_adjacency(common), graphs[t].induced_adjacency(common))
+        s_abs.append(stability_absolute(*views))
+        s_rel.append(stability_relative(*views))
+    skipped = [t for t, r in enumerate(s_rel) if r is None]
+    return StabilityReport(s_abs, s_rel, skipped, None)
+
+
+def stability_constant(series, graphs):
+    """:func:`stability_transitions` plus the stability constant K_S, the
+    spread (max minus min) of the defined S_rel values.  Fewer than two
+    defined values leave K_S undefined (error).
+    """
+    report = stability_transitions(series, graphs)
+    defined = [r for r in report.s_rel if r is not None]
     if len(defined) < 2:
         raise UndefinedMetricError(
             "stability constant undefined: fewer than two defined S_rel values"
         )
-    return StabilityReport(s_abs, s_rel, skipped, float(max(defined) - min(defined)))
+    report.k_s = float(max(defined) - min(defined))
+    return report
 
 
-def anomaly_series(series, graphs):
-    """Embedding deltas ||F_{t+1}(V_t) - F_t(V_t)||_F for each transition."""
+def anomaly_series(series, graphs=None):
+    """Embedding deltas ||F_{t+1}(V_t) - F_t(V_t)||_F for each transition.
+
+    V_t, the node set of step t, is the row set of F_t; ``graphs``, when
+    given, must match the series in length.
+    """
     embeddings = getattr(series, "embeddings", series)
-    if len(embeddings) != len(graphs):
+    if graphs is not None and len(embeddings) != len(graphs):
         raise ValueError("embedding series and graph series must share their length")
     if len(embeddings) < 2:
         raise UndefinedMetricError("anomaly deltas need at least two steps")
     deltas = []
-    for t in range(len(graphs) - 1):
-        m = graphs[t].node_count
+    for t in range(len(embeddings) - 1):
+        m = embeddings[t].shape[0]
         deltas.append(float(np.linalg.norm(embeddings[t + 1][:m] - embeddings[t])))
     return np.array(deltas)
 

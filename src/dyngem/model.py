@@ -145,47 +145,22 @@ def build_autoencoder(n, hidden_sizes, d, seed):
     return AutoencoderParams(encoder, decoder)
 
 
-def penalty_matrix_row(s_i, beta):
-    """Reconstruction weights b_i: beta where s_i is non-zero, 1 elsewhere."""
-    if beta <= 1:
-        raise ValueError("beta must be greater than 1")
-    return np.where(np.asarray(s_i) == 0, 1.0, float(beta))
-
-
-def loss_global(x, x_hat, b):
-    """Weighted reconstruction error sum(((x_hat - x) * b)^2)."""
-    x, x_hat, b = (np.asarray(a, dtype=np.float64) for a in (x, x_hat, b))
-    if x.shape != x_hat.shape or x.shape != b.shape:
-        raise ValueError("x, x_hat and b must share one shape")
-    diff = (x_hat - x) * b
-    return float(np.sum(diff * diff))
-
-
-def loss_local(y_i, y_j, s_ij):
-    """First-order proximity term s_ij * ||y_i - y_j||^2."""
-    y_i, y_j = np.asarray(y_i, dtype=np.float64), np.asarray(y_j, dtype=np.float64)
-    if y_i.shape != y_j.shape:
-        raise ValueError("embeddings must share one shape")
-    d = y_i - y_j
-    return float(s_ij) * float(np.sum(d * d))
-
-
 @dataclass
 class TrainBatch:
-    """A minibatch of edges with both endpoint adjacency rows gathered."""
+    """A minibatch of edges plus the adjacency rows of its endpoints: ``x``
+    stacks the head rows over the tail rows."""
 
     heads: np.ndarray
     tails: np.ndarray
     weights: np.ndarray
-    x_head: np.ndarray
-    x_tail: np.ndarray
+    x: np.ndarray
 
     def __post_init__(self):
         m = self.heads.shape[0]
         if not (self.tails.shape[0] == self.weights.shape[0] == m):
             raise ValueError("batch arrays must share their leading length")
-        if self.x_head.shape != self.x_tail.shape or self.x_head.shape[0] != m:
-            raise ValueError("adjacency row blocks must match the edge count")
+        if self.x.shape[0] != 2 * m:
+            raise ValueError("adjacency rows must cover both endpoints of every edge")
         if np.any(self.weights <= 0):
             raise ValueError("edge weights must be positive")
 
@@ -194,7 +169,7 @@ def make_batch(snapshot, heads, tails, weights):
     heads = np.asarray(heads, dtype=np.intp)
     tails = np.asarray(tails, dtype=np.intp)
     weights = np.asarray(weights, dtype=np.float64)
-    return TrainBatch(heads, tails, weights, snapshot.dense_rows(heads), snapshot.dense_rows(tails))
+    return TrainBatch(heads, tails, weights, snapshot.dense_rows(np.concatenate([heads, tails])))
 
 
 def loss_net_batch(params, batch, hyper):
@@ -204,10 +179,10 @@ def loss_net_batch(params, batch, hyper):
     holds the raw, unweighted values of the four terms and
     ``total = global + alpha*local + nu1*l1 + nu2*l2``.
     """
-    if batch.x_head.shape[1] != params.n:
+    x = batch.x
+    if x.shape[1] != params.n:
         raise ValueError("batch row width does not match the model input width")
     m = batch.heads.shape[0]
-    x = np.vstack([batch.x_head, batch.x_tail])
     acts_enc = nn.forward(params.encoder, x)
     y = acts_enc[-1]
     acts_dec = nn.forward(params.decoder, y)
@@ -260,19 +235,15 @@ def train_snapshot(params, snapshot, hyper, epochs, seed=None):
         raise ValueError("snapshot node count does not match the model input width")
     if snapshot.edge_count == 0:
         raise ValueError("snapshot has no edges to train on")
-    edges = snapshot.edges()
-    heads = np.fromiter((e[0] for e in edges), dtype=np.intp, count=len(edges))
-    tails = np.fromiter((e[1] for e in edges), dtype=np.intp, count=len(edges))
-    weights = np.fromiter((e[2] for e in edges), dtype=np.float64, count=len(edges))
-
+    heads, tails, weights = snapshot.heads, snapshot.tails, snapshot.weights
     rng = np.random.default_rng(hyper.seed if seed is None else seed)
     flat = _flatten(params)
     state = OptimizerState.for_params(flat, hyper.base_lr, hyper.momentum, hyper.decay)
     trace = []
     for epoch in range(epochs):
-        perm = rng.permutation(len(edges))
+        perm = rng.permutation(snapshot.edge_count)
         epoch_loss = 0.0
-        for start in range(0, len(edges), hyper.batch_size):
+        for start in range(0, snapshot.edge_count, hyper.batch_size):
             idx = perm[start : start + hyper.batch_size]
             batch = make_batch(snapshot, heads[idx], tails[idx], weights[idx])
             total, _, (enc_grads, dec_grads) = loss_net_batch(params, batch, hyper)

@@ -32,6 +32,24 @@ def exhaustive_ap(scores_row, candidates, truth):
     return total / len(truth)
 
 
+def loss_global(x, x_hat, b):
+    """Weighted reconstruction error sum(((x_hat - x) * b)^2)."""
+    x, x_hat, b = (np.asarray(a, dtype=np.float64) for a in (x, x_hat, b))
+    if x.shape != x_hat.shape or x.shape != b.shape:
+        raise ValueError("x, x_hat and b must share one shape")
+    diff = (x_hat - x) * b
+    return float(np.sum(diff * diff))
+
+
+def loss_local(y_i, y_j, s_ij):
+    """First-order proximity term s_ij * ||y_i - y_j||^2."""
+    y_i, y_j = np.asarray(y_i, dtype=np.float64), np.asarray(y_j, dtype=np.float64)
+    if y_i.shape != y_j.shape:
+        raise ValueError("embeddings must share one shape")
+    d = y_i - y_j
+    return float(s_ij) * float(np.sum(d * d))
+
+
 def random_snapshot(rng, n, p=0.3, max_weight=2.0):
     """Random undirected weighted graph, guaranteed at least one edge."""
     while True:
@@ -81,9 +99,8 @@ def jittered_model_and_batch(seed, n=12, hidden=(8, 5), d=3, batch_edges=6):
         tails = [edges[k][1] for k in idx]
         weights = [edges[k][2] for k in idx]
         batch = make_batch(snap, heads, tails, weights)
-        x = np.vstack([batch.x_head, batch.x_tail])
         min_w = min(float(np.min(np.abs(l.weights))) for l in params.encoder + params.decoder)
-        if _min_preactivation(params, x) > 1e-3 and min_w > 1e-4:
+        if _min_preactivation(params, batch.x) > 1e-3 and min_w > 1e-4:
             return params, batch
     raise AssertionError("could not find a kink-free model/batch pair")
 

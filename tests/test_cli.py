@@ -124,6 +124,17 @@ def test_train_from_manifest_commandline_overrides(workspace, tmp_path):
     assert (out / "emb_0000.csv").read_bytes() != (run / "emb_0000.csv").read_bytes()
 
 
+def test_train_from_manifest_rejects_malformed_config(workspace, tmp_path):
+    _, data, run = workspace
+    manifest = json.loads((run / "manifest.json").read_text())
+    for config in ({"method": "gf"}, dict(manifest["config"], colour="red")):
+        bad = tmp_path / "manifest.json"
+        bad.write_text(json.dumps({"config": config}))
+        result = _invoke(["train", "--in", str(data), "--out", str(tmp_path / "x"), "--from-manifest", str(bad)])
+        assert result.exit_code == 2
+        assert "malformed config echo" in result.output
+
+
 def test_train_non_finite_objective_exits_three(workspace, tmp_path, monkeypatch):
     _, data, _ = workspace
     real = model.loss_net_batch
@@ -286,6 +297,22 @@ def test_eval_rejects_empty_or_corrupt_run(tmp_path, workspace):
                       "--data", str(data), "--out", str(tmp_path / "o.json")])
     assert result.exit_code == 2
     assert "re-run train" in result.output
+
+
+def test_eval_non_finite_embeddings_exit_three(workspace, tmp_path):
+    _, data, _ = workspace
+    run = tmp_path / "gf"
+    result = _invoke(["train", "--in", str(data), "--out", str(run), *FAST_TRAIN, "--method", "gf"])
+    assert result.exit_code == 0, result.output
+    emb = run / "emb_0001.csv"
+    lines = emb.read_text().splitlines()
+    lines[3] = lines[3].rsplit(",", 1)[0] + ",nan"
+    emb.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "recon.json"
+    result = _invoke(["eval", "reconstruction", "--run", str(run), "--data", str(data), "--out", str(out)])
+    assert result.exit_code == 3
+    assert "non-finite" in result.output
+    assert not out.exists()
 
 
 def test_usage_errors_exit_two():

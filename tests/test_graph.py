@@ -9,7 +9,6 @@ from dyngem.graph import (
     GraphSnapshot,
     SbmConfig,
     generate_sbm_series,
-    grow_to,
     hide_edges,
     load_series,
     load_snapshot,
@@ -21,9 +20,16 @@ from dyngem.graph import (
 def test_snapshot_canonicalizes_edges():
     g = GraphSnapshot(4, [(2, 1, 0.5), (0, 3, 2.0)])
     assert g.edges() == [(0, 3, 2.0), (1, 2, 0.5)]
-    assert g.weight(1, 2) == 0.5
-    assert g.weight(2, 1) == 0.5
-    assert g.weight(0, 1) == 0.0
+    assert [type(v) for v in g.edges()[0]] == [int, int, float]
+    assert g.heads.tolist() == [0, 1] and g.tails.tolist() == [3, 2]
+    assert g.weights.tolist() == [2.0, 0.5]
+    assert GraphSnapshot(4, {(2, 1): 0.5, (0, 3): 2.0}) == g
+    # against a plain sort of the canonical tuples, on shuffled, flipped input
+    rng = np.random.default_rng(1)
+    canonical = sorted({(i, j): float(rng.uniform(0.1, 2)) for i, j in rng.integers(0, 30, (80, 2)) if i < j}.items())
+    given = [(j, i, w) if rng.random() < 0.5 else (i, j, w) for (i, j), w in canonical]
+    rng.shuffle(given)
+    assert GraphSnapshot(30, given).edges() == [(int(i), int(j), w) for (i, j), w in canonical]
     assert g.node_count == 4
     assert g.edge_count == 2
 
@@ -39,8 +45,10 @@ def test_snapshot_rejects_bad_edges():
         GraphSnapshot(3, [(0, 1, -2.0)])
     with pytest.raises(ValueError):
         GraphSnapshot(3, [(0, 1, float("nan"))])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"duplicate undirected edge \(0, 1\)"):
         GraphSnapshot(3, [(0, 1, 1.0), (1, 0, 2.0)])
+    with pytest.raises(ValueError, match="triples"):
+        GraphSnapshot(3, [(0, 1), (1, 2), (2, 0)])
     with pytest.raises(ValueError):
         GraphSnapshot(-1)
 
@@ -50,10 +58,12 @@ def test_neighbors_and_dense_rows_agree():
     idx, wts = g.neighbors(0)
     assert idx.tolist() == [2, 4]
     assert wts.tolist() == [1.5, 2.0]
-    np.testing.assert_array_equal(g.neighbor_vector(0), [0, 0, 1.5, 0, 2.0])
     rows = g.dense_rows(np.arange(5))
+    np.testing.assert_array_equal(rows[0], [0, 0, 1.5, 0, 2.0])
     for i in range(5):
-        np.testing.assert_array_equal(rows[i], g.neighbor_vector(i))
+        idx, wts = g.neighbors(i)
+        np.testing.assert_array_equal(np.flatnonzero(rows[i]), idx)
+        np.testing.assert_array_equal(rows[i, idx], wts)
     np.testing.assert_array_equal(rows, rows.T)
     with pytest.raises(IndexError):
         g.neighbors(5)
@@ -64,6 +74,12 @@ def test_induced_adjacency_subset():
     sub = g.induced_adjacency([0, 2, 3])
     expected = np.array([[0, 1.5, 0], [1.5, 0, 0.25], [0, 0.25, 0]])
     np.testing.assert_array_equal(sub, expected)
+    rng = np.random.default_rng(2)
+    for _ in range(20):
+        big = GraphSnapshot(12, {(i, j): float(rng.uniform(0.5, 2)) for i in range(12)
+                                 for j in range(i + 1, 12) if rng.random() < 0.3})
+        ns = np.flatnonzero(rng.random(12) < 0.6)
+        np.testing.assert_array_equal(big.induced_adjacency(ns), big.dense_rows(ns)[:, ns])
     with pytest.raises(ValueError):
         g.induced_adjacency([2, 0])
     with pytest.raises(IndexError):
@@ -183,6 +199,13 @@ def test_load_snapshot_errors(tmp_path):
         p.write_text(text, encoding="utf-8")
         with pytest.raises(ParseError):
             load_snapshot(p)
+    # the first invalid line is named, whatever the fault
+    mixed = tmp_path / "mixed.edges"
+    mixed.write_text("n 3\n0 1 1.0\n0 2 -1.0\n1 1 1.0\n1 0 1.0\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=r"mixed\.edges:3: .*positive finite weight"):
+        load_snapshot(mixed)
+    with pytest.raises(ParseError, match=r"dup\.edges:3: duplicate undirected edge \(0, 1\)"):
+        load_snapshot(tmp_path / "dup.edges")
     empty = tmp_path / "empty.edges"
     empty.write_text("# only comments\n\n", encoding="utf-8")
     with pytest.raises(ParseError):
@@ -217,13 +240,3 @@ def test_series_loads_unpadded_names_in_step_order(tmp_path):
     save_snapshot(snaps[1], tmp_path / "snapshot_01.edges")
     with pytest.raises(ConfigError, match="both hold step 1"):
         load_series(tmp_path)
-
-
-def test_grow_to_appends_isolated_nodes():
-    g = GraphSnapshot(3, [(0, 1, 1.0)])
-    bigger = grow_to(g, 5)
-    assert bigger.node_count == 5
-    assert bigger.edges() == g.edges()
-    assert grow_to(g, 3) is g
-    with pytest.raises(ValueError):
-        grow_to(g, 2)

@@ -11,7 +11,6 @@ from dyngem.growth import (
     net2deeper,
     net2wider,
     propsize_plan,
-    widen_mapping,
 )
 from dyngem.model import build_autoencoder, load_checkpoint, save_checkpoint
 
@@ -104,20 +103,22 @@ def test_propsize_plan_properties():
 
 
 def test_widen_mapping_deterministic():
-    m1 = widen_mapping(4, 7, seed=3)
-    m2 = widen_mapping(4, 7, seed=3)
+    params = build_autoencoder(10, (4, 3), 2, seed=1)
+    a, m1 = net2wider(params, "enc", 1, 7, seed=3)
+    b, m2 = net2wider(params, "enc", 1, 7, seed=3)
     np.testing.assert_array_equal(m1, m2)
     assert m1.size == 3
     assert np.all((m1 >= 0) & (m1 < 4))
-    with pytest.raises(ValueError):
-        widen_mapping(4, 3, seed=0)
+    # new unit 4 + u copies the incoming weights of unit m1[u]
+    np.testing.assert_array_equal(a.encoder[0].weights[4:], params.encoder[0].weights[m1])
+    np.testing.assert_array_equal(a.encoder[0].weights, b.encoder[0].weights)
 
 
 def test_net2wider_preserves_function():
     params = build_autoencoder(10, (6, 4), 2, seed=1)
     x = np.random.default_rng(2).uniform(0, 1, (50, 10))
     before = _outputs(params, x)
-    wider = net2wider(params, "enc", 1, 9, noise_scale=0.0, seed=5)
+    wider, _ = net2wider(params, "enc", 1, 9, noise_scale=0.0, seed=5)
     assert wider.encoder_sizes == (10, 9, 4, 2)
     np.testing.assert_allclose(_outputs(wider, x), before, atol=1e-12)
     # replication structure: each new row copies an original row
@@ -129,8 +130,10 @@ def test_net2wider_preserves_function():
 def test_net2wider_splits_outgoing_weights():
     # find a seed whose mapping replicates unit 0 once: both columns get half
     params = build_autoencoder(4, (2,), 2, seed=0)
-    seed = next(s for s in range(50) if widen_mapping(2, 3, s).tolist() == [0])
-    wider = net2wider(params, "enc", 1, 3, noise_scale=0.0, seed=seed)
+    wider, _ = next(
+        grown for grown in (net2wider(params, "enc", 1, 3, seed=s) for s in range(50))
+        if grown[1].tolist() == [0]
+    )
     old_col = params.encoder[1].weights[:, 0]
     np.testing.assert_allclose(wider.encoder[1].weights[:, 0], old_col / 2)
     np.testing.assert_allclose(wider.encoder[1].weights[:, 2], old_col / 2)
@@ -139,16 +142,18 @@ def test_net2wider_splits_outgoing_weights():
 
 def test_net2wider_noise_perturbs_only_new_rows():
     params = build_autoencoder(10, (6, 4), 2, seed=1)
-    a = net2wider(params, "enc", 1, 8, noise_scale=0.0, seed=9)
-    b = net2wider(params, "enc", 1, 8, noise_scale=1e-3, seed=9)
+    a, mapping_a = net2wider(params, "enc", 1, 8, noise_scale=0.0, seed=9)
+    b, mapping_b = net2wider(params, "enc", 1, 8, noise_scale=1e-3, seed=9)
+    np.testing.assert_array_equal(mapping_a, mapping_b)
     np.testing.assert_array_equal(a.encoder[0].weights[:6], b.encoder[0].weights[:6])
     assert not np.array_equal(a.encoder[0].weights[6:], b.encoder[0].weights[6:])
 
 
 def test_net2wider_validation_and_identity():
     params = build_autoencoder(10, (6, 4), 2, seed=1)
-    same = net2wider(params, "enc", 1, 6)
+    same, mapping = net2wider(params, "enc", 1, 6)
     assert same is not params
+    assert mapping.size == 0
     np.testing.assert_array_equal(same.encoder[0].weights, params.encoder[0].weights)
     with pytest.raises(ValueError):
         net2wider(params, "enc", 1, 5)

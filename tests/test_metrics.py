@@ -6,79 +6,84 @@ import pytest
 from dyngem.errors import UndefinedMetricError
 from dyngem.graph import GraphSnapshot, hide_edges
 from dyngem.metrics import (
-    RankedPrediction,
+    _ap_from_row,
     anomaly_series,
-    average_precision,
     eval_link_prediction,
     eval_reconstruction,
     expected_speedup,
     flag_anomalies,
-    mean_average_precision,
-    precision_at_k,
-    ranked_candidates,
     stability_absolute,
     stability_constant,
     stability_relative,
+    stability_transitions,
 )
 from helpers import exhaustive_ap, random_snapshot, random_symmetric_scores
 
 
-def test_ranked_candidates_breaks_ties_by_id():
-    ranked = ranked_candidates([1.0, 1.0, 0.5], [7, 2, 9])
-    assert ranked.tolist() == [2, 7, 9]
-    with pytest.raises(ValueError):
-        ranked_candidates([1.0], [1, 2])
+def test_eval_reconstruction_breaks_ties_by_id():
+    # all scores tie: node 0 ranks [1, 2, 3] and finds 3 last, node 3 ranks
+    # [0, 1, 2] and finds 0 first
+    snap = GraphSnapshot(4, [(0, 3, 1.0)])
+    assert eval_reconstruction(np.zeros((4, 4)), snap) == pytest.approx((1 / 3 + 1.0) / 2, abs=1e-15)
 
 
-def test_ranked_prediction_rejects_self_and_nan():
-    pred = RankedPrediction.from_scores(0, [3, 1, 2], [0.1, 0.9, 0.5])
-    assert pred.candidates.tolist() == [1, 2, 3]
-    assert pred.scores.tolist() == [0.9, 0.5, 0.1]
-    with pytest.raises(ValueError):
-        RankedPrediction.from_scores(2, [1, 2], [0.5, 0.5])
-    with pytest.raises(ValueError):
-        RankedPrediction.from_scores(0, [1, 2], [np.nan, 0.5])
+def test_eval_reconstruction_rejects_non_finite_scores():
+    snap = GraphSnapshot(5, [(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0)])
+    scores = snap.dense_rows(np.arange(5))
+    assert eval_reconstruction(scores, snap) == 1.0
+    nan_row = scores.copy()
+    nan_row[2, :] = nan_row[:, 2] = np.nan
+    for bad in (np.full((5, 5), np.nan), nan_row, np.where(scores > 0, np.inf, 0.0)):
+        with pytest.raises(FloatingPointError):
+            eval_reconstruction(bad, snap)
 
 
-def test_precision_at_k_hand_case():
-    # two of the top four are true
-    assert precision_at_k([4, 8, 1, 6], {4, 1, 9}, 4) == 0.5
-    assert precision_at_k([4, 8, 1, 6], {4, 1, 9}, 1) == 1.0
-    assert precision_at_k([4, 8, 1, 6], set(), 4) == 0.0
-    for bad_k in (0, 5, -1):
-        with pytest.raises(ValueError):
-            precision_at_k([4, 8, 1, 6], {4}, bad_k)
+def test_eval_link_prediction_rejects_non_finite_scores():
+    train = GraphSnapshot(4, [(0, 1, 1.0)])
+    scores = np.zeros((4, 4))
+    scores[3, 3] = np.nan  # never ranked, still a broken score matrix
+    with pytest.raises(FloatingPointError):
+        eval_link_prediction(scores, train, [(0, 2, 1.0)])
+    with pytest.raises(FloatingPointError):
+        eval_link_prediction(np.full((4, 4), -np.inf), train, [(0, 2, 1.0)])
 
 
 def test_average_precision_hand_case():
-    # truths at ranks 1 and 3: (1/1 + 2/3) / 2
-    assert average_precision([5, 2, 7, 9], {5, 7}) == pytest.approx(5 / 6, abs=1e-15)
-    assert average_precision([5, 2], set()) is None
+    # candidates 2, 5, 7, 9 ranked [5, 2, 7, 9]; truths at ranks 1 and 3: (1/1 + 2/3) / 2
+    row = np.array([0, 0, 3.0, 0, 0, 4.0, 0, 2.0, 0, 1.0])
+    candidates = np.array([2, 5, 7, 9])
+    assert _ap_from_row(row, candidates, np.array([5, 7])) == pytest.approx(5 / 6, abs=1e-15)
     # a truth missing from the ranking still counts in the denominator
-    assert average_precision([5, 2], {5, 99}) == pytest.approx(0.5)
+    assert _ap_from_row(row, candidates, np.array([5, 99])) == pytest.approx(0.5)
+    assert _ap_from_row(row, candidates, np.array([99])) == 0.0
 
 
 def test_map_skips_empty_truths():
-    rankings = [[1, 2], [2, 1], [1, 2]]
-    truths = [{1}, set(), {2}]
-    assert mean_average_precision(rankings, truths) == pytest.approx((1.0 + 0.5) / 2)
+    # node 0 ranks [2, 1, 3] (AP 1/2), node 1 ranks [0, ...] (AP 1); the
+    # isolated nodes 2 and 3 contribute nothing
+    snap = GraphSnapshot(4, [(0, 1, 1.0)])
+    scores = np.zeros((4, 4))
+    scores[0, 2] = 2.0
+    scores[0, 1] = scores[1, 0] = 1.0
+    assert eval_reconstruction(scores, snap) == pytest.approx(0.75, abs=1e-15)
     with pytest.raises(UndefinedMetricError):
-        mean_average_precision(rankings, [set(), set(), set()])
+        eval_reconstruction(np.zeros((4, 4)), GraphSnapshot(4))
 
 
 def test_map_matches_exhaustive_oracle():
+    # scores rounded to one decimal, so ties are frequent
     rng = np.random.default_rng(11)
     for _ in range(200):
         n = int(rng.integers(2, 7))
-        scores = random_symmetric_scores(rng, n)
+        scores = np.round(random_symmetric_scores(rng, n), 1)
         for i in range(n):
             candidates = [c for c in range(n) if c != i]
             truth = {c for c in candidates if rng.random() < 0.5}
             expected = exhaustive_ap(scores[i], candidates, truth)
             if expected is None:
                 continue
-            ranked = ranked_candidates(scores[i, candidates], candidates)
-            assert average_precision(ranked, truth) == pytest.approx(expected, abs=1e-12)
+            got = _ap_from_row(scores[i], np.array(candidates), np.array(sorted(truth)))
+            assert got == pytest.approx(expected, abs=1e-12)
 
 
 def test_map_invariant_under_monotone_transform():
@@ -227,12 +232,14 @@ def test_stability_constant_needs_two_defined_values():
         stability_constant(
             [np.ones((2, 1)), np.zeros((2, 1))], _weighted_pair_series([1.0, 2.0])
         )
+    # three steps but one static transition leaves a single defined value
+    embeddings = [np.ones((2, 1)), np.full((2, 1), 2.0), np.ones((2, 1))]
+    graphs = _weighted_pair_series([1.0, 1.0, 2.0])
     with pytest.raises(UndefinedMetricError):
-        # three steps but one static transition leaves a single defined value
-        stability_constant(
-            [np.ones((2, 1)), np.full((2, 1), 2.0), np.ones((2, 1))],
-            _weighted_pair_series([1.0, 1.0, 2.0]),
-        )
+        stability_constant(embeddings, graphs)
+    report = stability_transitions(embeddings, graphs)
+    assert report.k_s is None and report.skipped == [0]
+    assert report.s_abs[0] is None and report.s_rel[1] == pytest.approx(0.5)
     with pytest.raises(ValueError):
         stability_constant([np.ones((2, 1))], _weighted_pair_series([1.0, 2.0]))
 

@@ -14,17 +14,21 @@ from dyngem.model import (
     build_autoencoder,
     embed,
     load_checkpoint,
-    loss_global,
-    loss_local,
     loss_net_batch,
     make_batch,
-    penalty_matrix_row,
     reconstruct_scores,
     save_checkpoint,
     symmetrize_scores,
     train_snapshot,
 )
-from helpers import finite_difference_max_rel_error, jittered_model_and_batch, random_snapshot, toy_hyper
+from helpers import (
+    finite_difference_max_rel_error,
+    jittered_model_and_batch,
+    loss_global,
+    loss_local,
+    random_snapshot,
+    toy_hyper,
+)
 
 
 def test_hyperparameters_validation():
@@ -82,12 +86,6 @@ def test_autoencoder_params_chain_validation():
         AutoencoderParams(bad_chain, dec)
 
 
-def test_penalty_matrix_row():
-    np.testing.assert_array_equal(penalty_matrix_row([0.0, 2.0, 0.0], 5.0), [1.0, 5.0, 1.0])
-    with pytest.raises(ValueError):
-        penalty_matrix_row([0.0], 1.0)
-
-
 def test_loss_global_hand_case():
     # ((0-1)*5)^2 = 25
     assert loss_global([1.0, 0.0], [0.0, 0.0], [5.0, 1.0]) == 25.0
@@ -111,7 +109,7 @@ def test_loss_net_batch_term_decomposition():
         parts["global"] + hyper.alpha * parts["local"] + hyper.nu1 * parts["l1"] + hyper.nu2 * parts["l2"]
     )
     # recompute each raw term independently through the forward pass
-    x = np.vstack([batch.x_head, batch.x_tail])
+    x = batch.x
     y = nn.forward(params.encoder, x)[-1]
     x_hat = nn.forward(params.decoder, y)[-1]
     b = np.where(x == 0.0, 1.0, hyper.beta)

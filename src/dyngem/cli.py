@@ -273,9 +273,16 @@ def _read_embedding_csv(path):
     return emb
 
 
-def _write_run(out_dir, input_dir, series, config, result, growth):
+def _write_run(out_dir, input_dir, series, config, result):
+    """Write a run directory with ``manifest.json`` last.  A manifest left
+    by an earlier run is deleted first, so a write that fails part-way
+    leaves a directory that ``eval`` rejects instead of a mix of two runs."""
+    for t, emb in enumerate(result.embeddings):
+        if not np.isfinite(emb).all():
+            raise FloatingPointError(f"step {t}: embedding holds non-finite values")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "manifest.json").unlink(missing_ok=True)
     per_step = []
     for t, emb in enumerate(result.embeddings):
         emb_name = EMB_FMT.format(t)
@@ -287,9 +294,9 @@ def _write_run(out_dir, input_dir, series, config, result, growth):
             "seconds": result.seconds[t],
             "iterations": int(result.iterations[t]),
             "final_objective": result.traces[t][-1] if result.traces[t] else None,
-            "growth": growth[t] if growth else None,
+            "growth": result.growth[t],
         }
-        if result.checkpoints is not None:
+        if result.checkpoints[t] is not None:
             ckpt_name = CKPT_FMT.format(t)
             model.save_checkpoint(result.checkpoints[t], out_dir / ckpt_name)
             entry["checkpoint"] = ckpt_name
@@ -335,8 +342,7 @@ def cmd_train(ctx, input_dir, output_dir, from_manifest, **flags):
     else:
         config = _config_from_dict(_DEFAULT_CONFIG, flags)
     series = load_series(input_dir)
-    result, growth = run_method(series, config)
-    _write_run(output_dir, input_dir, series, config, result, growth)
+    _write_run(output_dir, input_dir, series, config, run_method(series, config))
     click.echo(f"trained {config.method} on {len(series)} snapshots -> {output_dir}")
 
 
@@ -409,9 +415,8 @@ def eval_linkpred_cmd(data_dir, out_path, hide_fraction, hide_seed, **flags):
     last = len(series) - 1
     train_last, hidden = hide_edges(series[last], hide_fraction, hide_seed)
     modified = DynamicGraph([series[t] for t in range(last)] + [train_last])
-    result, _ = run_method(modified, config)
-    checkpoint = result.checkpoints[last] if result.checkpoints else None
-    scores = _step_scores(config.method, train_last, result.embeddings[last], checkpoint)
+    result = run_method(modified, config)
+    scores = _step_scores(config.method, train_last, result.embeddings[last], result.checkpoints[last])
     value = metrics.eval_link_prediction(scores, train_last, hidden)
     per_step = [{"step": last, "map": value, "hidden_edges": len(hidden)}]
     aggregate = {"average_map": value, "hide_fraction": hide_fraction, "hide_seed": hide_seed}

@@ -1,13 +1,14 @@
-"""Drivers that turn a snapshot series into an embedding series: the
-warm-started growable autoencoder, retrain-from-scratch baselines, graph
-factorization, and Procrustes rotation alignment."""
+"""Turn a snapshot series into an embedding series.  All six methods share
+one driver: a method picks its step (autoencoder or graph factorization),
+whether each step warm-starts from the previous one, and whether the result
+is rotated onto the previous step (orthogonal Procrustes)."""
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from concurrent import futures
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -56,97 +57,94 @@ class RunConfig:
 
 @dataclass
 class EmbeddingSeries:
-    """Per-step embeddings with wall-clock and iteration bookkeeping."""
+    """Per-step embeddings with wall-clock and iteration bookkeeping, the
+    trained autoencoder (None for factorization) and the growth plan applied
+    before training (None where the model was not grown)."""
 
     method: str
-    embeddings: list
-    seconds: list
-    iterations: list
-    traces: list
-    checkpoints: list | None = None
+    embeddings: list = field(default_factory=list)
+    seconds: list = field(default_factory=list)
+    iterations: list = field(default_factory=list)
+    traces: list = field(default_factory=list)
+    checkpoints: list = field(default_factory=list)
+    growth: list = field(default_factory=list)
+
+
+@dataclass
+class _Step:
+    """One step's result.  A warm next step takes ``params`` over and trains
+    it in place: growth leaves some weights in Fortran order, a copy would
+    not, and BLAS rounding depends on the order.  ``checkpoint`` is a copy
+    of ``params`` as this step left it."""
+
+    embedding: np.ndarray
+    iterations: int
+    trace: list
+    params: model.AutoencoderParams | None = None
+    checkpoint: model.AutoencoderParams | None = None
+    growth: dict | None = None
 
 
 def _step_seed(base, t, salt):
     return int(np.random.SeedSequence([int(base), int(t), salt]).generate_state(1)[0])
 
 
-def _updates(edge_count, batch_size, epochs):
-    return epochs * ((edge_count + batch_size - 1) // batch_size)
+def _drive(method, series, config, step, warm):
+    """Run ``step(snap, config, t, prev)`` on every snapshot, timing each.
+    A warm method passes the previous step's result and runs in order; a
+    cold one passes None and runs on ``config.jobs`` threads."""
 
-
-def run_dyngem(series, config):
-    """Warm-started run: the model carries over between snapshots and is grown
-    with a PropSize plan before training whenever the node set expands.
-
-    Returns ``(EmbeddingSeries, growth_report)``; the report has one entry
-    per step holding the applied plan, or None where no growth happened.
-    """
-    hyper = config.hyper
-    out = EmbeddingSeries("dyngem", [], [], [], [], checkpoints=[])
-    growth_report = []
-    params = None
-    for t, snap in enumerate(series):
+    def timed(t, snap, prev):
         start = time.perf_counter()
-        epochs = hyper.epochs_first if t == 0 else hyper.epochs_warm
-        grown = None
-        if t == 0:
-            params = model.build_autoencoder(
-                snap.node_count, config.hidden_sizes, hyper.d, _step_seed(hyper.seed, t, _SALT_INIT)
-            )
-        elif snap.node_count > params.n:
-            plan = propsize_plan(
-                params.encoder_sizes[:-1], snap.node_count, hyper.rho, hyper.d
-            )
+        result = step(snap, config, t, prev)
+        seconds = time.perf_counter() - start
+        if not warm:
+            result.params = None  # no later step continues it
+        return result, seconds
+
+    if warm or config.jobs == 1:
+        results = []
+        for t, snap in enumerate(series):
+            results.append(timed(t, snap, results[-1][0] if warm and results else None))
+    else:
+        with futures.ThreadPoolExecutor(max_workers=config.jobs) as pool:
+            results = list(pool.map(lambda ts: timed(*ts, None), enumerate(series)))
+    out = EmbeddingSeries(method)
+    for result, seconds in results:
+        out.embeddings.append(result.embedding)
+        out.seconds.append(seconds)
+        out.iterations.append(result.iterations)
+        out.traces.append(result.trace)
+        out.checkpoints.append(result.checkpoint)
+        out.growth.append(result.growth)
+    return out
+
+
+def _autoencoder_step(snap, config, t, prev):
+    """Train one autoencoder step.  A cold start builds a fresh model from
+    the step's seed; a warm start continues the previous step's model, grown
+    with a PropSize plan when the node set expanded."""
+    hyper = config.hyper
+    grown = None
+    if prev is None:
+        params = model.build_autoencoder(
+            snap.node_count, config.hidden_sizes, hyper.d, _step_seed(hyper.seed, t, _SALT_INIT)
+        )
+        epochs = hyper.epochs_first
+    else:
+        # taking the model over lets growth free the previous one
+        params, prev.params, epochs = prev.params, None, hyper.epochs_warm
+        if snap.node_count > params.n:
+            plan = propsize_plan(params.encoder_sizes[:-1], snap.node_count, hyper.rho, hyper.d)
             params, applied = apply_plan(
                 params, plan, config.growth_noise, _step_seed(hyper.seed, t, _SALT_GROW)
             )
             grown = {"plan": plan.to_dict(), "applied": applied}
-        params, trace = model.train_snapshot(
-            params, snap, hyper, epochs, seed=_step_seed(hyper.seed, t, _SALT_TRAIN)
-        )
-        out.embeddings.append(model.embed(params, snap))
-        out.seconds.append(time.perf_counter() - start)
-        out.iterations.append(_updates(snap.edge_count, hyper.batch_size, epochs))
-        out.traces.append(trace)
-        out.checkpoints.append(params.copy())
-        growth_report.append(grown)
-    return out, growth_report
-
-
-def _train_fresh(snap, config, t):
-    hyper = config.hyper
-    start = time.perf_counter()
-    params = model.build_autoencoder(
-        snap.node_count, config.hidden_sizes, hyper.d, _step_seed(hyper.seed, t, _SALT_INIT)
-    )
     params, trace = model.train_snapshot(
-        params, snap, hyper, hyper.epochs_first, seed=_step_seed(hyper.seed, t, _SALT_TRAIN)
+        params, snap, hyper, epochs, seed=_step_seed(hyper.seed, t, _SALT_TRAIN)
     )
-    emb = model.embed(params, snap)
-    seconds = time.perf_counter() - start
-    return emb, seconds, trace, params
-
-
-def run_sdne_retrain(series, config):
-    """Baseline: train a fresh autoencoder per snapshot from a new random init.
-
-    Per-step seeds differ, so back-to-back snapshots get independent
-    initializations.  ``config.jobs > 1`` trains snapshots concurrently.
-    """
-    hyper = config.hyper
-    out = EmbeddingSeries("sdne_retrain", [], [], [], [], checkpoints=[])
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(lambda ts: _train_fresh(ts[1], config, ts[0]), enumerate(series)))
-    else:
-        results = [_train_fresh(snap, config, t) for t, snap in enumerate(series)]
-    for snap, (emb, seconds, trace, params) in zip(series, results):
-        out.embeddings.append(emb)
-        out.seconds.append(seconds)
-        out.iterations.append(_updates(snap.edge_count, hyper.batch_size, hyper.epochs_first))
-        out.traces.append(trace)
-        out.checkpoints.append(params)
-    return out
+    batches = (snap.edge_count + hyper.batch_size - 1) // hyper.batch_size
+    return _Step(model.embed(params, snap), epochs * batches, trace, params, params.copy(), grown)
 
 
 def procrustes_align(reference, target):
@@ -189,37 +187,22 @@ def align_series(embeddings):
     return aligned, rotations, seconds
 
 
-def _aligned_variant(base, method):
-    aligned, _, align_seconds = align_series(base.embeddings)
-    seconds = [s + a for s, a in zip(base.seconds, align_seconds)]
-    return EmbeddingSeries(
-        method, aligned, seconds, list(base.iterations), list(base.traces), base.checkpoints
-    )
-
-
-def run_sdne_align(series, config):
-    """Retrained baseline post-processed with chain-wise rotation alignment."""
-    return _aligned_variant(run_sdne_retrain(series, config), "sdne_align")
-
-
 def _gf_objective(y, heads, tails, weights, lam):
     scores = np.einsum("ij,ij->i", y[heads], y[tails])
     resid = weights - scores
     return float(resid @ resid) + lam * float(np.sum(y * y))
 
 
-def _gf_one(snap, config, t, y0=None):
-    start = time.perf_counter()
-    n = snap.node_count
+def _gf_step(snap, config, t, prev):
+    """Run ``config.gf_iters`` factorization epochs on one snapshot, from a
+    seeded random init or, warm, from the previous step's embedding with
+    random rows for the new nodes."""
     if snap.edge_count == 0:
         raise ValueError(f"snapshot {t} has no edges to factorize")
     d = config.hyper.d
+    y0 = np.empty((0, d)) if prev is None else prev.embedding
     rng_init = np.random.default_rng(_step_seed(config.hyper.seed, t, _SALT_INIT))
-    if y0 is None:
-        y = rng_init.uniform(-0.1, 0.1, (n, d))
-    else:
-        y = np.vstack([y0, rng_init.uniform(-0.1, 0.1, (n - y0.shape[0], d))])
-    y = np.ascontiguousarray(y)
+    y = np.vstack([y0, rng_init.uniform(-0.1, 0.1, (snap.node_count - y0.shape[0], d))])
     heads, tails, weights = snap.heads, snap.tails, snap.weights
     rng = np.random.default_rng(_step_seed(config.hyper.seed, t, _SALT_TRAIN))
     trace = []
@@ -230,7 +213,7 @@ def _gf_one(snap, config, t, y0=None):
         if not math.isfinite(value):
             raise ConvergenceError(f"snapshot {t}: factorization objective is {value} in iteration {it}")
         trace.append(value)
-    return y, time.perf_counter() - start, trace
+    return _Step(y, config.gf_iters * snap.edge_count, trace)
 
 
 def run_gf(series, config, warm_start=False):
@@ -241,44 +224,21 @@ def run_gf(series, config, warm_start=False):
     nodes random); otherwise every step starts from a fresh seeded init.
     The evaluation pair score is the inner product.
     """
-    method = "gf_init" if warm_start else "gf"
-    out = EmbeddingSeries(method, [], [], [], [])
-    if not warm_start and config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(lambda ts: _gf_one(ts[1], config, ts[0]), enumerate(series)))
-    else:
-        results = []
-        prev = None
-        for t, snap in enumerate(series):
-            y, seconds, trace = _gf_one(snap, config, t, y0=prev if warm_start else None)
-            results.append((y, seconds, trace))
-            prev = y
-    for snap, (y, seconds, trace) in zip(series, results):
-        out.embeddings.append(y)
-        out.seconds.append(seconds)
-        out.iterations.append(config.gf_iters * snap.edge_count)
-        out.traces.append(trace)
-    return out
-
-
-def run_gf_align(series, config):
-    """Cold-start factorization post-processed with rotation alignment."""
-    return _aligned_variant(run_gf(series, config, warm_start=False), "gf_align")
+    return _drive("gf_init" if warm_start else "gf", series, config, _gf_step, warm_start)
 
 
 def run_method(series, config):
-    """Dispatch on ``config.method``; returns ``(series, growth_report)``
-    where the report is None for everything except the warm-started run."""
-    if config.method == "dyngem":
-        return run_dyngem(series, config)
-    if config.method == "sdne_retrain":
-        return run_sdne_retrain(series, config), None
-    if config.method == "sdne_align":
-        return run_sdne_align(series, config), None
-    if config.method == "gf":
-        return run_gf(series, config, warm_start=False), None
-    if config.method == "gf_init":
-        return run_gf(series, config, warm_start=True), None
-    if config.method == "gf_align":
-        return run_gf_align(series, config), None
-    raise ConfigError(f"unknown method {config.method!r}")
+    """Run ``config.method`` over the series and return its EmbeddingSeries.
+    ``dyngem`` and ``gf_init`` warm-start each step from the previous one;
+    the other methods start every step cold.  The ``*_align`` methods then
+    rotate each step onto the previous one, charging each its own time."""
+    method = config.method
+    if method.startswith("gf"):
+        out = run_gf(series, config, warm_start=method == "gf_init")
+    else:
+        out = _drive(method, series, config, _autoencoder_step, warm=method == "dyngem")
+    if not method.endswith("_align"):
+        return out
+    aligned, _, align_seconds = align_series(out.embeddings)
+    seconds = [s + a for s, a in zip(out.seconds, align_seconds)]
+    return replace(out, method=method, embeddings=aligned, seconds=seconds)

@@ -27,10 +27,6 @@ class GrowthPlan:
     widen_ops: tuple = ()
     deepen_ops: tuple = ()
 
-    @property
-    def is_empty(self):
-        return not self.widen_ops and not self.deepen_ops
-
     def to_dict(self):
         return {
             "encoder_sizes": list(self.encoder_sizes),

@@ -122,14 +122,13 @@ class StabilityReport:
     k_s: float | None
 
 
-def stability_transitions(series, graphs):
+def stability_transitions(embeddings, graphs):
     """Per-step S_abs and S_rel over each transition's common nodes, as a
     StabilityReport with ``k_s`` None.
 
-    ``series`` may be an EmbeddingSeries or a plain list of matrices.
-    Transitions with an undefined S_rel are listed in ``skipped``.
+    ``embeddings`` is a list of matrices, one per step.  Transitions with an
+    undefined S_rel are listed in ``skipped``.
     """
-    embeddings = getattr(series, "embeddings", series)
     if len(embeddings) != len(graphs):
         raise ValueError("embedding series and graph series must share their length")
     s_abs, s_rel = [], []
@@ -143,12 +142,12 @@ def stability_transitions(series, graphs):
     return StabilityReport(s_abs, s_rel, skipped, None)
 
 
-def stability_constant(series, graphs):
+def stability_constant(embeddings, graphs):
     """:func:`stability_transitions` plus the stability constant K_S, the
     spread (max minus min) of the defined S_rel values.  Fewer than two
     defined values leave K_S undefined (error).
     """
-    report = stability_transitions(series, graphs)
+    report = stability_transitions(embeddings, graphs)
     defined = [r for r in report.s_rel if r is not None]
     if len(defined) < 2:
         raise UndefinedMetricError(
@@ -158,13 +157,13 @@ def stability_constant(series, graphs):
     return report
 
 
-def anomaly_series(series, graphs=None):
+def anomaly_series(embeddings, graphs=None):
     """Embedding deltas ||F_{t+1}(V_t) - F_t(V_t)||_F for each transition.
 
-    V_t, the node set of step t, is the row set of F_t; ``graphs``, when
-    given, must match the series in length.
+    ``embeddings`` is a list of matrices, one per step.  V_t, the node set
+    of step t, is the row set of F_t; ``graphs``, when given, must match
+    the series in length.
     """
-    embeddings = getattr(series, "embeddings", series)
     if graphs is not None and len(embeddings) != len(graphs):
         raise ValueError("embedding series and graph series must share their length")
     if len(embeddings) < 2:
@@ -189,10 +188,10 @@ def flag_anomalies(deltas, rule="std", factor=2.0, threshold=None):
     """Flag transitions whose delta strictly exceeds a threshold.
 
     ``rule == 'std'`` uses mean + factor * population std of the deltas;
-    ``rule == 'absolute'`` uses the given threshold directly.  Accepts the
-    raw delta array or an AnomalyReport.
+    ``rule == 'absolute'`` uses the given threshold directly.  ``deltas``
+    is a list or array of the per-transition deltas.
     """
-    deltas = np.asarray(getattr(deltas, "deltas", deltas), dtype=np.float64)
+    deltas = np.asarray(deltas, dtype=np.float64)
     if deltas.size == 0:
         raise UndefinedMetricError("no deltas to flag")
     if rule == "std":

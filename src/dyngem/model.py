@@ -75,8 +75,7 @@ class AutoencoderParams:
 
     Individual growth transforms may leave the two sides transiently
     unmirrored; construction only enforces a consistent dimension chain,
-    while ``is_mirrored`` reports the full symmetry that every complete
-    growth plan restores.
+    and every complete growth plan restores the full symmetry.
     """
 
     encoder: list
@@ -109,14 +108,6 @@ class AutoencoderParams:
     @property
     def decoder_sizes(self):
         return tuple([self.decoder[0].in_dim] + [l.out_dim for l in self.decoder])
-
-    @property
-    def hidden_sizes(self):
-        return self.encoder_sizes[1:-1]
-
-    @property
-    def is_mirrored(self):
-        return self.decoder_sizes == tuple(reversed(self.encoder_sizes))
 
     def layers(self):
         return list(self.encoder) + list(self.decoder)

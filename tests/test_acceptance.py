@@ -17,7 +17,7 @@ from click.testing import CliRunner
 
 from conftest import record_acceptance
 from dyngem.cli import main as cli_main
-from dyngem.engine import RunConfig, align_series, procrustes_align, run_dyngem, run_method
+from dyngem.engine import RunConfig, align_series, procrustes_align, run_method
 from dyngem.graph import DynamicGraph, SbmConfig, generate_sbm_series, hide_edges
 from dyngem.growth import apply_plan, net2deeper, net2wider, propsize_plan
 from dyngem.metrics import (
@@ -67,10 +67,10 @@ def desk_runs():
         graphs, _ = generate_sbm_series(SbmConfig(**DESK_SBM), seed)
         hyper = _desk_hyper(seed)
         start = time.perf_counter()
-        dyn, _ = run_method(graphs, RunConfig(hyper=hyper, method="dyngem"))
+        dyn = run_method(graphs, RunConfig(hyper=hyper, method="dyngem"))
         t_dyn = time.perf_counter() - start
         start = time.perf_counter()
-        ret, _ = run_method(graphs, RunConfig(hyper=hyper, method="sdne_retrain"))
+        ret = run_method(graphs, RunConfig(hyper=hyper, method="sdne_retrain"))
         t_ret = time.perf_counter() - start
         aligned, _, _ = align_series(ret.embeddings)
         runs[seed] = SimpleNamespace(
@@ -121,8 +121,8 @@ def test_02_growth_transforms_preserve_outputs():
 def test_03_growth_keeps_layer_ratio_floor():
     graphs = growing_series(n_start=100, n_end=200, steps=10, seed=0)
     hyper = Hyperparameters(d=4, epochs_first=5, epochs_warm=3, seed=0)
-    series, growth = run_dyngem(graphs, RunConfig(hyper=hyper, hidden_sizes=(40, 12)))
-    events = [g for g in growth if g is not None]
+    series = run_method(graphs, RunConfig(hyper=hyper, method="dyngem", hidden_sizes=(40, 12)))
+    events = [g for g in series.growth if g is not None]
     pairs = 0
     ok = len(events) == 9  # every step after the first adds nodes
     for ckpt in series.checkpoints:
@@ -205,7 +205,7 @@ def test_07_link_prediction_beats_null():
         last = len(graphs) - 1
         train_last, hidden = hide_edges(graphs[last], 0.15, seed + 50)
         modified = DynamicGraph([graphs[t] for t in range(last)] + [train_last])
-        result, _ = run_method(modified, RunConfig(hyper=_desk_hyper(seed), method="dyngem"))
+        result = run_method(modified, RunConfig(hyper=_desk_hyper(seed), method="dyngem"))
         scores = symmetrize_scores(reconstruct_scores(result.checkpoints[last], train_last))
         maps.append(eval_link_prediction(scores, train_last, hidden))
         rng = np.random.default_rng(seed + 1000)
@@ -242,7 +242,7 @@ def test_09_community_merge_is_flagged():
     peaks = []
     for seed in SEEDS:
         series = merge_series(seed=seed)
-        result, _ = run_method(series, RunConfig(hyper=_desk_hyper(seed), method="dyngem"))
+        result = run_method(series, RunConfig(hyper=_desk_hyper(seed), method="dyngem"))
         deltas = anomaly_series(result.embeddings, series)
         rep = flag_anomalies(deltas, rule="std", factor=2.0)
         flagged_steps = [t + 1 for t in rep.flagged]

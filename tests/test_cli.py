@@ -151,6 +151,44 @@ def test_train_non_finite_objective_exits_three(workspace, tmp_path, monkeypatch
     assert not (out / "manifest.json").exists()
 
 
+def test_train_non_finite_embedding_exits_three(workspace, tmp_path, monkeypatch):
+    _, data, _ = workspace
+    real = model.embed
+
+    def nan_embed(params, snapshot):
+        emb = real(params, snapshot)
+        emb[2, 1] = np.nan
+        return emb
+
+    monkeypatch.setattr(model, "embed", nan_embed)
+    out = tmp_path / "nan"
+    result = _invoke(["train", "--in", str(data), "--out", str(out), *FAST_TRAIN])
+    assert result.exit_code == 3
+    assert "step 0: embedding holds non-finite values" in result.output
+    assert not (out / "manifest.json").exists()
+    assert not list(out.glob("emb_*.csv"))
+
+
+def test_failed_retrain_leaves_no_readable_run(workspace, tmp_path, monkeypatch):
+    _, data, _ = workspace
+    run = tmp_path / "run"
+    result = _invoke(["train", "--in", str(data), "--out", str(run), *FAST_TRAIN])
+    assert result.exit_code == 0, result.output
+
+    def failing_save(params, path):
+        raise OSError(f"{path}: disk full")
+
+    monkeypatch.setattr(model, "save_checkpoint", failing_save)
+    result = _invoke(["train", "--in", str(data), "--out", str(run), *FAST_TRAIN, "--seed", "6"])
+    assert result.exit_code == 2
+    assert "disk full" in result.output
+    monkeypatch.undo()
+    result = _invoke(["eval", "reconstruction", "--run", str(run), "--data", str(data),
+                      "--out", str(tmp_path / "recon.json")])
+    assert result.exit_code == 2
+    assert "no manifest.json" in result.output
+
+
 def test_train_rejects_bad_flags(tmp_path, workspace):
     _, data, _ = workspace
     result = _invoke(["train", "--in", str(data), "--out", str(tmp_path / "x"),

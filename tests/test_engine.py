@@ -3,21 +3,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from dyngem.engine import (
-    METHODS,
-    EmbeddingSeries,
-    RunConfig,
-    _aligned_variant,
-    align_series,
-    procrustes_align,
-    run_dyngem,
-    run_gf,
-    run_method,
-    run_sdne_retrain,
-)
+from dyngem import engine
+from dyngem.engine import METHODS, RunConfig, align_series, procrustes_align, run_gf, run_method
 from dyngem.errors import ConfigError
 from dyngem.graph import DynamicGraph, GraphSnapshot, SbmConfig, generate_sbm_series
-from dyngem.model import Hyperparameters
+from dyngem.growth import apply_plan, propsize_plan
+from dyngem.model import AutoencoderParams, Hyperparameters, build_autoencoder, embed, train_snapshot
 from helpers import growing_series
 
 
@@ -57,27 +48,31 @@ def test_run_config_validation():
 def test_dyngem_bookkeeping_and_prefix_stability():
     graphs = _series()
     config = _small_config()
-    full, growth = run_dyngem(graphs, config)
+    full = run_method(graphs, config)
     assert len(full.embeddings) == len(graphs)
-    assert growth[0] is None  # first step builds fresh, no growth event
+    assert full.growth[0] is None  # first step builds fresh, no growth event
     for t, snap in enumerate(graphs):
         assert full.embeddings[t].shape == (snap.node_count, 4)
         batches = (snap.edge_count + 31) // 32
         epochs = 3 if t == 0 else 2
         assert full.iterations[t] == epochs * batches
         assert len(full.traces[t]) == epochs
-    # a prefix run reproduces the full run's first steps exactly
-    prefix, _ = run_dyngem(DynamicGraph(list(graphs)[:2]), config)
+    # a prefix run reproduces the full run's first steps exactly, and later
+    # warm steps leave the earlier checkpoints as they were
+    prefix = run_method(DynamicGraph(list(graphs)[:2]), config)
     for t in range(2):
         np.testing.assert_array_equal(prefix.embeddings[t], full.embeddings[t])
+        for a, b in zip(prefix.checkpoints[t].layers(), full.checkpoints[t].layers(), strict=True):
+            np.testing.assert_array_equal(a.weights, b.weights)
+            np.testing.assert_array_equal(a.bias, b.bias)
 
 
 def test_dyngem_grows_when_nodes_appear():
     graphs = growing_series(n_start=30, n_end=60, steps=4, seed=1)
     config = _small_config()
-    series, growth = run_dyngem(graphs, config)
-    assert growth[0] is None
-    grew = [g for g in growth[1:] if g is not None]
+    series = run_method(graphs, config)
+    assert series.growth[0] is None
+    grew = [g for g in series.growth[1:] if g is not None]
     assert grew, "node growth must trigger at least one plan"
     for entry in grew:
         assert entry["plan"]["encoder_sizes"][-1] == 4
@@ -87,15 +82,45 @@ def test_dyngem_grows_when_nodes_appear():
         assert series.embeddings[t].shape[0] == snap.node_count
 
 
+def test_dyngem_warm_steps_train_the_previous_model_in_place():
+    # Growth leaves some weights in Fortran order, and BLAS rounding depends
+    # on the order, so a warm step must train the previous model as it is
+    # rather than a copy.  Steps 2 and 4 keep their node count.
+    grown = growing_series(n_start=30, n_end=60, steps=3, seed=1)
+    graphs = DynamicGraph([grown[0], grown[1], grown[1], grown[2], grown[2]])
+    hyper = Hyperparameters(d=4, base_lr=1e-4, epochs_first=3, epochs_warm=2, batch_size=16, seed=2)
+    config = RunConfig(hyper=hyper, hidden_sizes=(16, 8), growth_noise=1e-4)
+    series = run_method(graphs, config)
+    params = None
+    for t, snap in enumerate(graphs):
+        init_seed, train_seed, grow_seed = (
+            engine._step_seed(hyper.seed, t, salt)
+            for salt in (engine._SALT_INIT, engine._SALT_TRAIN, engine._SALT_GROW)
+        )
+        if params is None:
+            params = build_autoencoder(snap.node_count, config.hidden_sizes, hyper.d, init_seed)
+        elif snap.node_count > params.n:
+            plan = propsize_plan(params.encoder_sizes[:-1], snap.node_count, hyper.rho, hyper.d)
+            params, _ = apply_plan(params, plan, config.growth_noise, grow_seed)
+        epochs = hyper.epochs_first if t == 0 else hyper.epochs_warm
+        params, _ = train_snapshot(params, snap, hyper, epochs, seed=train_seed)
+        np.testing.assert_array_equal(series.embeddings[t], embed(params, snap))
+
+
 def test_retrain_is_independent_per_step_and_thread_safe():
+    # both cold families run through the shared thread pool
     graphs = _series(seed=3)
-    sequential = run_sdne_retrain(graphs, _small_config(seed=3))
-    threaded = run_sdne_retrain(graphs, _small_config(seed=3, jobs=3))
-    for a, b in zip(sequential.embeddings, threaded.embeddings):
-        np.testing.assert_array_equal(a, b)
-    warm, _ = run_dyngem(graphs, _small_config(seed=3))
-    # warm-started later steps differ from fresh retrains
-    assert not np.array_equal(sequential.embeddings[1], warm.embeddings[1])
+    for cold, warm_method in (("sdne_retrain", "dyngem"), ("gf", "gf_init")):
+        sequential = run_method(graphs, _small_config(seed=3, method=cold))
+        threaded = run_method(graphs, _small_config(seed=3, method=cold, jobs=3))
+        for a, b in zip(sequential.embeddings, threaded.embeddings, strict=True):
+            np.testing.assert_array_equal(a, b)
+        assert sequential.traces == threaded.traces
+        assert sequential.iterations == threaded.iterations
+        warm = run_method(graphs, _small_config(seed=3, method=warm_method))
+        # warm-started later steps differ from fresh retrains
+        np.testing.assert_array_equal(sequential.embeddings[0], warm.embeddings[0])
+        assert not np.array_equal(sequential.embeddings[1], warm.embeddings[1])
 
 
 def test_procrustes_recovers_rotation():
@@ -168,20 +193,22 @@ def test_gf_rejects_empty_snapshot():
 def test_run_method_dispatch():
     graphs = _series(seed=7, steps=3)
     for method in METHODS:
-        series, growth = run_method(graphs, _small_config(seed=7, method=method))
+        series = run_method(graphs, _small_config(seed=7, method=method))
         assert series.method == method
         assert len(series.embeddings) == 3
-        if method == "dyngem":
-            assert isinstance(growth, list)
+        assert len(series.growth) == 3
+        if method != "dyngem":
+            assert series.growth == [None, None, None]
+        if method.startswith("gf"):
+            assert series.checkpoints == [None, None, None]
         else:
-            assert growth is None
+            assert all(isinstance(c, AutoencoderParams) for c in series.checkpoints)
 
 
 def test_aligned_variants_only_rotate():
     graphs = _series(seed=8, steps=3)
-    config = _small_config(seed=8)
-    plain = run_sdne_retrain(graphs, config)
-    aligned, _ = run_method(graphs, _small_config(seed=8, method="sdne_align"))
+    plain = run_method(graphs, _small_config(seed=8, method="sdne_retrain"))
+    aligned = run_method(graphs, _small_config(seed=8, method="sdne_align"))
     for t in range(3):
         # same Gram matrix, different coordinates
         np.testing.assert_allclose(
@@ -191,12 +218,19 @@ def test_aligned_variants_only_rotate():
         )
 
 
-def test_aligned_variant_charges_each_step_its_own_alignment():
+def test_aligned_variant_charges_each_step_its_own_alignment(monkeypatch):
     rng = np.random.default_rng(3)
     embeddings = [rng.standard_normal((6 + t, 3)) for t in range(3)]
-    base = EmbeddingSeries("gf", embeddings, [1.0, 1.0, 1.0], [5, 5, 5], [[], [], []])
     _, _, align_seconds = align_series(embeddings)
     assert align_seconds[0] == 0.0 and all(s > 0 for s in align_seconds[1:])
-    aligned = _aligned_variant(base, "gf_align")
-    assert aligned.seconds[0] == 1.0
-    assert all(s > 1.0 for s in aligned.seconds[1:])
+
+    real = engine.align_series
+
+    def slow_align(embeddings):
+        aligned, rotations, _ = real(embeddings)
+        return aligned, rotations, [0.0, 100.0, 200.0]
+
+    monkeypatch.setattr(engine, "align_series", slow_align)
+    out = run_method(_series(seed=8, steps=3), _small_config(seed=8, method="gf_align"))
+    assert out.seconds[0] < 100.0
+    assert 100.0 < out.seconds[1] < 200.0 < out.seconds[2] < 300.0

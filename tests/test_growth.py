@@ -32,7 +32,7 @@ def test_propsize_widen_only_example():
 
 def test_propsize_no_growth_is_empty_plan():
     plan = propsize_plan((1000, 500, 300), 1000, 0.3, 100)
-    assert plan.is_empty
+    assert plan.widen_ops == () and plan.deepen_ops == ()
     assert plan.encoder_sizes == (1000, 500, 300, 100)
 
 
@@ -98,7 +98,7 @@ def test_propsize_plan_properties():
         assert plan.decoder_sizes == tuple(reversed(chain))
         # planning again from the grown sizes is a no-op
         again = propsize_plan(chain[:-1], new_n, rho, d)
-        assert again.is_empty
+        assert again.widen_ops == () and again.deepen_ops == ()
         assert again.encoder_sizes == chain
 
 
@@ -236,7 +236,7 @@ def test_apply_plan_widen_only_matches_example_sizes():
     plan = propsize_plan((1000, 500, 300), 2000, 0.3, 100)
     grown, report = apply_plan(params, plan, noise_scale=0.0, seed=1)
     assert grown.encoder_sizes == (2000, 600, 300, 100)
-    assert grown.is_mirrored
+    assert grown.decoder_sizes == (100, 300, 600, 2000)
     ops = [r["op"] for r in report]
     assert ops == ["expand", "widen", "widen"]
     assert all(len(r["mapping"]) == 100 for r in report if r["op"] == "widen")
@@ -252,7 +252,7 @@ def test_apply_plan_with_inserts_preserves_function():
     before = _outputs(params, x)
     grown, report = apply_plan(params, plan, noise_scale=0.0, seed=11)
     assert grown.encoder_sizes == (140, 60, 18, 6, 5)
-    assert grown.is_mirrored
+    assert grown.decoder_sizes == (5, 6, 18, 60, 140)
     routes = [r["construction"] for r in report if r["op"] == "deepen"]
     assert routes == ["weight_push", "identity_then_widen", "weight_push", "identity_then_widen"]
     xt = np.hstack([x, np.zeros((100, 40))])

@@ -59,8 +59,6 @@ def test_build_autoencoder_shapes_and_init():
     params = build_autoencoder(20, (12, 6), 3, seed=4)
     assert params.encoder_sizes == (20, 12, 6, 3)
     assert params.decoder_sizes == (3, 6, 12, 20)
-    assert params.hidden_sizes == (12, 6)
-    assert params.is_mirrored
     assert params.n == 20 and params.d == 3
     for layer in params.layers():
         bound = np.sqrt(6.0 / (layer.in_dim + layer.out_dim))

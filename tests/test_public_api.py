@@ -1,5 +1,6 @@
-"""Every public module-level function and class of the package is used by
-the package itself; a name that only tests call belongs in the tests."""
+"""Every public module-level function and class of the package, and every
+public method and property of its classes, is used by the package itself;
+a name that only tests call belongs in the tests."""
 
 from __future__ import annotations
 
@@ -21,12 +22,16 @@ def _is_command_callback(node):
 
 def test_every_public_name_is_used_by_package_code():
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
-    public = {}
+    public = []  # (name, where)
     for module, tree in trees.items():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
                 if not _is_command_callback(node):
-                    public[node.name] = module
+                    public.append((node.name, f"{module}:{node.name}"))
+            if isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                        public.append((member.name, f"{module}:{node.name}.{member.name}"))
     used = set()
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -34,5 +39,5 @@ def test_every_public_name_is_used_by_package_code():
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
-    unused = sorted(f"{module}:{name}" for name, module in public.items() if name not in used)
+    unused = sorted(where for name, where in public if name not in used)
     assert not unused, "public names that no package code uses: " + ", ".join(unused)

@@ -73,9 +73,9 @@ class EmbeddingSeries:
 @dataclass
 class _Step:
     """One step's result.  A warm next step takes ``params`` over and trains
-    it in place: growth leaves some weights in Fortran order, a copy would
-    not, and BLAS rounding depends on the order.  ``checkpoint`` is a copy
-    of ``params`` as this step left it."""
+    it in place, so growth can free the previous model.  ``checkpoint`` is a
+    copy of ``params`` as this step left it; a model restored from it trains
+    to the same bits as ``params``."""
 
     embedding: np.ndarray
     iterations: int

@@ -101,20 +101,24 @@ class GraphSnapshot:
         lo, hi = self._indptr[node], self._indptr[node + 1]
         return self._indices[lo:hi], self._data[lo:hi]
 
-    def dense_rows(self, nodes):
-        """Dense adjacency rows for an array of node ids, shape (len(nodes), n)."""
+    def csr_rows(self, nodes):
+        """Adjacency rows for an array of node ids in CSR form:
+        ``(indptr, indices, data)``, each row's columns sorted."""
         nodes = np.asarray(nodes, dtype=np.intp)
         if nodes.size and (nodes.min() < 0 or nodes.max() >= self._n):
             raise IndexError("node id out of range")
-        out = np.zeros((nodes.size, self._n), dtype=np.float64)
         starts = self._indptr[nodes]
         counts = self._indptr[nodes + 1] - starts
-        total = int(counts.sum())
-        if total:
-            rows = np.repeat(np.arange(nodes.size), counts)
-            offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-            src = np.repeat(starts, counts) + offsets
-            out[rows, self._indices[src]] = self._data[src]
+        indptr = np.zeros(nodes.size + 1, dtype=np.intp)
+        np.cumsum(counts, out=indptr[1:])
+        src = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], counts)
+        return indptr, self._indices[src], self._data[src]
+
+    def dense_rows(self, nodes):
+        """Dense adjacency rows for an array of node ids, shape (len(nodes), n)."""
+        indptr, indices, data = self.csr_rows(nodes)
+        out = np.zeros((indptr.size - 1, self._n), dtype=np.float64)
+        out[np.repeat(np.arange(indptr.size - 1), np.diff(indptr)), indices] = data
         return out
 
     def induced_adjacency(self, node_set):

@@ -144,7 +144,9 @@ def net2wider(params, side, layer, new_width, noise_scale=0.0, seed=0):
     group_of = np.concatenate([np.arange(old_width), mapping])
     counts = np.bincount(group_of, minlength=old_width)
     nxt = layers[layer]
-    scaled = nxt.weights[:, group_of] / counts[group_of][None, :]
+    # take, unlike [:, group_of], keeps the weights row-major like every
+    # other layer, so a copy or a checkpoint trains to the same bits
+    scaled = nxt.weights.take(group_of, axis=1) / counts[group_of]
     layers = [l.copy() for l in layers]
     layers[layer - 1] = widened
     layers[layer] = LayerParams(scaled, nxt.bias.copy())

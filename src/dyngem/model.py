@@ -136,15 +136,33 @@ def build_autoencoder(n, hidden_sizes, d, seed):
     return AutoencoderParams(encoder, decoder)
 
 
+# Snapshots whose adjacency density 2 * edge_count / n^2 is below this
+# train on sparse CSR input rows, so the first encoder layer multiplies only
+# the non-zeros (scipy's CSR product); denser ones train on dense rows.
+# Measured at n = 300 to 2,000, sparse rows save 10-20% of a batch below 3%;
+# above it the saving shrinks to nothing at 7-15%, too little to pay for
+# importing scipy (about 0.2 s and 22 MB).  Details in CHANGES.md.
+SPARSE_INPUT_DENSITY = 0.03
+
+
+def _sparse_input(snapshot):
+    n = snapshot.node_count
+    return 2 * snapshot.edge_count < SPARSE_INPUT_DENSITY * n * n
+
+
 @dataclass
 class TrainBatch:
     """A minibatch of edges plus the adjacency rows of its endpoints: ``x``
-    stacks the head rows over the tail rows."""
+    stacks the head rows over the tail rows, as a dense array or a scipy
+    CSR array.  ``nonzero`` holds the flat positions of x's non-zeros in a
+    row-major (2m, n) block, in row order, and ``values`` their values."""
 
     heads: np.ndarray
     tails: np.ndarray
     weights: np.ndarray
-    x: np.ndarray
+    x: object
+    nonzero: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self):
         m = self.heads.shape[0]
@@ -157,10 +175,23 @@ class TrainBatch:
 
 
 def make_batch(snapshot, heads, tails, weights):
+    """Batch the edges with their endpoints' adjacency rows, sparse when the
+    snapshot is sparser than ``SPARSE_INPUT_DENSITY``."""
     heads = np.asarray(heads, dtype=np.intp)
     tails = np.asarray(tails, dtype=np.intp)
     weights = np.asarray(weights, dtype=np.float64)
-    return TrainBatch(heads, tails, weights, snapshot.dense_rows(np.concatenate([heads, tails])))
+    n = snapshot.node_count
+    indptr, cols, values = snapshot.csr_rows(np.concatenate([heads, tails]))
+    rows = 2 * heads.size
+    nonzero = np.repeat(np.arange(0, rows * n, n), np.diff(indptr)) + cols
+    if _sparse_input(snapshot):
+        from scipy.sparse import csr_array
+
+        x = csr_array((values, cols, indptr), shape=(rows, n))
+    else:
+        x = np.zeros((rows, n))
+        x.reshape(-1)[nonzero] = values
+    return TrainBatch(heads, tails, weights, x, nonzero, values)
 
 
 def loss_net_batch(params, batch, hyper):
@@ -179,10 +210,11 @@ def loss_net_batch(params, batch, hyper):
     acts_dec = nn.forward(params.decoder, y)
 
     # The reconstruction error is weighted by beta where x is non-zero and
-    # by 1 elsewhere, so only the non-zero positions need a multiply.
-    nonzero = np.flatnonzero(x)
-    diff = acts_dec[-1] - x
-    diff.reshape(-1)[nonzero] *= hyper.beta
+    # by 1 elsewhere, so only the non-zero positions need more than a copy.
+    nonzero = batch.nonzero
+    diff = acts_dec[-1].copy()
+    flat = diff.reshape(-1)
+    flat[nonzero] = (flat[nonzero] - batch.values) * hyper.beta
     l_glob = float(np.vdot(diff, diff))
     g_xhat = 2.0 * diff
     g_xhat.reshape(-1)[nonzero] *= hyper.beta
@@ -220,7 +252,9 @@ def train_snapshot(params, snapshot, hyper, epochs, seed=None):
     Each epoch shuffles the edges with the seeded generator and consumes them
     in ``hyper.batch_size`` chunks; the Nesterov optimizer state is fresh per
     call.  Returns ``(params, trace)`` where ``trace[e]`` is the summed
-    minibatch objective of epoch e (empty for ``epochs == 0``).
+    minibatch objective of epoch e (empty for ``epochs == 0``).  An epoch
+    that ends with a non-finite objective or parameter raises
+    ``ConvergenceError``.
     """
     if snapshot.node_count != params.n:
         raise ValueError("snapshot node count does not match the model input width")
@@ -228,6 +262,14 @@ def train_snapshot(params, snapshot, hyper, epochs, seed=None):
         raise ValueError("snapshot has no edges to train on")
     heads, tails, weights = snapshot.heads, snapshot.tails, snapshot.weights
     rng = np.random.default_rng(hyper.seed if seed is None else seed)
+    # Column-major, the first layer's transpose is the row-major operand
+    # scipy's CSR product reads without a copy, and it shares the layout of
+    # its gradient (also from scipy), velocity and penalty.  Dense rows get
+    # row-major weights whatever the last snapshot was: BLAS rounds the two
+    # layouts differently, and a restored checkpoint is row-major.
+    first = params.encoder[0]
+    layout = np.asfortranarray if _sparse_input(snapshot) else np.ascontiguousarray
+    first.weights = layout(first.weights)
     flat = _flatten(params)
     state = OptimizerState.for_params(flat, hyper.base_lr, hyper.momentum, hyper.decay)
     trace = []
@@ -246,6 +288,8 @@ def train_snapshot(params, snapshot, hyper, epochs, seed=None):
             epoch_loss += total
         if not math.isfinite(epoch_loss):
             raise ConvergenceError(f"training objective is {epoch_loss} in epoch {epoch}")
+        if not all(np.isfinite(p).all() for p in flat):
+            raise ConvergenceError(f"training left non-finite parameters in epoch {epoch}")
         trace.append(epoch_loss)
     return params, trace
 

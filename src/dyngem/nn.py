@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,13 +40,20 @@ def relu(x):
     return np.maximum(x, 0.0)
 
 
+def _is_sparse(x):
+    # scipy is imported only by callers that build sparse inputs
+    sparse = sys.modules.get("scipy.sparse")
+    return sparse is not None and sparse.issparse(x)
+
+
 def forward(layers, x):
     """Run x through the layer stack.
 
     Returns the activation list with the input at position 0 and the output
-    of layer k at position k; x may be one vector or a (batch, in_dim) matrix.
+    of layer k at position k; x may be one vector, a (batch, in_dim) matrix
+    or a scipy sparse (batch, in_dim) array, which only the first layer reads.
     """
-    acts = [np.asarray(x, dtype=np.float64)]
+    acts = [x if _is_sparse(x) else np.asarray(x, dtype=np.float64)]
     for layer in layers:
         if acts[-1].shape[-1] != layer.in_dim:
             raise ValueError(
@@ -61,7 +69,8 @@ def backward(layers, activations, grad_out, input_grad=True):
     ``activations`` must come from a matching :func:`forward` call.  Returns
     ``(grads, grad_input)`` where grads is a list of (dW, db) per layer.
     With ``input_grad=False`` the first layer's input gradient is not formed
-    and grad_input is None.  ReLU masking uses activation > 0, which matches
+    and grad_input is None.  A sparse input gets its weight gradient from
+    scipy's sparse product.  ReLU masking uses activation > 0, which matches
     a zero subgradient at exactly 0.
     """
     if len(activations) != len(layers) + 1:
@@ -90,7 +99,9 @@ def regularizer_value_and_grads(layers, nu1, nu2):
 
     Returns ``(l1, l2, grads)``: the raw sums ``sum|W|`` and ``sum W^2`` over
     all layers, and per-layer weight gradients ``nu1 * sign(W) + 2 * nu2 * W``
-    of the penalty ``nu1 * l1 + nu2 * l2``; sign(0) is 0.
+    of the penalty ``nu1 * l1 + nu2 * l2``; sign(0) is 0.  Sums run in
+    memory order, so column-major weights are summed without a copy, and
+    each gradient takes its weights' layout.
     """
     if nu1 < 0 or nu2 < 0:
         raise ValueError("penalty coefficients must be non-negative")
@@ -100,8 +111,9 @@ def regularizer_value_and_grads(layers, nu1, nu2):
     for layer in layers:
         w = layer.weights
         grad = np.sign(w)
-        l1 += float(np.vdot(grad, w))
-        l2 += float(np.vdot(w, w))
+        flat = w.ravel("K")
+        l1 += float(np.vdot(grad.ravel("K"), flat))
+        l2 += float(np.vdot(flat, flat))
         grad *= nu1
         grad += 2.0 * nu2 * w
         grads.append(grad)

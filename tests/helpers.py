@@ -99,8 +99,9 @@ def jittered_model_and_batch(seed, n=12, hidden=(8, 5), d=3, batch_edges=6):
         tails = [edges[k][1] for k in idx]
         weights = [edges[k][2] for k in idx]
         batch = make_batch(snap, heads, tails, weights)
+        rows = snap.dense_rows(np.concatenate([heads, tails]))
         min_w = min(float(np.min(np.abs(l.weights))) for l in params.encoder + params.decoder)
-        if _min_preactivation(params, batch.x) > 1e-3 and min_w > 1e-4:
+        if _min_preactivation(params, rows) > 1e-3 and min_w > 1e-4:
             return params, batch
     raise AssertionError("could not find a kink-free model/batch pair")
 

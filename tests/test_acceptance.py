@@ -61,20 +61,23 @@ def _pdist(m):
 
 @pytest.fixture(scope="module")
 def desk_runs():
-    """Warm-started and retrained runs over the same three seeded series."""
+    """Warm-started and retrained runs over the same three seeded series.
+    The two runs of a seed are timed back to back, and the one that runs
+    first alternates by seed, so each pair sees one host state."""
     runs = {}
     for seed in SEEDS:
         graphs, _ = generate_sbm_series(SbmConfig(**DESK_SBM), seed)
         hyper = _desk_hyper(seed)
-        start = time.perf_counter()
-        dyn = run_method(graphs, RunConfig(hyper=hyper, method="dyngem"))
-        t_dyn = time.perf_counter() - start
-        start = time.perf_counter()
-        ret = run_method(graphs, RunConfig(hyper=hyper, method="sdne_retrain"))
-        t_ret = time.perf_counter() - start
+        results, seconds = {}, {}
+        for method in ("dyngem", "sdne_retrain")[:: 1 if seed % 2 == 0 else -1]:
+            start = time.perf_counter()
+            results[method] = run_method(graphs, RunConfig(hyper=hyper, method=method))
+            seconds[method] = time.perf_counter() - start
+        dyn, ret = results["dyngem"], results["sdne_retrain"]
         aligned, _, _ = align_series(ret.embeddings)
         runs[seed] = SimpleNamespace(
-            graphs=graphs, dyn=dyn, ret=ret, aligned=aligned, t_dyn=t_dyn, t_ret=t_ret
+            graphs=graphs, dyn=dyn, ret=ret, aligned=aligned,
+            t_dyn=seconds["dyngem"], t_ret=seconds["sdne_retrain"],
         )
     return runs
 
@@ -223,16 +226,20 @@ def test_07_link_prediction_beats_null():
 
 
 def test_08_warm_start_wall_clock_speedup(desk_runs):
-    run = desk_runs[0]
-    ratio = run.t_dyn / run.t_ret
-    measured = run.t_ret / run.t_dyn
+    # the median over the interleaved pairs, so a host that slows down
+    # between two runs moves one pair, not the verdict
+    pairs = [desk_runs[seed] for seed in SEEDS]
+    t_dyn = float(np.median([run.t_dyn for run in pairs]))
+    t_ret = float(np.median([run.t_ret for run in pairs]))
+    ratio = float(np.median([run.t_dyn / run.t_ret for run in pairs]))
+    measured = 1.0 / ratio
     expected = expected_speedup(50, 10, 10)
     ok = ratio <= 0.6 and abs(measured - expected) <= 0.25 * expected
     record_acceptance(
         8,
         ok,
-        f"wall {run.t_dyn:.1f}s vs {run.t_ret:.1f}s (ratio {ratio:.3f}, need <=0.6); "
-        f"speedup {measured:.2f} vs model {expected:.2f} (within 25%)",
+        f"median of {len(pairs)} interleaved pairs: wall {t_dyn:.1f}s vs {t_ret:.1f}s "
+        f"(ratio {ratio:.3f}, need <=0.6); speedup {measured:.2f} vs model {expected:.2f} (within 25%)",
     )
     assert ok
 

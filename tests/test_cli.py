@@ -1,14 +1,18 @@
 import json
+import os
 import platform
 import resource
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from dyngem import model
+import dyngem
+from dyngem import model, nn
 from dyngem.cli import main, retain_freed_memory
 
 GEN_FLAGS = [
@@ -149,6 +153,48 @@ def test_train_non_finite_objective_exits_three(workspace, tmp_path, monkeypatch
     assert result.exit_code == 3
     assert "objective is nan" in result.output
     assert not (out / "manifest.json").exists()
+
+
+def test_train_non_finite_parameters_exit_three(workspace, tmp_path, monkeypatch):
+    _, data, _ = workspace
+    real = nn.nesterov_step
+
+    def nan_bias(params, grads, state):
+        # every epoch is one batch, so its objective came before the nan
+        real(params, grads, state)
+        params[-1][0] = np.nan
+        return params, state
+
+    monkeypatch.setattr(nn, "nesterov_step", nan_bias)
+    out = tmp_path / "nan"
+    result = _invoke(["train", "--in", str(data), "--out", str(out), *FAST_TRAIN])
+    assert result.exit_code == 3
+    assert "non-finite parameters in epoch 0" in result.output
+    assert not (out / "manifest.json").exists()
+
+
+def test_dense_training_does_not_import_scipy(workspace, tmp_path):
+    # The desk-density series trains on dense rows; scipy's import alone
+    # would add about 22 MB to the process.
+    _, data, _ = workspace
+    sparse_data = tmp_path / "sparse"
+    _generate(sparse_data, ["--nodes", "300", "--p-in", "0.02", "--p-out", "0.002"])
+    script = (
+        "import sys\n"
+        "from dyngem.cli import main\n"
+        "def train(data, out):\n"
+        "    main(['train', '--in', data, '--out', out, *sys.argv[4:]], standalone_mode=False)\n"
+        "    return 'scipy' in sys.modules\n"
+        "out = sys.argv[3]\n"
+        "print('scipy' in sys.modules, train(sys.argv[1], out + '/d'), train(sys.argv[2], out + '/s'))\n"
+    )
+    src = str(Path(dyngem.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(data), str(sparse_data), str(tmp_path), *FAST_TRAIN],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
+    )
+    # the sparse series imports it, so the check can see an import
+    assert proc.stdout.split()[-3:] == ["False", "False", "True"], proc.stdout + proc.stderr
 
 
 def test_train_non_finite_embedding_exits_three(workspace, tmp_path, monkeypatch):

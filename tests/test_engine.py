@@ -8,7 +8,16 @@ from dyngem.engine import METHODS, RunConfig, align_series, procrustes_align, ru
 from dyngem.errors import ConfigError
 from dyngem.graph import DynamicGraph, GraphSnapshot, SbmConfig, generate_sbm_series
 from dyngem.growth import apply_plan, propsize_plan
-from dyngem.model import AutoencoderParams, Hyperparameters, build_autoencoder, embed, train_snapshot
+from dyngem.model import (
+    AutoencoderParams,
+    Hyperparameters,
+    build_autoencoder,
+    embed,
+    load_checkpoint,
+    make_batch,
+    save_checkpoint,
+    train_snapshot,
+)
 from helpers import growing_series
 
 
@@ -83,9 +92,8 @@ def test_dyngem_grows_when_nodes_appear():
 
 
 def test_dyngem_warm_steps_train_the_previous_model_in_place():
-    # Growth leaves some weights in Fortran order, and BLAS rounding depends
-    # on the order, so a warm step must train the previous model as it is
-    # rather than a copy.  Steps 2 and 4 keep their node count.
+    # A warm step trains the previous model as it is, grown where the node
+    # set expanded.  Steps 2 and 4 keep their node count.
     grown = growing_series(n_start=30, n_end=60, steps=3, seed=1)
     graphs = DynamicGraph([grown[0], grown[1], grown[1], grown[2], grown[2]])
     hyper = Hyperparameters(d=4, base_lr=1e-4, epochs_first=3, epochs_warm=2, batch_size=16, seed=2)
@@ -105,6 +113,32 @@ def test_dyngem_warm_steps_train_the_previous_model_in_place():
         epochs = hyper.epochs_first if t == 0 else hyper.epochs_warm
         params, _ = train_snapshot(params, snap, hyper, epochs, seed=train_seed)
         np.testing.assert_array_equal(series.embeddings[t], embed(params, snap))
+
+
+def test_restored_checkpoint_continues_the_run_bit_for_bit(tmp_path):
+    # BLAS rounds row- and column-major operands differently, so this holds
+    # only if a restored (row-major) model trains like the live one: growth
+    # must leave row-major weights, and training picks the first layer's
+    # layout from its input path.  Steps 2, 4 and 5 keep their node count,
+    # and the last step's denser graph trains on dense rows.
+    grown = growing_series(n_start=100, n_end=200, steps=3, p_in=0.03, p_out=0.003, seed=4)
+    dense = growing_series(n_start=200, n_end=200, steps=1, p_in=0.15, p_out=0.02, seed=4)[0]
+    graphs = DynamicGraph([grown[0], grown[1], grown[1], grown[2], grown[2], dense])
+    sparse = [
+        not isinstance(make_batch(snap, snap.heads, snap.tails, snap.weights).x, np.ndarray)
+        for snap in graphs
+    ]
+    assert sparse == [True] * 5 + [False]
+    hyper = Hyperparameters(d=4, base_lr=1e-4, epochs_first=3, epochs_warm=2, batch_size=16, seed=2)
+    config = RunConfig(hyper=hyper, hidden_sizes=(24, 8), growth_noise=1e-4)
+    series = run_method(graphs, config)
+    assert [g is not None for g in series.growth] == [False, True, False, True, False, False]
+    for t in range(len(graphs) - 1):
+        path = save_checkpoint(series.checkpoints[t], tmp_path / f"checkpoint_{t:04d}.npz")
+        step = engine._Step(series.embeddings[t], 0, [], params=load_checkpoint(path))
+        for later in range(t + 1, len(graphs)):
+            step = engine._autoencoder_step(graphs[later], config, later, step)
+            np.testing.assert_array_equal(step.embedding, series.embeddings[later])
 
 
 def test_retrain_is_independent_per_step_and_thread_safe():

@@ -5,7 +5,7 @@ import zipfile
 import numpy as np
 import pytest
 
-from dyngem import nn
+from dyngem import model, nn
 from dyngem.errors import ConfigError, ParseError
 from dyngem.graph import GraphSnapshot
 from dyngem.model import (
@@ -126,6 +126,60 @@ def test_loss_net_batch_gradients_match_finite_differences():
         params, batch = jittered_model_and_batch(seed)
         err = finite_difference_max_rel_error(params, batch, toy_hyper())
         assert err <= 1e-4, f"seed {seed}: rel err {err:.3e}"
+
+
+def _both_batches(monkeypatch, snap, heads, tails, weights):
+    """The dense and the sparse form of one batch."""
+    forms = []
+    for density in (0.0, 1.0):
+        monkeypatch.setattr(model, "SPARSE_INPUT_DENSITY", density)
+        forms.append(make_batch(snap, heads, tails, weights))
+    return forms
+
+
+def test_sparse_and_dense_batches_agree(monkeypatch):
+    snap = random_snapshot(np.random.default_rng(8), 40, p=0.1)
+    pick = np.random.default_rng(9).choice(snap.edge_count, 12, replace=False)
+    dense, sparse = _both_batches(monkeypatch, snap, snap.heads[pick], snap.tails[pick], snap.weights[pick])
+    assert isinstance(dense.x, np.ndarray) and not isinstance(sparse.x, np.ndarray)
+    np.testing.assert_array_equal(sparse.x.toarray(), dense.x)
+    np.testing.assert_array_equal(sparse.nonzero, np.flatnonzero(dense.x))
+    np.testing.assert_array_equal(sparse.values, dense.x.reshape(-1)[dense.nonzero])
+    params = build_autoencoder(40, (16, 8), 3, seed=5)
+    hyper = toy_hyper()
+    total_d, parts_d, grads_d = loss_net_batch(params, dense, hyper)
+    total_s, parts_s, grads_s = loss_net_batch(params, sparse, hyper)
+    assert total_s == pytest.approx(total_d, rel=1e-12)
+    for key in parts_d:
+        assert parts_s[key] == pytest.approx(parts_d[key], rel=1e-12), key
+    for side_d, side_s in zip(grads_d, grads_s, strict=True):
+        for pair_d, pair_s in zip(side_d, side_s, strict=True):
+            for gd, gs in zip(pair_d, pair_s):
+                scale = float(np.max(np.abs(gd)))
+                assert float(np.max(np.abs(gs - gd))) <= 1e-12 * scale
+
+
+def test_sparse_batch_gradients_match_finite_differences(monkeypatch):
+    monkeypatch.setattr(model, "SPARSE_INPUT_DENSITY", 1.0)
+    for seed in (1, 2, 3):
+        params, batch = jittered_model_and_batch(seed)
+        assert not isinstance(batch.x, np.ndarray)
+        err = finite_difference_max_rel_error(params, batch, toy_hyper())
+        assert err <= 1e-4, f"seed {seed}: rel err {err:.3e}"
+
+
+def test_training_takes_the_sparse_path_below_the_density_threshold():
+    n = 200
+    assert 2 * 150 < model.SPARSE_INPUT_DENSITY * n * n < 2 * 3000
+    sparse = random_snapshot(np.random.default_rng(1), n, p=150 / (n * (n - 1) / 2))
+    dense = random_snapshot(np.random.default_rng(1), n, p=3000 / (n * (n - 1) / 2))
+    for snap, want_sparse in ((sparse, True), (dense, False)):
+        batch = make_batch(snap, snap.heads[:4], snap.tails[:4], snap.weights[:4])
+        assert isinstance(batch.x, np.ndarray) is not want_sparse
+        params = build_autoencoder(n, (16, 8), 3, seed=0)
+        train_snapshot(params, snap, toy_hyper(batch_size=64), epochs=1)
+        # scipy reads the sparse path's first layer transposed without a copy
+        assert params.encoder[0].weights.flags.f_contiguous is want_sparse
 
 
 def test_loss_net_batch_width_mismatch():

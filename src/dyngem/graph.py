@@ -94,13 +94,6 @@ class GraphSnapshot:
         """Canonical edge list, sorted tuples ``(i, j, w)`` with ``i < j``."""
         return list(zip(self.heads.tolist(), self.tails.tolist(), self.weights.tolist()))
 
-    def neighbors(self, node):
-        """Sorted neighbor ids and their weights for one node (views)."""
-        if not (0 <= node < self._n):
-            raise IndexError(f"node {node} out of range for node_count {self._n}")
-        lo, hi = self._indptr[node], self._indptr[node + 1]
-        return self._indices[lo:hi], self._data[lo:hi]
-
     def csr_rows(self, nodes):
         """Adjacency rows for an array of node ids in CSR form:
         ``(indptr, indices, data)``, each row's columns sorted."""

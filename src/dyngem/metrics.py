@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from dyngem.errors import UndefinedMetricError
+from dyngem.graph import GraphSnapshot
 
 
 def _finite_scores(scores, n):
@@ -19,14 +20,69 @@ def _finite_scores(scores, n):
     return scores
 
 
-def _ap_from_row(scores_row, candidates, truth_idx):
-    order = np.lexsort((candidates, -scores_row[candidates]))
-    ranked = candidates[order]
-    hits = np.isin(ranked, truth_idx)
-    if not hits.any():
-        return 0.0
-    prec = np.cumsum(hits) / np.arange(1, ranked.size + 1)
-    return float(prec[hits].sum() / truth_idx.size)
+# Ranks are counted over blocks of this many score entries (1 MB of
+# float64); at n = 2,000 the time is flat from 2^16 to 2^19.
+RANK_BLOCK_ELEMENTS = 1 << 17
+
+
+def _truth_ranks(scores, heads, tails, excluded):
+    """Rank of each true pair ``(heads[e], tails[e])`` in its head's ranking.
+
+    Node i ranks every other node that is not its neighbour in ``excluded``
+    (a snapshot, or None) by descending score, ties broken by ascending id,
+    so a pair's rank is one more than the number of candidates that score
+    higher plus the number that tie with it and have a lower id.  A pair
+    whose tail is no candidate gets rank 0.  Pairs are taken in blocks, each
+    row compared once per pair.
+    """
+    n = scores.shape[0]
+    ids = np.arange(n)
+    ranks = np.empty(heads.size, dtype=np.intp)
+    step = max(1, RANK_BLOCK_ELEMENTS // max(n, 1))
+    for start in range(0, heads.size, step):
+        h, t = heads[start : start + step], tails[start : start + step]
+        pairs = np.arange(h.size)
+        rows = scores[h]
+        s = rows[pairs, t][:, None]
+        ahead = rows > s
+        ahead |= (rows == s) & (ids < t[:, None])
+        ahead[pairs, h] = False
+        blocked = np.zeros(h.size, dtype=bool)
+        if excluded is not None:
+            indptr, cols, _ = excluded.csr_rows(h)
+            owner = np.repeat(pairs, np.diff(indptr))
+            ahead[owner, cols] = False
+            blocked[owner[cols == t[owner]]] = True
+        ranks[start : start + step] = np.where(blocked, 0, np.count_nonzero(ahead, axis=1) + 1)
+    return ranks
+
+
+def _mean_average_precision(scores, truth, excluded=None):
+    """MAP over the nodes with at least one neighbour in the ``truth``
+    snapshot, ranked as :func:`_truth_ranks` says.
+
+    Each node's AP sums ``k / rank`` over its k-th ranked true neighbour and
+    divides by its truth count.  The sums are formed one row per node in a
+    matrix of the nodes with equally many hits, so each is the same
+    pairwise sum as over that node's values alone.
+    """
+    n = truth.node_count
+    indptr, tails, _ = truth.csr_rows(np.arange(n))
+    counts = np.diff(indptr)
+    heads = np.repeat(np.arange(n), counts)
+    ranks = _truth_ranks(scores, heads, tails, excluded)
+    hit = ranks > 0
+    order = np.lexsort((ranks[hit], heads[hit]))
+    heads, ranks = heads[hit][order], ranks[hit][order]
+    hits = np.bincount(heads, minlength=n)
+    first = np.cumsum(hits) - hits
+    prec = (np.arange(heads.size) - first[heads] + 1) / ranks
+    sums = np.zeros(n)
+    for k in np.unique(hits[hits > 0]):
+        nodes = np.flatnonzero(hits == k)
+        sums[nodes] = prec[first[nodes][:, None] + np.arange(k)].sum(axis=1)
+    ranked = counts > 0
+    return float(np.mean(sums[ranked] / counts[ranked]))
 
 
 def eval_reconstruction(scores, snapshot):
@@ -36,19 +92,10 @@ def eval_reconstruction(scores, snapshot):
     neighbor set; nodes without neighbors are skipped.  Non-finite scores
     raise FloatingPointError.
     """
-    n = snapshot.node_count
-    scores = _finite_scores(scores, n)
-    everyone = np.arange(n)
-    values = []
-    for i in range(n):
-        truth, _ = snapshot.neighbors(i)
-        if truth.size == 0:
-            continue
-        candidates = np.delete(everyone, i)
-        values.append(_ap_from_row(scores[i], candidates, truth))
-    if not values:
+    scores = _finite_scores(scores, snapshot.node_count)
+    if snapshot.edge_count == 0:
         raise UndefinedMetricError("reconstruction MAP undefined: the graph has no edges")
-    return float(np.mean(values))
+    return _mean_average_precision(scores, snapshot)
 
 
 def eval_link_prediction(scores, train_snapshot, hidden):
@@ -63,21 +110,7 @@ def eval_link_prediction(scores, train_snapshot, hidden):
     scores = _finite_scores(scores, n)
     if not hidden:
         raise UndefinedMetricError("link-prediction MAP undefined: no hidden edges")
-    truth_of = {}
-    for i, j, _ in hidden:
-        truth_of.setdefault(i, []).append(j)
-        truth_of.setdefault(j, []).append(i)
-    everyone = np.arange(n)
-    values = []
-    for i in sorted(truth_of):
-        observed, _ = train_snapshot.neighbors(i)
-        drop = np.zeros(n, dtype=bool)
-        drop[i] = True
-        drop[observed] = True
-        candidates = everyone[~drop]
-        truth = np.array(sorted(truth_of[i]), dtype=np.intp)
-        values.append(_ap_from_row(scores[i], candidates, truth))
-    return float(np.mean(values))
+    return _mean_average_precision(scores, GraphSnapshot(n, hidden), excluded=train_snapshot)
 
 
 def stability_absolute(f_next, f_curr, s_next, s_curr):

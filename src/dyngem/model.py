@@ -216,7 +216,8 @@ def loss_net_batch(params, batch, hyper):
     flat = diff.reshape(-1)
     flat[nonzero] = (flat[nonzero] - batch.values) * hyper.beta
     l_glob = float(np.vdot(diff, diff))
-    g_xhat = 2.0 * diff
+    g_xhat = diff
+    g_xhat *= 2.0
     g_xhat.reshape(-1)[nonzero] *= hyper.beta
 
     pair_diff = y[:m] - y[m:]
@@ -229,9 +230,8 @@ def loss_net_batch(params, batch, hyper):
     g_y[m:] -= g_loc
     enc_grads, _ = nn.backward(params.encoder, acts_enc, g_y, input_grad=False)
 
-    l1, l2, reg_grads = nn.regularizer_value_and_grads(params.layers(), hyper.nu1, hyper.nu2)
-    for (gw, _), rw in zip(enc_grads + dec_grads, reg_grads):
-        gw += rw
+    weight_grads = [gw for gw, _ in enc_grads + dec_grads]
+    l1, l2 = nn.regularizer_value_and_grads(params.layers(), weight_grads, hyper.nu1, hyper.nu2)
 
     total = l_glob + hyper.alpha * l_loc + hyper.nu1 * l1 + hyper.nu2 * l2
     parts = {"global": l_glob, "local": l_loc, "l1": l1, "l2": l2}

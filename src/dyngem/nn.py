@@ -35,9 +35,10 @@ class LayerParams:
         return LayerParams(self.weights.copy(), self.bias.copy())
 
 
-def relu(x):
-    """Elementwise max(x, 0); the subgradient used at 0 is 0."""
-    return np.maximum(x, 0.0)
+def relu(x, out=None):
+    """Elementwise max(x, 0), into ``out`` when given; the subgradient used
+    at 0 is 0."""
+    return np.maximum(x, 0.0, out=out)
 
 
 def _is_sparse(x):
@@ -59,7 +60,9 @@ def forward(layers, x):
             raise ValueError(
                 f"input width {acts[-1].shape[-1]} does not match layer in_dim {layer.in_dim}"
             )
-        acts.append(relu(acts[-1] @ layer.weights.T + layer.bias))
+        z = acts[-1] @ layer.weights.T
+        z += layer.bias
+        acts.append(relu(z, out=z))
     return acts
 
 
@@ -90,34 +93,75 @@ def backward(layers, activations, grad_out, input_grad=True):
             return grads, None
         g = g @ layers[k - 1].weights
         if k - 1 > 0:
-            g = g * (activations[k - 1] > 0)
+            g *= activations[k - 1] > 0
     return grads, g
 
 
-def regularizer_value_and_grads(layers, nu1, nu2):
+# The penalty and optimizer passes walk each parameter in slices of about
+# this many float64s (256 KB), so every operation on a slice finds its
+# operands still in L2 cache instead of streaming whole arrays through memory
+# once per operation.
+SLICE_ELEMENTS = 1 << 15
+
+
+def _slices(a, scratch):
+    """Cut ``a`` into views of about SLICE_ELEMENTS along its slowest-varying
+    axis, never narrower than one row (one column when ``a`` is
+    column-major), however wide that is.
+
+    Yields ``(index, order, buffers)`` per slice: ``a[index]`` is the slice,
+    ``order`` its memory layout ("F" for a column-major ``a``, else "C"),
+    and ``buffers`` holds ``scratch`` uninitialised arrays of the slice's
+    shape and layout, the same memory from slice to slice.
+    """
+    order = "F" if a.flags.f_contiguous and not a.flags.c_contiguous else "C"
+    axis = a.ndim - 1 if order == "F" else 0
+    length = a.shape[axis]
+    row = max(a.size // max(length, 1), 1)  # elements in one row (column)
+    step = max(1, SLICE_ELEMENTS // row)
+    shape = list(a.shape)
+    shape[axis] = min(step, length)
+    buffers = [np.empty(shape, order=order) for _ in range(scratch)]
+    index = [slice(None)] * a.ndim
+    head = [slice(None)] * a.ndim
+    for start in range(0, length, step):
+        index[axis] = slice(start, start + step)
+        head[axis] = slice(0, min(step, length - start))
+        yield tuple(index), order, [b[tuple(head)] for b in buffers]
+
+
+def regularizer_value_and_grads(layers, grads, nu1, nu2):
     """L1 and squared-L2 penalty over weight matrices only (biases excluded).
 
-    Returns ``(l1, l2, grads)``: the raw sums ``sum|W|`` and ``sum W^2`` over
-    all layers, and per-layer weight gradients ``nu1 * sign(W) + 2 * nu2 * W``
-    of the penalty ``nu1 * l1 + nu2 * l2``; sign(0) is 0.  Sums run in
-    memory order, so column-major weights are summed without a copy, and
-    each gradient takes its weights' layout.
+    Returns ``(l1, l2)``, the raw sums ``sum|W|`` and ``sum W^2`` over all
+    layers, and adds the gradient ``nu1 * sign(W) + 2 * nu2 * W`` of the
+    penalty ``nu1 * l1 + nu2 * l2`` into each layer's weight gradient in
+    ``grads`` in place; sign(0) is 0.  Each weight matrix is walked one
+    cache-sized slice at a time, and a gradient may have another layout
+    than its weights.
     """
     if nu1 < 0 or nu2 < 0:
         raise ValueError("penalty coefficients must be non-negative")
+    if len(layers) != len(grads):
+        raise ValueError("one weight gradient per layer is needed")
+    weights = [layer.weights for layer in layers]
+    for w, grad in zip(weights, grads):
+        if grad.shape != w.shape:
+            raise ValueError("gradient shape does not match its weights")
     l1 = 0.0
     l2 = 0.0
-    grads = []
-    for layer in layers:
-        w = layer.weights
-        grad = np.sign(w)
-        flat = w.ravel("K")
-        l1 += float(np.vdot(grad.ravel("K"), flat))
-        l2 += float(np.vdot(flat, flat))
-        grad *= nu1
-        grad += 2.0 * nu2 * w
-        grads.append(grad)
-    return l1, l2, grads
+    for w, grad in zip(weights, grads):
+        for index, order, (sign, penalty) in _slices(w, 2):
+            ws, gs = w[index], grad[index]
+            np.sign(ws, out=sign)
+            flat = ws.ravel(order)
+            l1 += float(np.vdot(sign.ravel(order), flat))
+            l2 += float(np.vdot(flat, flat))
+            sign *= nu1
+            np.multiply(ws, 2.0 * nu2, out=penalty)
+            sign += penalty
+            gs += sign
+    return l1, l2
 
 
 @dataclass
@@ -149,18 +193,24 @@ def nesterov_step(params, grads, state):
 
     v <- mu*v - lr_t*g and p <- p + mu*v - lr_t*g with
     lr_t = base_lr / (1 + decay*step_count); momentum 0 reduces to plain SGD.
+    Each array is updated one cache-sized slice at a time, through views, so
+    non-contiguous parameters and velocities are updated in place too.
     """
     if len(params) != len(grads) or len(params) != len(state.velocities):
         raise ValueError("params, grads and velocities must align")
+    for p, g, v in zip(params, grads, state.velocities):
+        if not (p.shape == g.shape == v.shape):
+            raise ValueError("parameter, gradient and velocity shapes differ")
     lr = state.learning_rate()
     mu = state.momentum
     for p, g, v in zip(params, grads, state.velocities):
-        if p.shape != g.shape:
-            raise ValueError("gradient shape does not match its parameter")
-        step = lr * g
-        v *= mu
-        v -= step
-        p += mu * v
-        p -= step
+        for index, _, (step, push) in _slices(p, 2):
+            ps, vs = p[index], v[index]
+            np.multiply(g[index], lr, out=step)
+            vs *= mu
+            vs -= step
+            np.multiply(vs, mu, out=push)
+            ps += push
+            ps -= step
     state.step_count += 1
     return params, state

@@ -32,6 +32,61 @@ def exhaustive_ap(scores_row, candidates, truth):
     return total / len(truth)
 
 
+def neighbors(snapshot, node):
+    """Sorted neighbour ids and their weights for one node."""
+    _, ids, weights = snapshot.csr_rows([node])
+    return ids, weights
+
+
+def ap_from_row(scores_row, candidates, truth_idx):
+    """Average precision of one node's ranking, by sorting its candidates by
+    descending score with ties broken by ascending id."""
+    order = np.lexsort((candidates, -scores_row[candidates]))
+    ranked = candidates[order]
+    hits = np.isin(ranked, truth_idx)
+    if not hits.any():
+        return 0.0
+    prec = np.cumsum(hits) / np.arange(1, ranked.size + 1)
+    return float(prec[hits].sum() / truth_idx.size)
+
+
+def map_oracle(scores, candidates_of, truth_of):
+    """Mean of :func:`ap_from_row` over the nodes in ``truth_of`` (sorted),
+    one sort per node."""
+    return float(np.mean([ap_from_row(scores[i], candidates_of(i), truth_of[i]) for i in sorted(truth_of)]))
+
+
+def penalized_step_oracle(layers, grads, velocities, lr, mu, nu1, nu2):
+    """The penalty and Nesterov passes as whole-array numpy operations, the
+    oracle for the streamed passes in ``nn``.
+
+    The L1/L2 penalty gradient of every weight matrix is formed on its own
+    and added into the weight gradient, then every weight and bias takes one
+    Nesterov step.  ``grads`` and ``velocities`` hold one ``(weights, bias)``
+    pair per layer, and are updated in place with the layers; returns
+    ``(l1, l2)``.
+    """
+    l1 = 0.0
+    l2 = 0.0
+    for layer, (gw, _) in zip(layers, grads):
+        w = layer.weights
+        grad = np.sign(w)
+        flat = w.ravel("K")
+        l1 += float(np.vdot(grad.ravel("K"), flat))
+        l2 += float(np.vdot(flat, flat))
+        grad *= nu1
+        grad += 2.0 * nu2 * w
+        gw += grad
+    for layer, pair, vel in zip(layers, grads, velocities):
+        for p, g, v in zip((layer.weights, layer.bias), pair, vel):
+            step = lr * g
+            v *= mu
+            v -= step
+            p += mu * v
+            p -= step
+    return l1, l2
+
+
 def loss_global(x, x_hat, b):
     """Weighted reconstruction error sum(((x_hat - x) * b)^2)."""
     x, x_hat, b = (np.asarray(a, dtype=np.float64) for a in (x, x_hat, b))

@@ -36,6 +36,7 @@ from helpers import (
     growing_series,
     jittered_model_and_batch,
     merge_series,
+    neighbors,
     random_snapshot,
     random_symmetric_scores,
     toy_hyper,
@@ -150,7 +151,7 @@ def test_04_map_matches_exhaustive_enumeration():
         scores = random_symmetric_scores(rng, n)
         expected = []
         for i in range(n):
-            truth, _ = snap.neighbors(i)
+            truth, _ = neighbors(snap, i)
             if truth.size == 0:
                 continue
             candidates = [c for c in range(n) if c != i]

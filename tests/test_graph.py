@@ -55,18 +55,20 @@ def test_snapshot_rejects_bad_edges():
 
 def test_neighbors_and_dense_rows_agree():
     g = GraphSnapshot(5, [(0, 2, 1.5), (0, 4, 2.0), (2, 3, 0.25)])
-    idx, wts = g.neighbors(0)
-    assert idx.tolist() == [2, 4]
+    indptr, idx, wts = g.csr_rows([0])
+    assert indptr.tolist() == [0, 2] and idx.tolist() == [2, 4]
     assert wts.tolist() == [1.5, 2.0]
     rows = g.dense_rows(np.arange(5))
     np.testing.assert_array_equal(rows[0], [0, 0, 1.5, 0, 2.0])
+    indptr, idx, wts = g.csr_rows([3, 0, 3])  # any order, repeats allowed
+    assert indptr.tolist() == [0, 1, 3, 4] and idx.tolist() == [2, 2, 4, 2]
     for i in range(5):
-        idx, wts = g.neighbors(i)
+        _, idx, wts = g.csr_rows([i])
         np.testing.assert_array_equal(np.flatnonzero(rows[i]), idx)
         np.testing.assert_array_equal(rows[i, idx], wts)
     np.testing.assert_array_equal(rows, rows.T)
     with pytest.raises(IndexError):
-        g.neighbors(5)
+        g.csr_rows([5])
 
 
 def test_induced_adjacency_subset():

@@ -5,8 +5,8 @@ import pytest
 
 from dyngem.errors import UndefinedMetricError
 from dyngem.graph import GraphSnapshot, hide_edges
+from dyngem import metrics
 from dyngem.metrics import (
-    _ap_from_row,
     anomaly_series,
     eval_link_prediction,
     eval_reconstruction,
@@ -17,7 +17,7 @@ from dyngem.metrics import (
     stability_relative,
     stability_transitions,
 )
-from helpers import exhaustive_ap, random_snapshot, random_symmetric_scores
+from helpers import ap_from_row, exhaustive_ap, map_oracle, neighbors, random_snapshot, random_symmetric_scores
 
 
 def test_eval_reconstruction_breaks_ties_by_id():
@@ -52,10 +52,10 @@ def test_average_precision_hand_case():
     # candidates 2, 5, 7, 9 ranked [5, 2, 7, 9]; truths at ranks 1 and 3: (1/1 + 2/3) / 2
     row = np.array([0, 0, 3.0, 0, 0, 4.0, 0, 2.0, 0, 1.0])
     candidates = np.array([2, 5, 7, 9])
-    assert _ap_from_row(row, candidates, np.array([5, 7])) == pytest.approx(5 / 6, abs=1e-15)
+    assert ap_from_row(row, candidates, np.array([5, 7])) == pytest.approx(5 / 6, abs=1e-15)
     # a truth missing from the ranking still counts in the denominator
-    assert _ap_from_row(row, candidates, np.array([5, 99])) == pytest.approx(0.5)
-    assert _ap_from_row(row, candidates, np.array([99])) == 0.0
+    assert ap_from_row(row, candidates, np.array([5, 99])) == pytest.approx(0.5)
+    assert ap_from_row(row, candidates, np.array([99])) == 0.0
 
 
 def test_map_skips_empty_truths():
@@ -82,8 +82,46 @@ def test_map_matches_exhaustive_oracle():
             expected = exhaustive_ap(scores[i], candidates, truth)
             if expected is None:
                 continue
-            got = _ap_from_row(scores[i], np.array(candidates), np.array(sorted(truth)))
+            got = ap_from_row(scores[i], np.array(candidates), np.array(sorted(truth)))
             assert got == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("pairs_per_block", [None, 3])
+def test_map_equals_the_per_node_sort_bit_for_bit(monkeypatch, pairs_per_block):
+    # scores rounded to one decimal tie often; degrees reach past 128, where
+    # numpy's pairwise sum starts to split
+    rng = np.random.default_rng(21)
+    n = 300
+    snap = random_snapshot(rng, n, p=0.5)
+    assert max(neighbors(snap, i)[0].size for i in range(n)) > 128
+    scores = np.round(random_symmetric_scores(rng, n), 1)
+    scores[:, :40] = scores[:40, :] = 0.0
+    if pairs_per_block is not None:
+        monkeypatch.setattr(metrics, "RANK_BLOCK_ELEMENTS", pairs_per_block * n)
+    everyone = np.arange(n)
+    truth = {i: neighbors(snap, i)[0] for i in range(n) if neighbors(snap, i)[0].size}
+    expected = map_oracle(scores, lambda i: np.delete(everyone, i), truth)
+    assert eval_reconstruction(scores, snap) == expected
+
+    train, hidden = hide_edges(snap, 0.2, seed=4)
+    # a hidden edge left in the training snapshot is no candidate: it counts
+    # only in its nodes' truth sizes
+    train_edges = train.edges()
+    hidden_kept = sorted(hidden + train_edges[:: len(train_edges) // 25])
+
+    def candidates_of(i):
+        drop = np.zeros(n, dtype=bool)
+        drop[i] = True
+        drop[neighbors(train, i)[0]] = True
+        return everyone[~drop]
+
+    for split in (hidden, hidden_kept):
+        truth = {}
+        for i, j, _ in split:
+            truth.setdefault(i, []).append(j)
+            truth.setdefault(j, []).append(i)
+        truth = {i: np.array(sorted(js)) for i, js in truth.items()}
+        assert eval_link_prediction(scores, train, split) == map_oracle(scores, candidates_of, truth)
 
 
 def test_map_invariant_under_monotone_transform():
@@ -147,7 +185,7 @@ def test_eval_link_prediction_agrees_with_oracle_on_random_splits():
             truth_of.setdefault(j, set()).add(i)
         expected = []
         for i in sorted(truth_of):
-            observed, _ = train.neighbors(i)
+            observed, _ = neighbors(train, i)
             candidates = [c for c in range(6) if c != i and c not in set(observed.tolist())]
             expected.append(exhaustive_ap(scores[i], candidates, truth_of[i]))
         assert eval_link_prediction(scores, train, hidden) == pytest.approx(

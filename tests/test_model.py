@@ -26,6 +26,7 @@ from helpers import (
     jittered_model_and_batch,
     loss_global,
     loss_local,
+    penalized_step_oracle,
     random_snapshot,
     toy_hyper,
 )
@@ -157,6 +158,39 @@ def test_sparse_and_dense_batches_agree(monkeypatch):
             for gd, gs in zip(pair_d, pair_s):
                 scale = float(np.max(np.abs(gd)))
                 assert float(np.max(np.abs(gs - gd))) <= 1e-12 * scale
+
+
+def test_training_steps_on_a_sparse_batch_match_the_whole_array_oracle(monkeypatch):
+    # C-ordered weights with a sparse batch: scipy hands back a column-major
+    # first-layer gradient, so the streamed passes meet two layouts at once
+    snap = random_snapshot(np.random.default_rng(8), 40, p=0.1)
+    pick = np.random.default_rng(9).choice(snap.edge_count, 12, replace=False)
+    _, sparse = _both_batches(monkeypatch, snap, snap.heads[pick], snap.tails[pick], snap.weights[pick])
+    hyper = toy_hyper(base_lr=1e-3, momentum=0.9, decay=0.1)
+    params = build_autoencoder(40, (16, 8), 3, seed=5)
+    theirs = params.copy()
+    flat = [a for layer in params.layers() for a in (layer.weights, layer.bias)]
+    state = nn.OptimizerState.for_params(flat, hyper.base_lr, hyper.momentum, hyper.decay)
+    oracle_vel = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in theirs.layers()]
+    streamed = nn.regularizer_value_and_grads
+    for step in range(4):
+        lr = state.learning_rate()
+        _, parts, (enc, dec) = loss_net_batch(params, sparse, hyper)
+        assert enc[0][0].flags.f_contiguous and not enc[0][0].flags.c_contiguous
+        assert params.encoder[0].weights.flags.c_contiguous
+        nn.nesterov_step(flat, [g for pair in enc + dec for g in pair], state)
+        # the oracle starts from the raw backprop gradients
+        monkeypatch.setattr(nn, "regularizer_value_and_grads", lambda *args: (0.0, 0.0))
+        _, _, (o_enc, o_dec) = loss_net_batch(theirs, sparse, hyper)
+        monkeypatch.setattr(nn, "regularizer_value_and_grads", streamed)
+        l1, l2 = penalized_step_oracle(theirs.layers(), o_enc + o_dec, oracle_vel, lr, hyper.momentum,
+                                       hyper.nu1, hyper.nu2)
+        assert parts["l1"] == pytest.approx(l1, rel=1e-12) and parts["l2"] == pytest.approx(l2, rel=1e-12)
+        for k, (mine, ref) in enumerate(zip(params.layers(), theirs.layers())):
+            assert np.array_equal(mine.weights, ref.weights), (step, k)
+            assert np.array_equal(mine.bias, ref.bias), (step, k)
+            assert np.array_equal(state.velocities[2 * k], oracle_vel[k][0]), (step, k)
+            assert np.array_equal(state.velocities[2 * k + 1], oracle_vel[k][1]), (step, k)
 
 
 def test_sparse_batch_gradients_match_finite_differences(monkeypatch):

@@ -3,7 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from dyngem import nn
 from dyngem.nn import (
+    SLICE_ELEMENTS,
     LayerParams,
     OptimizerState,
     backward,
@@ -12,6 +14,7 @@ from dyngem.nn import (
     regularizer_value_and_grads,
     relu,
 )
+from helpers import penalized_step_oracle
 
 
 def test_relu_zero_and_negative():
@@ -119,14 +122,114 @@ def test_backward_activation_mismatch():
 
 
 def test_regularizer_hand_case():
-    # L1 = 9, L2 = 29 for W = [[3,-4],[0,2]]
+    # L1 = 9, L2 = 29 for W = [[3,-4],[0,2]]; the penalty gradient is added
+    # into the weight gradients in place
     layer = LayerParams(np.array([[3.0, -4.0], [0.0, 2.0]]), np.zeros(2))
-    l1, l2, grads = regularizer_value_and_grads([layer, layer], 0.1, 0.01)
+    grads = [np.zeros((2, 2)), np.ones((2, 2))]
+    l1, l2 = regularizer_value_and_grads([layer, layer], grads, 0.1, 0.01)
     assert (l1, l2) == (18.0, 58.0)
-    np.testing.assert_allclose(grads[0], [[0.1 + 0.06, -0.1 - 0.08], [0.0, 0.1 + 0.04]])
-    np.testing.assert_array_equal(grads[1], grads[0])
+    penalty = [[0.1 + 0.06, -0.1 - 0.08], [0.0, 0.1 + 0.04]]
+    np.testing.assert_allclose(grads[0], penalty)
+    np.testing.assert_allclose(grads[1], np.add(penalty, 1.0))
     with pytest.raises(ValueError):
-        regularizer_value_and_grads([layer], -0.1, 0.0)
+        regularizer_value_and_grads([layer], [np.zeros((2, 2))], -0.1, 0.0)
+    with pytest.raises(ValueError):
+        regularizer_value_and_grads([layer], [np.zeros((2, 3))], 0.1, 0.0)
+    with pytest.raises(ValueError):
+        regularizer_value_and_grads([layer, layer], [np.zeros((2, 2))], 0.1, 0.0)
+
+
+WIDE = SLICE_ELEMENTS + 5  # one row (or column) longer than a whole slice
+
+# Each case: per layer (weight shape, weight order, gradient order), then
+# momentum, nu1, nu2.  The shapes span several slices.
+ORACLE_CASES = {
+    "row_major": ([((300, 250), "C", "C"), ((250, 40), "C", "C")], 0.9, 1e-3, 2e-3),
+    "column_major": ([((300, 250), "F", "F"), ((250, 40), "F", "F")], 0.9, 1e-3, 2e-3),
+    "gradient_layout_differs": ([((300, 250), "C", "F"), ((250, 300), "F", "C")], 0.9, 1e-3, 2e-3),
+    "rows_wider_than_a_slice": ([((3, WIDE), "C", "C"), ((WIDE, 3), "F", "F"), ((2, WIDE), "C", "F")],
+                                0.9, 1e-3, 2e-3),
+    "momentum_zero": ([((300, 250), "C", "C"), ((250, 300), "F", "F")], 0.0, 1e-3, 2e-3),
+    "no_penalty": ([((300, 250), "C", "C"), ((250, 300), "F", "F")], 0.9, 0.0, 0.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_streamed_passes_match_the_whole_array_oracle(case):
+    spec, momentum, nu1, nu2 = ORACLE_CASES[case]
+    rng = np.random.default_rng(sorted(ORACLE_CASES).index(case))
+    layers = []
+    for shape, w_order, _ in spec:
+        w = np.asarray(rng.standard_normal(shape), order=w_order)
+        w[rng.random(shape) < 0.05] = 0.0  # sign(0) = 0
+        layers.append(LayerParams(w, rng.standard_normal(shape[0])))
+    oracle_layers = [LayerParams(np.copy(l.weights), np.copy(l.bias)) for l in layers]  # layouts kept
+    params = [a for layer in layers for a in (layer.weights, layer.bias)]
+    state = OptimizerState.for_params(params, base_lr=0.05, momentum=momentum, decay=0.1)
+    oracle_vel = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in oracle_layers]
+    for step in range(4):
+        lr = state.learning_rate()
+        grads = [(np.asarray(rng.standard_normal(shape), order=g_order), rng.standard_normal(shape[0]))
+                 for shape, _, g_order in spec]
+        oracle_grads = [(np.copy(gw), np.copy(gb)) for gw, gb in grads]
+        l1, l2 = regularizer_value_and_grads(layers, [gw for gw, _ in grads], nu1, nu2)
+        nesterov_step(params, [g for pair in grads for g in pair], state)
+        o1, o2 = penalized_step_oracle(oracle_layers, oracle_grads, oracle_vel, lr, momentum, nu1, nu2)
+        assert l1 == pytest.approx(o1, rel=1e-12) and l2 == pytest.approx(o2, rel=1e-12)
+        for k, (mine, theirs) in enumerate(zip(layers, oracle_layers)):
+            assert np.array_equal(mine.weights, theirs.weights), (step, k)
+            assert np.array_equal(mine.bias, theirs.bias), (step, k)
+            assert np.array_equal(state.velocities[2 * k], oracle_vel[k][0]), (step, k)
+            assert np.array_equal(state.velocities[2 * k + 1], oracle_vel[k][1]), (step, k)
+    for (_, w_order, _), layer in zip(spec, layers):
+        assert layer.weights.flags[f"{w_order}_CONTIGUOUS"]
+
+
+def test_nesterov_updates_non_contiguous_arrays_in_place():
+    rng = np.random.default_rng(6)
+    base = rng.standard_normal((200, 400))
+    grads = rng.standard_normal((200, 400))
+    expected = base.copy()
+    p = base[:, ::2]  # neither row- nor column-major: ravel would copy it
+    assert not (p.flags.c_contiguous or p.flags.f_contiguous)
+    v = np.zeros((200, 400))[::-1, ::2]
+    state = OptimizerState([v], base_lr=0.1, momentum=0.9)
+    for _ in range(3):
+        nesterov_step([p], [grads[:, ::2]], state)
+    expected_v = np.zeros((200, 200))
+    for _ in range(3):
+        step = 0.1 * grads[:, ::2]
+        expected_v *= 0.9
+        expected_v -= step
+        expected[:, ::2] += 0.9 * expected_v
+        expected[:, ::2] -= step
+    assert np.array_equal(base, expected)
+    assert np.array_equal(state.velocities[0], expected_v)
+
+
+def test_scratch_slices_take_their_arrays_layout():
+    for shape, order in (((300, 250), "C"), ((300, 250), "F"), ((40000,), "C")):
+        a = np.zeros(shape, order=order)
+        slices = list(nn._slices(a, 2))
+        assert len(slices) > 1
+        covered = np.zeros(shape, dtype=int)
+        for index, got_order, buffers in slices:
+            view = a[index]
+            assert got_order == order and view.flags[f"{order}_CONTIGUOUS"]
+            assert view.size <= SLICE_ELEMENTS
+            for buffer in buffers:
+                assert buffer.shape == view.shape and buffer.flags[f"{order}_CONTIGUOUS"]
+            covered[index] += 1
+        assert (covered == 1).all()
+
+
+def test_scratch_covers_a_row_wider_than_a_slice():
+    # one row (column) per slice, and the buffers hold a whole one
+    for a in (np.zeros((3, WIDE)), np.zeros((WIDE, 3), order="F")):
+        slices = list(nn._slices(a, 1))
+        assert len(slices) == 3
+        for index, _, (buffer,) in slices:
+            assert a[index].size == WIDE and buffer.shape == a[index].shape
 
 
 def test_nesterov_two_step_hand_case():
@@ -182,3 +285,15 @@ def test_optimizer_validation():
         nesterov_step([np.ones(2)], [np.ones(3)], state)
     with pytest.raises(ValueError):
         nesterov_step([np.ones(2), np.ones(2)], [np.ones(2)], state)
+
+
+def test_nesterov_rejects_a_velocity_of_another_shape():
+    # rejected before anything is updated
+    p = np.ones((2, 3))
+    for shape in ((3, 2), (6,), (2, 4), (1, 3)):
+        state = OptimizerState([np.ones(shape)], base_lr=0.1)
+        with pytest.raises(ValueError):
+            nesterov_step([p], [np.ones((2, 3))], state)
+        assert state.step_count == 0
+        np.testing.assert_array_equal(state.velocities[0], np.ones(shape))
+    np.testing.assert_array_equal(p, np.ones((2, 3)))

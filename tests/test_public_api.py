@@ -5,9 +5,14 @@ a name that only tests call belongs in the tests."""
 from __future__ import annotations
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
+import pytest
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "dyngem"
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
 def _is_command_callback(node):
@@ -41,3 +46,21 @@ def test_every_public_name_is_used_by_package_code():
                 used.add(node.attr)
     unused = sorted(where for name, where in public if name not in used)
     assert not unused, "public names that no package code uses: " + ", ".join(unused)
+
+
+def test_every_benchmark_trace_target_resolves():
+    """The traced benchmark run wraps ``tracing.TARGETS`` by name and fails
+    on a missing one; this catches a renamed or merged function in tier-1."""
+    if not TRACING.exists():
+        pytest.skip("perfbench/ is absent")
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for module_name, attr, *_ in tracing.TARGETS:
+        owner = importlib.import_module(module_name)
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{module_name}.{attr}")
+    assert not missing, "trace targets that dyngem no longer has: " + ", ".join(missing)

@@ -23,6 +23,8 @@ METHODS = ("dyngem", "sdne_retrain", "sdne_align", "gf", "gf_init", "gf_align")
 _SALT_INIT = 0
 _SALT_TRAIN = 1
 _SALT_GROW = 2
+# how many times a series' warm steps may halve the learning rate
+MAX_BACKOFFS = 3
 
 
 @dataclass(frozen=True)
@@ -83,6 +85,7 @@ class _Step:
     params: model.AutoencoderParams | None = None
     checkpoint: model.AutoencoderParams | None = None
     growth: dict | None = None
+    backoffs: int = 0  # learning-rate halvings so far
 
 
 def _step_seed(base, t, salt):
@@ -120,31 +123,67 @@ def _drive(method, series, config, step, warm):
     return out
 
 
+def _grow(params, snap, config, t):
+    """``(params, growth record)``: the model widened by a PropSize plan
+    when the node set expanded, else as it is with a None record."""
+    if snap.node_count <= params.n:
+        return params, None
+    hyper = config.hyper
+    plan = propsize_plan(params.encoder_sizes[:-1], snap.node_count, hyper.rho, hyper.d)
+    params, applied = apply_plan(
+        params, plan, config.growth_noise, _step_seed(hyper.seed, t, _SALT_GROW)
+    )
+    return params, {"plan": plan.to_dict(), "applied": applied}
+
+
+def _kills_embedding(before, after):
+    """True when fewer than half as many embedding units are live (some node
+    activates them) in ``after`` as in ``before``.  A ReLU unit that no
+    input activates gets no gradient, so it stays dead."""
+    return 2 * int((after > 0).any(axis=0).sum()) < int((before > 0).any(axis=0).sum())
+
+
 def _autoencoder_step(snap, config, t, prev):
     """Train one autoencoder step.  A cold start builds a fresh model from
     the step's seed; a warm start continues the previous step's model, grown
-    with a PropSize plan when the node set expanded."""
+    with a PropSize plan when the node set expanded.
+
+    A graph far from the one the model fits (two communities merging, say)
+    can make a warm step's training overflow or kill most of the embedding
+    units.  Such a step is trained again from the previous step's checkpoint
+    at half the learning rate for twice the epochs, and later steps keep the
+    halved rate; at most MAX_BACKOFFS halvings in all.  The iteration count
+    includes the attempts a step discarded."""
     hyper = config.hyper
-    grown = None
+    seed = _step_seed(hyper.seed, t, _SALT_TRAIN)
+    batches = (snap.edge_count + hyper.batch_size - 1) // hyper.batch_size
     if prev is None:
         params = model.build_autoencoder(
             snap.node_count, config.hidden_sizes, hyper.d, _step_seed(hyper.seed, t, _SALT_INIT)
         )
-        epochs = hyper.epochs_first
-    else:
-        # taking the model over lets growth free the previous one
-        params, prev.params, epochs = prev.params, None, hyper.epochs_warm
-        if snap.node_count > params.n:
-            plan = propsize_plan(params.encoder_sizes[:-1], snap.node_count, hyper.rho, hyper.d)
-            params, applied = apply_plan(
-                params, plan, config.growth_noise, _step_seed(hyper.seed, t, _SALT_GROW)
-            )
-            grown = {"plan": plan.to_dict(), "applied": applied}
-    params, trace = model.train_snapshot(
-        params, snap, hyper, epochs, seed=_step_seed(hyper.seed, t, _SALT_TRAIN)
-    )
-    batches = (snap.edge_count + hyper.batch_size - 1) // hyper.batch_size
-    return _Step(model.embed(params, snap), epochs * batches, trace, params, params.copy(), grown)
+        params, trace = model.train_snapshot(params, snap, hyper, hyper.epochs_first, seed=seed)
+        embedding = model.embed(params, snap)
+        return _Step(embedding, hyper.epochs_first * batches, trace, params, params.copy())
+    # taking the model over lets growth free the previous one
+    params, prev.params = prev.params, None
+    backoffs, iterations = prev.backoffs, 0
+    while True:
+        params, grown = _grow(params, snap, config, t)
+        epochs = hyper.epochs_warm << backoffs
+        iterations += epochs * batches
+        slowed = replace(hyper, base_lr=hyper.base_lr / (1 << backoffs))
+        try:
+            params, trace = model.train_snapshot(params, snap, slowed, epochs, seed=seed)
+        except ConvergenceError:
+            if backoffs == MAX_BACKOFFS:
+                raise
+        else:
+            embedding = model.embed(params, snap)
+            if backoffs == MAX_BACKOFFS or not _kills_embedding(prev.embedding, embedding):
+                break
+        backoffs += 1
+        params = prev.checkpoint.copy()
+    return _Step(embedding, iterations, trace, params, params.copy(), grown, backoffs)
 
 
 def procrustes_align(reference, target):

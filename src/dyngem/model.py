@@ -152,10 +152,13 @@ def _sparse_input(snapshot):
 
 @dataclass
 class TrainBatch:
-    """A minibatch of edges plus the adjacency rows of its endpoints: ``x``
-    stacks the head rows over the tail rows, as a dense array or a scipy
-    CSR array.  ``nonzero`` holds the flat positions of x's non-zeros in a
-    row-major (2m, n) block, in row order, and ``values`` their values."""
+    """A minibatch of edges plus one adjacency row per distinct endpoint.
+
+    ``x`` holds the rows, as a dense array or a scipy CSR array.  ``rows``
+    gives each of the 2m endpoints (the heads, then the tails) its row in
+    ``x``, and ``counts`` each row's multiplicity among them.  ``nonzero``
+    holds the flat positions of x's non-zeros in a row-major block of x's
+    shape, in row order, and ``values`` their values."""
 
     heads: np.ndarray
     tails: np.ndarray
@@ -163,35 +166,46 @@ class TrainBatch:
     x: object
     nonzero: np.ndarray
     values: np.ndarray
+    rows: np.ndarray
+    counts: np.ndarray
 
     def __post_init__(self):
         m = self.heads.shape[0]
         if not (self.tails.shape[0] == self.weights.shape[0] == m):
             raise ValueError("batch arrays must share their leading length")
-        if self.x.shape[0] != 2 * m:
-            raise ValueError("adjacency rows must cover both endpoints of every edge")
-        if np.any(self.weights <= 0):
-            raise ValueError("edge weights must be positive")
+        if not np.all(np.isfinite(self.weights) & (self.weights > 0)):
+            raise ValueError("edge weights must be positive and finite")
+        k = self.x.shape[0]
+        if self.rows.shape != (2 * m,):
+            raise ValueError("rows must give both endpoints of every edge a row")
+        if self.rows.size and (self.rows.min() < 0 or self.rows.max() >= k):
+            raise ValueError("every endpoint row must be a row of x")
+        if not np.array_equal(self.counts, np.bincount(self.rows, minlength=k)):
+            raise ValueError("counts must be each row's multiplicity among the endpoints")
+        if np.any(self.counts == 0):
+            raise ValueError("every row of x must belong to an endpoint")
 
 
 def make_batch(snapshot, heads, tails, weights):
-    """Batch the edges with their endpoints' adjacency rows, sparse when the
-    snapshot is sparser than ``SPARSE_INPUT_DENSITY``."""
+    """Batch the edges with one adjacency row per distinct endpoint, sparse
+    when the snapshot is sparser than ``SPARSE_INPUT_DENSITY``."""
     heads = np.asarray(heads, dtype=np.intp)
     tails = np.asarray(tails, dtype=np.intp)
     weights = np.asarray(weights, dtype=np.float64)
     n = snapshot.node_count
-    indptr, cols, values = snapshot.csr_rows(np.concatenate([heads, tails]))
-    rows = 2 * heads.size
-    nonzero = np.repeat(np.arange(0, rows * n, n), np.diff(indptr)) + cols
+    nodes, rows, counts = np.unique(
+        np.concatenate([heads, tails]), return_inverse=True, return_counts=True
+    )
+    indptr, cols, values = snapshot.csr_rows(nodes)
+    nonzero = np.repeat(np.arange(0, nodes.size * n, n), np.diff(indptr)) + cols
     if _sparse_input(snapshot):
         from scipy.sparse import csr_array
 
-        x = csr_array((values, cols, indptr), shape=(rows, n))
+        x = csr_array((values, cols, indptr), shape=(nodes.size, n))
     else:
-        x = np.zeros((rows, n))
+        x = np.zeros((nodes.size, n))
         x.reshape(-1)[nonzero] = values
-    return TrainBatch(heads, tails, weights, x, nonzero, values)
+    return TrainBatch(heads, tails, weights, x, nonzero, values, rows, counts)
 
 
 def loss_net_batch(params, batch, hyper):
@@ -199,7 +213,9 @@ def loss_net_batch(params, batch, hyper):
 
     Returns ``(total, parts, (encoder_grads, decoder_grads))`` where parts
     holds the raw, unweighted values of the four terms and
-    ``total = global + alpha*local + nu1*l1 + nu2*l2``.
+    ``total = global + alpha*local + nu1*l1 + nu2*l2``.  Each distinct
+    endpoint row is encoded and decoded once; its reconstruction term counts
+    once per endpoint it stands for.
     """
     x = batch.x
     if x.shape[1] != params.n:
@@ -212,22 +228,30 @@ def loss_net_batch(params, batch, hyper):
     # The reconstruction error is weighted by beta where x is non-zero and
     # by 1 elsewhere, so only the non-zero positions need more than a copy.
     nonzero = batch.nonzero
+    counts = batch.counts
     diff = acts_dec[-1].copy()
     flat = diff.reshape(-1)
     flat[nonzero] = (flat[nonzero] - batch.values) * hyper.beta
-    l_glob = float(np.vdot(diff, diff))
+    l_glob = float(counts @ np.einsum("ij,ij->i", diff, diff))
     g_xhat = diff
-    g_xhat *= 2.0
+    g_xhat *= (2.0 * counts)[:, None]
     g_xhat.reshape(-1)[nonzero] *= hyper.beta
 
-    pair_diff = y[:m] - y[m:]
+    head_rows, tail_rows = batch.rows[:m], batch.rows[m:]
+    pair_diff = y[head_rows] - y[tail_rows]
     sq = np.einsum("ij,ij->i", pair_diff, pair_diff)
     l_loc = float(batch.weights @ sq)
     g_loc = (2.0 * hyper.alpha) * batch.weights[:, None] * pair_diff
 
     dec_grads, g_y = nn.backward(params.decoder, acts_dec, g_xhat)
-    g_y[:m] += g_loc
-    g_y[m:] -= g_loc
+    # One row can be the head of several edges and the tail of others, so
+    # each row sums its pair gradients.  Of the scatters timed on a desk
+    # batch, two bincounts over flat positions were the fastest.
+    d = g_y.shape[1]
+    at = (batch.rows[:, None] * d + np.arange(d)).reshape(-1)
+    pulls = g_loc.reshape(-1)
+    g_y += np.bincount(at[: m * d], pulls, g_y.size).reshape(g_y.shape)
+    g_y -= np.bincount(at[m * d :], pulls, g_y.size).reshape(g_y.shape)
     enc_grads, _ = nn.backward(params.encoder, acts_enc, g_y, input_grad=False)
 
     weight_grads = [gw for gw, _ in enc_grads + dec_grads]

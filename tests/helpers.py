@@ -87,6 +87,43 @@ def penalized_step_oracle(layers, grads, velocities, lr, mu, nu1, nu2):
     return l1, l2
 
 
+def loss_net_batch_oracle(params, snapshot, batch, hyper):
+    """The objective and gradients of ``model.loss_net_batch`` with no row
+    dedup: the 2m endpoint rows (heads over tails) come from
+    ``snapshot.dense_rows`` and each runs through the autoencoder."""
+    m = batch.heads.shape[0]
+    x = snapshot.dense_rows(np.concatenate([batch.heads, batch.tails]))
+    acts_enc = nn.forward(params.encoder, x)
+    y = acts_enc[-1]
+    acts_dec = nn.forward(params.decoder, y)
+
+    nonzero = np.flatnonzero(x)
+    diff = acts_dec[-1].copy()
+    flat = diff.reshape(-1)
+    flat[nonzero] = (flat[nonzero] - x.reshape(-1)[nonzero]) * hyper.beta
+    l_glob = float(np.vdot(diff, diff))
+    g_xhat = diff
+    g_xhat *= 2.0
+    g_xhat.reshape(-1)[nonzero] *= hyper.beta
+
+    pair_diff = y[:m] - y[m:]
+    sq = np.einsum("ij,ij->i", pair_diff, pair_diff)
+    l_loc = float(batch.weights @ sq)
+    g_loc = (2.0 * hyper.alpha) * batch.weights[:, None] * pair_diff
+
+    dec_grads, g_y = nn.backward(params.decoder, acts_dec, g_xhat)
+    g_y[:m] += g_loc
+    g_y[m:] -= g_loc
+    enc_grads, _ = nn.backward(params.encoder, acts_enc, g_y, input_grad=False)
+
+    weight_grads = [gw for gw, _ in enc_grads + dec_grads]
+    l1, l2 = nn.regularizer_value_and_grads(params.layers(), weight_grads, hyper.nu1, hyper.nu2)
+
+    total = l_glob + hyper.alpha * l_loc + hyper.nu1 * l1 + hyper.nu2 * l2
+    parts = {"global": l_glob, "local": l_loc, "l1": l1, "l2": l2}
+    return total, parts, (enc_grads, dec_grads)
+
+
 def loss_global(x, x_hat, b):
     """Weighted reconstruction error sum(((x_hat - x) * b)^2)."""
     x, x_hat, b = (np.asarray(a, dtype=np.float64) for a in (x, x_hat, b))
@@ -133,12 +170,33 @@ def _min_preactivation(params, x):
     return worst
 
 
-def jittered_model_and_batch(seed, n=12, hidden=(8, 5), d=3, batch_edges=6):
-    """A small model/batch pair kept away from the ReLU and |W| kinks.
+def random_edges(snap, rng, count):
+    """``count`` distinct edges of the snapshot, in random order, as
+    ``(heads, tails, weights)``."""
+    idx = rng.choice(snap.edge_count, size=min(count, snap.edge_count), replace=False)
+    return snap.heads[idx], snap.tails[idx], snap.weights[idx]
+
+
+def hub_edges(snap):
+    """Indices of every edge at the highest-degree node."""
+    hub = np.argmax(np.bincount(np.concatenate([snap.heads, snap.tails]), minlength=snap.node_count))
+    return np.flatnonzero((snap.heads == hub) | (snap.tails == hub))
+
+
+def star_edges(snap, rng, count):
+    """Up to ``count`` edges that all share the highest-degree node."""
+    idx = hub_edges(snap)[:count]
+    return snap.heads[idx], snap.tails[idx], snap.weights[idx]
+
+
+def jittered_case(seed, n=12, hidden=(8, 5), d=3, batch_edges=6, pick=random_edges):
+    """A small model, snapshot and batch kept away from the ReLU and |W| kinks.
 
     Finite differences with step h misbehave when some pre-activation or
     weight sits within h of a kink, so candidates are resampled until every
-    |pre-activation| > 1e-3 and every |w| > 1e-4.
+    |pre-activation| > 1e-3 and every |w| > 1e-4.  ``pick(snap, rng,
+    batch_edges)`` chooses the batch's edges.  Returns
+    ``(params, snapshot, batch)``.
     """
     for attempt in range(200):
         rng = np.random.default_rng((seed, attempt))
@@ -147,18 +205,19 @@ def jittered_model_and_batch(seed, n=12, hidden=(8, 5), d=3, batch_edges=6):
         for layer in params.encoder + params.decoder:
             layer.bias += rng.uniform(0.05, 0.3, layer.bias.shape) * rng.choice([-1.0, 1.0], layer.bias.shape)
         snap = random_snapshot(rng, n)
-        edges = snap.edges()
-        take = min(batch_edges, len(edges))
-        idx = rng.choice(len(edges), size=take, replace=False)
-        heads = [edges[k][0] for k in idx]
-        tails = [edges[k][1] for k in idx]
-        weights = [edges[k][2] for k in idx]
+        heads, tails, weights = pick(snap, rng, batch_edges)
         batch = make_batch(snap, heads, tails, weights)
         rows = snap.dense_rows(np.concatenate([heads, tails]))
         min_w = min(float(np.min(np.abs(l.weights))) for l in params.encoder + params.decoder)
         if _min_preactivation(params, rows) > 1e-3 and min_w > 1e-4:
-            return params, batch
+            return params, snap, batch
     raise AssertionError("could not find a kink-free model/batch pair")
+
+
+def jittered_model_and_batch(seed, **kwargs):
+    """The model and batch of :func:`jittered_case`."""
+    params, _, batch = jittered_case(seed, **kwargs)
+    return params, batch
 
 
 def finite_difference_max_rel_error(params, batch, hyper, h=1e-5):

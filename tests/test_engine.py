@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from dyngem import engine
 from dyngem.engine import METHODS, RunConfig, align_series, procrustes_align, run_gf, run_method
-from dyngem.errors import ConfigError
+from dyngem.errors import ConfigError, ConvergenceError
 from dyngem.graph import DynamicGraph, GraphSnapshot, SbmConfig, generate_sbm_series
 from dyngem.growth import apply_plan, propsize_plan
 from dyngem.model import (
@@ -113,6 +115,91 @@ def test_dyngem_warm_steps_train_the_previous_model_in_place():
         epochs = hyper.epochs_first if t == 0 else hyper.epochs_warm
         params, _ = train_snapshot(params, snap, hyper, epochs, seed=train_seed)
         np.testing.assert_array_equal(series.embeddings[t], embed(params, snap))
+
+
+def test_kills_embedding_when_most_live_units_go_dead():
+    # units 0-3 are live before (unit 4 never was); half keeps 2 live, most 1
+    before = np.array([[1.0, 0.0, 2.0, 0.0, 0.0], [0.0, 3.0, 0.0, 1.0, 0.0]])
+    half = np.array([[0.0, 0.0, 0.0, 0.0, 5.0], [0.0, 2.0, 0.0, 0.0, 0.0]])
+    most = np.array([[0.0, 0.0, 0.0, 0.0, 5.0], [0.0, 0.0, 0.0, 0.0, -1.0]])
+    assert not engine._kills_embedding(before, before)
+    assert not engine._kills_embedding(before, half)
+    assert engine._kills_embedding(before, most)
+    assert engine._kills_embedding(before, np.zeros_like(before))
+
+
+def _record_training(monkeypatch, fail):
+    """Record every train_snapshot call as (base_lr, epochs); ``fail(k)``
+    says whether warm call k raises ConvergenceError."""
+    calls, real = [], engine.model.train_snapshot
+
+    def train(params, snapshot, hyper, epochs, seed=None):
+        calls.append((hyper.base_lr, epochs))
+        warm = len(calls) - 2
+        if warm >= 0 and fail(warm):
+            raise ConvergenceError("training objective is nan in epoch 0")
+        return real(params, snapshot, hyper, epochs, seed=seed)
+
+    monkeypatch.setattr(engine.model, "train_snapshot", train)
+    return calls
+
+
+def test_a_warm_step_that_kills_its_embedding_trains_again_slower(monkeypatch):
+    graphs = _series(steps=3)
+    config = _small_config()
+    hyper = config.hyper
+    plain = run_method(graphs, config)
+    verdicts = iter([True, False, False])
+    monkeypatch.setattr(engine, "_kills_embedding", lambda before, after: next(verdicts))
+    calls = _record_training(monkeypatch, fail=lambda k: False)
+    series = run_method(graphs, config)
+    lr, warm = hyper.base_lr, hyper.epochs_warm
+    # the next step keeps the halved rate
+    assert calls == [(lr, 3), (lr, warm), (lr / 2, 2 * warm), (lr / 2, 2 * warm)]
+    batches = (graphs[1].edge_count + 31) // 32
+    assert series.iterations[1] == 3 * warm * batches
+    assert len(series.traces[1]) == 2 * warm
+    # the retry starts from the previous step's checkpoint, not the model the
+    # discarded attempt left
+    params = plain.checkpoints[0].copy()
+    params, _ = train_snapshot(
+        params, graphs[1], replace(hyper, base_lr=lr / 2), 2 * warm,
+        seed=engine._step_seed(hyper.seed, 1, engine._SALT_TRAIN),
+    )
+    np.testing.assert_array_equal(series.embeddings[1], embed(params, graphs[1]))
+    np.testing.assert_array_equal(series.embeddings[0], plain.embeddings[0])
+
+
+def test_a_warm_step_that_overflows_backs_off_until_it_trains(monkeypatch):
+    graphs = _series(steps=2)
+    config = _small_config()
+    lr, warm = config.hyper.base_lr, config.hyper.epochs_warm
+    calls = _record_training(monkeypatch, fail=lambda k: k < 2)
+    series = run_method(graphs, config)
+    assert calls[1:] == [(lr, warm), (lr / 2, 2 * warm), (lr / 4, 4 * warm)]
+    assert np.isfinite(series.embeddings[1]).all()
+
+
+def test_a_warm_step_gives_up_after_max_backoffs(monkeypatch):
+    graphs = _series(steps=2)
+    calls = _record_training(monkeypatch, fail=lambda k: True)
+    with pytest.raises(ConvergenceError):
+        run_method(graphs, _small_config())
+    assert len(calls) == 1 + engine.MAX_BACKOFFS + 1
+    assert calls[-1][0] == _small_config().hyper.base_lr / 2**engine.MAX_BACKOFFS
+
+
+def test_a_series_keeps_what_its_last_backoff_trains(monkeypatch):
+    # a step that still kills its embedding at the last halving is kept, and
+    # later steps train once at that rate
+    graphs = _series(steps=3)
+    config = _small_config()
+    lr, warm = config.hyper.base_lr, config.hyper.epochs_warm
+    monkeypatch.setattr(engine, "_kills_embedding", lambda before, after: True)
+    calls = _record_training(monkeypatch, fail=lambda k: False)
+    run_method(graphs, config)
+    halvings = [(lr / 2**b, warm << b) for b in range(engine.MAX_BACKOFFS + 1)]
+    assert calls[1:] == halvings + halvings[-1:]
 
 
 def test_restored_checkpoint_continues_the_run_bit_for_bit(tmp_path):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import zipfile
 
 import numpy as np
@@ -23,11 +24,15 @@ from dyngem.model import (
 )
 from helpers import (
     finite_difference_max_rel_error,
+    hub_edges,
+    jittered_case,
     jittered_model_and_batch,
     loss_global,
     loss_local,
+    loss_net_batch_oracle,
     penalized_step_oracle,
     random_snapshot,
+    star_edges,
     toy_hyper,
 )
 
@@ -101,14 +106,15 @@ def test_loss_local_hand_case():
 
 
 def test_loss_net_batch_term_decomposition():
-    params, batch = jittered_model_and_batch(0)
+    params, snap, batch = jittered_case(0)
     hyper = toy_hyper()
     total, parts, _ = loss_net_batch(params, batch, hyper)
     assert total == pytest.approx(
         parts["global"] + hyper.alpha * parts["local"] + hyper.nu1 * parts["l1"] + hyper.nu2 * parts["l2"]
     )
-    # recompute each raw term independently through the forward pass
-    x = batch.x
+    # recompute each raw term independently through the forward pass, over
+    # every endpoint's own dense row (the heads over the tails)
+    x = snap.dense_rows(np.concatenate([batch.heads, batch.tails]))
     y = nn.forward(params.encoder, x)[-1]
     x_hat = nn.forward(params.decoder, y)[-1]
     b = np.where(x == 0.0, 1.0, hyper.beta)
@@ -120,6 +126,99 @@ def test_loss_net_batch_term_decomposition():
     l2 = sum(float((l.weights ** 2).sum()) for l in params.layers())
     assert parts["l1"] == pytest.approx(l1)
     assert parts["l2"] == pytest.approx(l2)
+
+
+def _matching(snap):
+    """Edges no two of which share a node."""
+    used, keep = set(), []
+    for k, (i, j) in enumerate(zip(snap.heads.tolist(), snap.tails.tolist())):
+        if i not in used and j not in used:
+            used.update((i, j))
+            keep.append(k)
+    return keep
+
+
+def _through(snap):
+    """Edges (a, b) and (b, c): b is the tail of one and the head of the other."""
+    for b in range(snap.node_count):
+        into, out = np.flatnonzero(snap.tails == b), np.flatnonzero(snap.heads == b)
+        if into.size and out.size:
+            return [into[0], out[0]]
+    raise AssertionError("no node is both a head and a tail")
+
+
+BATCH_SHAPES = {"star": hub_edges, "all_distinct": _matching, "head_and_tail": _through, "one_edge": lambda snap: [3]}
+
+
+@pytest.mark.parametrize("form", ["dense", "sparse"])
+@pytest.mark.parametrize("shape", sorted(BATCH_SHAPES))
+def test_deduplicated_batch_matches_the_per_endpoint_oracle(monkeypatch, shape, form):
+    snap = random_snapshot(np.random.default_rng(8), 40, p=0.1)
+    monkeypatch.setattr(model, "SPARSE_INPUT_DENSITY", 1.0 if form == "sparse" else 0.0)
+    idx = BATCH_SHAPES[shape](snap)
+    batch = make_batch(snap, snap.heads[idx], snap.tails[idx], snap.weights[idx])
+    assert isinstance(batch.x, np.ndarray) is (form == "dense")
+    # one row per distinct endpoint, and every endpoint finds its own row
+    ends = np.concatenate([batch.heads, batch.tails])
+    nodes = np.unique(ends)
+    x = batch.x if form == "dense" else batch.x.toarray()
+    np.testing.assert_array_equal(x, snap.dense_rows(nodes))
+    np.testing.assert_array_equal(nodes[batch.rows], ends)
+    np.testing.assert_array_equal(batch.nonzero, np.flatnonzero(x))
+    if shape == "star":
+        assert batch.counts.max() == len(idx) >= 3
+    if shape == "all_distinct":
+        assert len(idx) >= 5 and x.shape[0] == 2 * len(idx)
+    if shape == "head_and_tail":
+        assert x.shape[0] == 3 and sorted(batch.counts) == [1, 1, 2]
+
+    params = build_autoencoder(40, (16, 8), 3, seed=5)
+    hyper = toy_hyper()
+    total, parts, grads = loss_net_batch(params, batch, hyper)
+    o_total, o_parts, o_grads = loss_net_batch_oracle(params, snap, batch, hyper)
+    assert total == pytest.approx(o_total, rel=1e-12)
+    for key in o_parts:
+        assert parts[key] == pytest.approx(o_parts[key], rel=1e-12), key
+    for side, o_side in zip(grads, o_grads, strict=True):
+        for pair, o_pair in zip(side, o_side, strict=True):
+            for g, o_g in zip(pair, o_pair, strict=True):
+                assert g.shape == o_g.shape
+                scale = float(np.max(np.abs(o_g)))
+                assert float(np.max(np.abs(g - o_g))) <= 1e-12 * scale
+
+
+def test_star_batch_gradients_match_finite_differences():
+    for seed in (1, 2):
+        params, _, batch = jittered_case(seed, pick=star_edges)
+        # the hub's row stands for one endpoint of every edge
+        assert batch.counts.max() == batch.heads.size >= 3
+        err = finite_difference_max_rel_error(params, batch, toy_hyper())
+        assert err <= 1e-4, f"seed {seed}: rel err {err:.3e}"
+
+
+def test_train_batch_rejects_broken_invariants():
+    snap = random_snapshot(np.random.default_rng(8), 40, p=0.1)
+    for weight in (np.nan, np.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="positive and finite"):
+            make_batch(snap, [0], [1], [weight])
+    batch = make_batch(snap, snap.heads[:6], snap.tails[:6], snap.weights[:6])
+    assert batch.counts.max() > 1
+    k = batch.x.shape[0]
+    last = batch.rows == k - 1
+    moved = batch.counts.copy()  # one endpoint moved to another row
+    moved[np.argmax(moved)] -= 1
+    moved[np.argmin(moved)] += 1
+    bad = {
+        "both endpoints": dict(rows=batch.rows[:-1]),
+        "a row of x": dict(rows=np.where(last, k, batch.rows)),
+        "multiplicity": dict(counts=moved),
+        "belong to an endpoint": dict(x=np.vstack([batch.x, np.zeros(40)]), counts=np.append(batch.counts, 0)),
+    }
+    for needle, change in bad.items():
+        with pytest.raises(ValueError, match=needle):
+            dataclasses.replace(batch, **change)
+    with pytest.raises(ValueError, match="a row of x"):
+        dataclasses.replace(batch, rows=np.where(last, -1, batch.rows))
 
 
 def test_loss_net_batch_gradients_match_finite_differences():

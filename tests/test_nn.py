@@ -151,6 +151,9 @@ ORACLE_CASES = {
                                 0.9, 1e-3, 2e-3),
     "momentum_zero": ([((300, 250), "C", "C"), ((250, 300), "F", "F")], 0.0, 1e-3, 2e-3),
     "no_penalty": ([((300, 250), "C", "C"), ((250, 300), "F", "F")], 0.9, 0.0, 0.0),
+    # every array fits in one slice
+    "single_slice": ([((128, 64), "C", "C"), ((64, 128), "F", "F"), ((32, 64), "C", "F"),
+                      ((1, SLICE_ELEMENTS), "F", "C")], 0.9, 1e-3, 2e-3),
 }
 
 
@@ -186,25 +189,26 @@ def test_streamed_passes_match_the_whole_array_oracle(case):
 
 
 def test_nesterov_updates_non_contiguous_arrays_in_place():
-    rng = np.random.default_rng(6)
-    base = rng.standard_normal((200, 400))
-    grads = rng.standard_normal((200, 400))
-    expected = base.copy()
-    p = base[:, ::2]  # neither row- nor column-major: ravel would copy it
-    assert not (p.flags.c_contiguous or p.flags.f_contiguous)
-    v = np.zeros((200, 400))[::-1, ::2]
-    state = OptimizerState([v], base_lr=0.1, momentum=0.9)
-    for _ in range(3):
-        nesterov_step([p], [grads[:, ::2]], state)
-    expected_v = np.zeros((200, 200))
-    for _ in range(3):
-        step = 0.1 * grads[:, ::2]
-        expected_v *= 0.9
-        expected_v -= step
-        expected[:, ::2] += 0.9 * expected_v
-        expected[:, ::2] -= step
-    assert np.array_equal(base, expected)
-    assert np.array_equal(state.velocities[0], expected_v)
+    for rows in (200, 20):  # several slices, and a single one
+        rng = np.random.default_rng(6)
+        base = rng.standard_normal((rows, 400))
+        grads = rng.standard_normal((rows, 400))
+        expected = base.copy()
+        p = base[:, ::2]  # neither row- nor column-major: ravel would copy it
+        assert not (p.flags.c_contiguous or p.flags.f_contiguous)
+        v = np.zeros((rows, 400))[::-1, ::2]
+        state = OptimizerState([v], base_lr=0.1, momentum=0.9)
+        for _ in range(3):
+            nesterov_step([p], [grads[:, ::2]], state)
+        expected_v = np.zeros((rows, 200))
+        for _ in range(3):
+            step = 0.1 * grads[:, ::2]
+            expected_v *= 0.9
+            expected_v -= step
+            expected[:, ::2] += 0.9 * expected_v
+            expected[:, ::2] -= step
+        assert np.array_equal(base, expected), rows
+        assert np.array_equal(state.velocities[0], expected_v), rows
 
 
 def test_scratch_slices_take_their_arrays_layout():

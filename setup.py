@@ -1,17 +1,10 @@
-import os
-
 from setuptools import Extension, setup
 
-ext_modules = []
-if os.environ.get("DYNGEM_SKIP_EXT") != "1":
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        cythonize = None
-    if cythonize is not None:
-        ext_modules = cythonize(
-            [Extension("dyngem._kernels", ["src/dyngem/_kernels.pyx"])],
-            compiler_directives={"language_level": "3"},
-        )
-
-setup(ext_modules=ext_modules)
+# _libkernels is a plain shared library, not a Python module: dyngem._kernels
+# loads it through ctypes.  optional=True installs without it (the numpy
+# fallback runs) when no C compiler is found.  -ffp-contract=off keeps every
+# multiply-add unfused, so results do not depend on the host's instruction set.
+setup(ext_modules=[Extension(
+    "dyngem._libkernels", ["src/dyngem/_libkernels.c"],
+    extra_compile_args=["-O2", "-ffp-contract=off"], libraries=["m"], optional=True,
+)])

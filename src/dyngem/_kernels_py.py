@@ -1,9 +1,9 @@
 """Pure-Python (numpy) implementations of the hot loops.
 
-Selected by :mod:`dyngem.kernels` when the compiled extension is missing or
-disabled.  Kept semantically identical to ``_kernels.pyx``; results may
-differ from the compiled path only in last-bit rounding because numpy's dot
-products accumulate in a different order.
+Selected by :mod:`dyngem.kernels` when the compiled library is missing or
+disabled, and the reference the compiled kernels in ``_libkernels.c`` are
+tested against.  Results may differ from the compiled path only in last-bit
+rounding because numpy's dot products accumulate in a different order.
 """
 
 from __future__ import annotations

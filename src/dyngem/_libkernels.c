@@ -1,0 +1,98 @@
+/* Compiled hot loops, loaded through ctypes by _kernels.py.
+ *
+ * Each function does what its namesake in _kernels_py.py does, in the same
+ * order; results differ from it only where numpy sums a dot product in
+ * another order.  Built with -ffp-contract=off, so no multiply-add is fused
+ * and the results do not depend on the build host's instruction set.
+ * Matrices are row-major doubles; indices are ptrdiff_t (numpy's intp). */
+#include <float.h>
+#include <math.h>
+#include <stddef.h>
+
+/* One epoch of per-edge SGD for graph factorization on the n x d matrix y:
+ * for each of the k edges e = order[o], r = w_e - <y_i, y_j>, then
+ * y_i += 2*lr*(r*y_j - lam*y_i) and y_j += 2*lr*(r*y_i - lam*y_j), both from
+ * the pre-update rows.  Returns 0, or -1 at the first edge (index into the m
+ * edges) or node index out of range, before that edge's update. */
+int gf_epoch(double *y, const ptrdiff_t *heads, const ptrdiff_t *tails,
+             const double *weights, const ptrdiff_t *order, ptrdiff_t n,
+             ptrdiff_t d, ptrdiff_t m, ptrdiff_t k, double lr, double lam)
+{
+    double two_lr = 2.0 * lr;
+    for (ptrdiff_t o = 0; o < k; o++) {
+        ptrdiff_t e = order[o];
+        if (e < 0 || e >= m || heads[e] < 0 || heads[e] >= n || tails[e] < 0 || tails[e] >= n)
+            return -1;
+        double *yi = y + heads[e] * d, *yj = y + tails[e] * d;
+        double dot = 0.0;
+        for (ptrdiff_t l = 0; l < d; l++)
+            dot += yi[l] * yj[l];
+        double r = weights[e] - dot;
+        for (ptrdiff_t l = 0; l < d; l++) {
+            double a = yi[l], b = yj[l];
+            yi[l] = a + two_lr * (r * b - lam * a);
+            yj[l] += two_lr * (r * a - lam * b);
+        }
+    }
+    return 0;
+}
+
+static double col_dot(const double *g, ptrdiff_t n, ptrdiff_t d, ptrdiff_t p, ptrdiff_t q)
+{
+    double sum = 0.0;
+    for (ptrdiff_t k = 0; k < n; k++)
+        sum += g[k * d + p] * g[k * d + q];
+    return sum;
+}
+
+static void rotate(double *a, ptrdiff_t rows, ptrdiff_t d, ptrdiff_t p, ptrdiff_t q, double c, double s)
+{
+    for (ptrdiff_t k = 0; k < rows; k++) {
+        double xp = a[k * d + p], xq = a[k * d + q];
+        a[k * d + p] = c * xp - s * xq;
+        a[k * d + q] = s * xp + c * xq;
+    }
+}
+
+/* One-sided Jacobi orthogonalization of the columns of the n x d matrix g,
+ * in place, accumulating the rotations into the dv x d matrix v.  A pair
+ * (p, q) is converged when |g_p . g_q| <= tol * |g_p| * |g_q|; columns whose
+ * norm decays below eps * ||g_in||_F are zeroed and skipped.  Returns the
+ * number of completed sweeps, or -1 when a pair still violated the
+ * tolerance after max_sweeps sweeps. */
+int jacobi_sweeps(double *g, double *v, ptrdiff_t n, ptrdiff_t d, ptrdiff_t dv,
+                  double tol, int max_sweeps)
+{
+    double fro2 = 0.0;
+    for (ptrdiff_t q = 0; q < d; q++)
+        fro2 += col_dot(g, n, d, q, q);
+    double cut2 = DBL_EPSILON * DBL_EPSILON * fro2;
+    for (int sweep = 0; sweep < max_sweeps; sweep++) {
+        for (ptrdiff_t q = 0; q < d; q++) {
+            double nj = col_dot(g, n, d, q, q);
+            if (nj > 0.0 && nj <= cut2)
+                for (ptrdiff_t k = 0; k < n; k++)
+                    g[k * d + q] = 0.0;
+        }
+        int rotated = 0;
+        for (ptrdiff_t p = 0; p + 1 < d; p++) {
+            for (ptrdiff_t q = p + 1; q < d; q++) {
+                double app = col_dot(g, n, d, p, p), aqq = col_dot(g, n, d, q, q);
+                if (app == 0.0 || aqq == 0.0)
+                    continue;
+                double apq = col_dot(g, n, d, p, q);
+                if (fabs(apq) <= tol * sqrt(app * aqq))
+                    continue;
+                rotated = 1;
+                double zeta = (aqq - app) / (2.0 * apq);
+                double t = copysign(1.0, zeta) / (fabs(zeta) + sqrt(1.0 + zeta * zeta));
+                double c = 1.0 / sqrt(1.0 + t * t);
+                rotate(g, n, d, p, q, c, c * t);
+                rotate(v, dv, d, p, q, c, c * t);
+            }
+        }
+        if (!rotated)
+            return sweep;
+    }
+    return -1;
+}

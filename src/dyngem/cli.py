@@ -18,7 +18,7 @@ import click
 import numpy as np
 from click.core import ParameterSource
 
-from dyngem import __version__, metrics, model
+from dyngem import __version__, kernels, metrics, model
 from dyngem.engine import METHODS, RunConfig, run_method
 from dyngem.errors import ConfigError, ConvergenceError, ParseError, UndefinedMetricError
 from dyngem.graph import (
@@ -295,6 +295,7 @@ def _write_run(out_dir, input_dir, series, config, result):
             "iterations": int(result.iterations[t]),
             "final_objective": result.traces[t][-1] if result.traces[t] else None,
             "growth": result.growth[t],
+            "backoffs": int(result.backoffs[t]),
         }
         if result.checkpoints[t] is not None:
             ckpt_name = CKPT_FMT.format(t)
@@ -307,6 +308,10 @@ def _write_run(out_dir, input_dir, series, config, result):
         "method": config.method,
         "config": _config_to_dict(config),
         "input": str(input_dir),
+        # compiled and numpy kernels differ in their last bits, so a re-run
+        # is byte-identical only on the same backend and numpy
+        "backend": kernels.BACKEND,
+        "numpy": np.__version__,
         "node_counts": [int(c) for c in series.node_counts],
         "per_step": per_step,
         "aggregate": {
@@ -353,6 +358,8 @@ def _load_run(run_dir):
         raise ConfigError(f"no manifest.json in {run_dir}")
     with open(manifest_path, encoding="utf-8") as fh:
         manifest = json.load(fh)
+    if not isinstance(manifest, dict) or manifest.get("command") != "train":
+        raise ConfigError(f"{manifest_path} is not the manifest of a train run")
     embeddings = []
     checkpoints = []
     for entry in manifest["per_step"]:

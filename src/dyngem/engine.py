@@ -60,8 +60,10 @@ class RunConfig:
 @dataclass
 class EmbeddingSeries:
     """Per-step embeddings with wall-clock and iteration bookkeeping, the
-    trained autoencoder (None for factorization) and the growth plan applied
-    before training (None where the model was not grown)."""
+    trained autoencoder (None for factorization), the growth plan applied
+    before training (None where the model was not grown) and the
+    learning-rate halvings in effect (a warm step that had to be trained
+    again halved the rate for itself and every later step)."""
 
     method: str
     embeddings: list = field(default_factory=list)
@@ -70,6 +72,7 @@ class EmbeddingSeries:
     traces: list = field(default_factory=list)
     checkpoints: list = field(default_factory=list)
     growth: list = field(default_factory=list)
+    backoffs: list = field(default_factory=list)
 
 
 @dataclass
@@ -120,6 +123,7 @@ def _drive(method, series, config, step, warm):
         out.traces.append(result.trace)
         out.checkpoints.append(result.checkpoint)
         out.growth.append(result.growth)
+        out.backoffs.append(result.backoffs)
     return out
 
 

@@ -1,8 +1,9 @@
 """Backend selection for the numerical hot loops, plus the Jacobi SVD driver.
 
-The compiled Cython extension is used when available; setting the
-environment variable ``DYNGEM_PURE_PYTHON=1`` before import forces the
-pure-numpy fallback.  ``BACKEND`` names the active implementation.
+The compiled C kernels (``_libkernels.c``, bound by ``_kernels``) are used
+when the shared library was built; setting the environment variable
+``DYNGEM_PURE_PYTHON=1`` before import forces the pure-numpy fallback.
+``BACKEND`` names the active implementation.
 """
 
 from __future__ import annotations

@@ -12,8 +12,9 @@ import pytest
 from click.testing import CliRunner
 
 import dyngem
-from dyngem import model, nn
+from dyngem import kernels, model, nn
 from dyngem.cli import main, retain_freed_memory
+from dyngem.errors import ConvergenceError
 
 GEN_FLAGS = [
     "--nodes", "30", "--communities", "3", "--p-in", "0.25", "--p-out", "0.03",
@@ -88,9 +89,12 @@ def test_train_run_directory_contents(workspace):
     assert manifest["method"] == "dyngem"
     assert manifest["config"]["hyper"]["seed"] == 5
     assert manifest["node_counts"] == [30, 30, 30]
+    assert manifest["backend"] == kernels.BACKEND
+    assert manifest["numpy"] == np.__version__
     assert len(manifest["per_step"]) == 3
     for t, entry in enumerate(manifest["per_step"]):
         assert entry["step"] == t
+        assert entry["backoffs"] == 0
         assert (run / entry["embedding"]).exists()
         assert entry["checkpoint"] == f"checkpoint_{t:04d}.npz"
         assert (run / entry["checkpoint"]).exists()
@@ -100,6 +104,27 @@ def test_train_run_directory_contents(workspace):
     emb_lines = (run / "emb_0000.csv").read_text().splitlines()
     assert emb_lines[0] == "node,y1,y2,y3,y4"
     assert len(emb_lines) == 31
+
+
+def test_manifest_records_a_retrained_warm_step(workspace, tmp_path, monkeypatch):
+    _, data, _ = workspace
+    real = model.train_snapshot
+    calls = []
+
+    def overflow_once(params, snapshot, hyper, epochs, seed=None):
+        calls.append(hyper.base_lr)
+        if len(calls) == 2:  # step 1's first attempt
+            raise ConvergenceError("training objective is inf in epoch 0")
+        return real(params, snapshot, hyper, epochs, seed=seed)
+
+    monkeypatch.setattr(model, "train_snapshot", overflow_once)
+    out = tmp_path / "run"
+    result = _invoke(["train", "--in", str(data), "--out", str(out), *FAST_TRAIN])
+    assert result.exit_code == 0, result.output
+    manifest = json.loads((out / "manifest.json").read_text())
+    # step 1 trained again at half the rate, and step 2 kept that rate
+    assert [entry["backoffs"] for entry in manifest["per_step"]] == [0, 1, 1]
+    assert calls == [1e-5, 1e-5, 5e-6, 5e-6]
 
 
 def test_train_from_manifest_reproduces_run(workspace, tmp_path):
@@ -381,6 +406,22 @@ def test_eval_rejects_empty_or_corrupt_run(tmp_path, workspace):
                       "--data", str(data), "--out", str(tmp_path / "o.json")])
     assert result.exit_code == 2
     assert "re-run train" in result.output
+
+
+def test_eval_and_export_reject_a_directory_that_is_not_a_train_run(workspace, tmp_path):
+    _, data, _ = workspace
+    commands = [
+        ["eval", "reconstruction", "--data", str(data), "--out", str(tmp_path / "r.json")],
+        ["eval", "stability", "--data", str(data), "--out", str(tmp_path / "s.json")],
+        ["eval", "anomaly", "--data", str(data), "--out", str(tmp_path / "a.json")],
+        ["export", "--out", str(tmp_path / "export")],
+    ]
+    for command in commands:
+        result = _invoke([*command, "--run", str(data)])
+        assert result.exit_code == 2, result.output
+        assert str(data / "manifest.json") in result.output
+        assert "not the manifest of a train run" in result.output
+    assert not list(tmp_path.iterdir())
 
 
 def test_eval_non_finite_embeddings_exit_three(workspace, tmp_path):

@@ -178,6 +178,7 @@ def test_a_warm_step_that_overflows_backs_off_until_it_trains(monkeypatch):
     series = run_method(graphs, config)
     assert calls[1:] == [(lr, warm), (lr / 2, 2 * warm), (lr / 4, 4 * warm)]
     assert np.isfinite(series.embeddings[1]).all()
+    assert series.backoffs == [0, 2]
 
 
 def test_a_warm_step_gives_up_after_max_backoffs(monkeypatch):

@@ -1,6 +1,8 @@
 import os
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -206,3 +208,45 @@ def test_backend_is_reported():
     assert BACKEND in ("compiled", "python")
     if _compiled is not None and os.environ.get("DYNGEM_PURE_PYTHON") != "1":
         assert BACKEND == "compiled"
+
+
+def test_compiled_backend_builds_with_the_system_compiler(tmp_path):
+    """Compile ``_libkernels.c`` with setup.py's flags into a copy of the
+    package, then run this file's tests against that copy: the two
+    ``needs_compiled`` tests must run, not skip."""
+    cc = shutil.which("cc")
+    if cc is None:
+        pytest.skip("no C compiler on PATH")
+    pkg = tmp_path / "dyngem"
+    shutil.copytree(Path(__file__).resolve().parent.parent / "src" / "dyngem", pkg,
+                    ignore=shutil.ignore_patterns("*.so", "__pycache__"))
+    subprocess.run([cc, "-O2", "-ffp-contract=off", "-shared", "-fPIC", "-o",
+                    str(pkg / "_libkernels.so"), str(pkg / "_libkernels.c"), "-lm"],
+                   check=True, timeout=120)
+    env = {k: v for k, v in os.environ.items() if k != "DYNGEM_PURE_PYTHON"}
+    env["PYTHONPATH"] = str(tmp_path)
+
+    def run(*args, **extra):
+        return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                              env=dict(env, **extra), cwd=tmp_path, timeout=300)
+
+    tests = run("-m", "pytest", "-q", "-p", "no:cacheprovider", __file__,
+                "-k", "not builds_with_the_system_compiler")
+    assert tests.returncode == 0, tests.stdout + tests.stderr
+    assert "skipped" not in tests.stdout, tests.stdout
+    check = (
+        "import ctypes, numpy as np, dyngem.kernels as k\n"
+        "y, e, w = np.zeros((3, 2)), np.zeros(1, dtype=np.intp), np.ones(1)\n"
+        "for args in ((np.asfortranarray(y), e, e + 1, w, e), (y, e.astype(np.int32), e + 1, w, e)):\n"
+        "    try:\n"
+        "        k.gf_epoch(*args, 0.1, 0.0)\n"
+        "    except ctypes.ArgumentError:\n"
+        "        continue\n"
+        "    raise SystemExit('accepted an array the C kernel cannot read')\n"
+        "print(k.BACKEND, k.__file__)\n"
+    )
+    compiled = run("-c", check)
+    assert compiled.returncode == 0, compiled.stdout + compiled.stderr
+    assert compiled.stdout.split() == ["compiled", str(pkg / "kernels.py")]
+    forced = run("-c", "import dyngem.kernels as k; print(k.BACKEND)", DYNGEM_PURE_PYTHON="1")
+    assert forced.stdout.strip() == "python", forced.stdout + forced.stderr

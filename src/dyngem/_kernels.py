@@ -1,28 +1,84 @@
 """ctypes bindings for the compiled hot loops in ``_libkernels.c``.
 
-``setup.py`` builds that file as a plain shared library next to this
-module; importing this module raises ImportError when it was not built, so
-:mod:`dyngem.kernels` selects the numpy fallback.  The argument types,
-declared with ``numpy.ctypeslib.ndpointer``, make ctypes reject an array of
-the wrong dtype, rank or memory order (``ctypes.ArgumentError``) before any
-pointer reaches C.
+The first import compiles that file with the system's ``cc`` and caches the
+library the way Python caches bytecode: in the package's ``__pycache__``
+(under ``sys.pycache_prefix`` when set), named by a hash of the source, the
+flags and the extension suffix, so an edited source is rebuilt.  The build
+writes a per-process temporary file and renames it into place, so processes
+importing at once never load a half-written library.  Importing raises
+ImportError, and :mod:`dyngem.kernels` selects the numpy fallback, when no
+``cc`` is on ``PATH`` or the cache directory cannot be written; a build or
+load that fails also warns, with the compiler's or loader's message.  The
+argument types, declared with ``numpy.ctypeslib.ndpointer``, make ctypes
+reject an array of the wrong dtype, rank or memory order
+(``ctypes.ArgumentError``) before any pointer reaches C.
 """
 
 from __future__ import annotations
 
 import ctypes
+import os
+import shutil
+import warnings
 from importlib.machinery import EXTENSION_SUFFIXES
+from importlib.util import cache_from_source, source_hash
 from pathlib import Path
 
 import numpy as np
 
-# looked for before numpy.ctypeslib is first used, which imports it: the
-# numpy fallback never needs that module
-_built = [path for path in (Path(__file__).with_name("_libkernels" + suffix)
-                            for suffix in EXTENSION_SUFFIXES) if path.exists()]
-if not _built:
-    raise ImportError("the compiled kernel library _libkernels is not built")
-_lib = ctypes.CDLL(str(_built[0]))
+# -ffp-contract=off keeps every multiply-add unfused, so results do not
+# depend on the host's instruction set
+_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+_LIBS = ("-lm",)
+_SOURCE = Path(__file__).with_name("_libkernels.c")
+
+
+def _library_path():
+    # the hash Python keys hash-based bytecode with
+    key = source_hash(_SOURCE.read_bytes() + repr((_FLAGS, _LIBS, EXTENSION_SUFFIXES[0])).encode())
+    cache = Path(cache_from_source(__file__)).parent
+    return cache / f"_libkernels.{key.hex()}{EXTENSION_SUFFIXES[0]}"
+
+
+def _build(target):
+    import subprocess  # here, not at the top: it adds about 7 ms to every CLI start
+
+    cc = shutil.which("cc")
+    if cc is None:
+        raise ImportError("no C compiler (cc) on PATH to build _libkernels.c")
+    try:
+        target.parent.mkdir(parents=True, exist_ok=True)
+        writable = os.access(target.parent, os.W_OK)
+    except OSError:
+        writable = False
+    if not writable:
+        raise ImportError(f"cannot write the kernel library cache {target.parent}")
+    partial = target.with_name(f"{target.name}.{os.getpid()}.tmp")
+    try:
+        built = subprocess.run([cc, *_FLAGS, "-o", partial, _SOURCE, *_LIBS],
+                               capture_output=True, text=True)
+        if built.returncode != 0:
+            warnings.warn(f"building {_SOURCE} failed, so dyngem uses its numpy fallback:\n"
+                          f"{built.stderr}", RuntimeWarning)
+            raise ImportError("the compiled kernel library could not be built")
+        os.replace(partial, target)
+    finally:
+        partial.unlink(missing_ok=True)
+
+
+def _load():
+    target = _library_path()
+    if not target.exists():
+        _build(target)
+    try:
+        return ctypes.CDLL(str(target))
+    except OSError as exc:
+        warnings.warn(f"loading {target} failed, so dyngem uses its numpy fallback: {exc}",
+                      RuntimeWarning)
+        raise ImportError("the compiled kernel library could not be loaded") from None
+
+
+_lib = _load()
 
 
 def _array(dtype, ndim, writeable=False):

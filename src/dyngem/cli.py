@@ -360,9 +360,12 @@ def _load_run(run_dir):
         manifest = json.load(fh)
     if not isinstance(manifest, dict) or manifest.get("command") != "train":
         raise ConfigError(f"{manifest_path} is not the manifest of a train run")
+    steps = manifest.get("per_step")
+    if not isinstance(steps, list) or not all(isinstance(e, dict) and "embedding" in e for e in steps):
+        raise ConfigError(f"{manifest_path} needs a per_step list with an embedding per step")
     embeddings = []
     checkpoints = []
-    for entry in manifest["per_step"]:
+    for entry in steps:
         embeddings.append(_read_embedding_csv(run_dir / entry["embedding"]))
         name = entry.get("checkpoint")
         checkpoints.append(run_dir / name if name else None)

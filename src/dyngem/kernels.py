@@ -1,9 +1,11 @@
 """Backend selection for the numerical hot loops, plus the Jacobi SVD driver.
 
-The compiled C kernels (``_libkernels.c``, bound by ``_kernels``) are used
-when the shared library was built; setting the environment variable
-``DYNGEM_PURE_PYTHON=1`` before import forces the pure-numpy fallback.
-``BACKEND`` names the active implementation.
+The compiled C kernels (``_libkernels.c``, built on first import and bound
+by ``_kernels``) are used wherever a C compiler is on ``PATH``; without one,
+or when the library cannot be built or cached, the pure-numpy fallback in
+``_kernels_py`` is used, as it is when the environment variable
+``DYNGEM_PURE_PYTHON=1`` is set before import.  ``BACKEND`` names the active
+implementation.
 """
 
 from __future__ import annotations

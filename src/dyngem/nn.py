@@ -107,7 +107,8 @@ SLICE_ELEMENTS = 1 << 15
 def _slices(a, scratch):
     """Cut ``a`` into views of about SLICE_ELEMENTS along its slowest-varying
     axis, never narrower than one row (one column when ``a`` is
-    column-major), however wide that is.
+    column-major), however wide that is.  A tail shorter than half a slice
+    joins the slice before it.
 
     Yields ``(index, order, buffers)`` per slice: ``a[index]`` is the slice,
     ``order`` its memory layout ("F" for a column-major ``a``, else "C"),
@@ -119,14 +120,18 @@ def _slices(a, scratch):
     length = a.shape[axis]
     row = max(a.size // max(length, 1), 1)  # elements in one row (column)
     step = max(1, SLICE_ELEMENTS // row)
+    starts = list(range(0, length, step))
+    if len(starts) > 1 and 2 * (length - starts[-1]) < step:
+        starts.pop()
+    ends = starts[1:] + [length]
     shape = list(a.shape)
-    shape[axis] = min(step, length)
+    shape[axis] = max((end - start for start, end in zip(starts, ends)), default=0)
     buffers = [np.empty(shape, order=order) for _ in range(scratch)]
     index = [slice(None)] * a.ndim
     head = [slice(None)] * a.ndim
-    for start in range(0, length, step):
-        index[axis] = slice(start, start + step)
-        head[axis] = slice(0, min(step, length - start))
+    for start, end in zip(starts, ends):
+        index[axis] = slice(start, end)
+        head[axis] = slice(0, end - start)
         yield tuple(index), order, [b[tuple(head)] for b in buffers]
 
 

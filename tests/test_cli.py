@@ -424,6 +424,36 @@ def test_eval_and_export_reject_a_directory_that_is_not_a_train_run(workspace, t
     assert not list(tmp_path.iterdir())
 
 
+def test_eval_rejects_a_train_manifest_without_a_per_step_list(workspace, tmp_path):
+    _, data, _ = workspace
+    for name, manifest in (("missing", {"command": "train"}),
+                           ("not_a_list", {"command": "train", "per_step": {"embedding": "e.csv"}})):
+        run = tmp_path / name
+        run.mkdir()
+        (run / "manifest.json").write_text(json.dumps(manifest))
+        result = _invoke(["eval", "reconstruction", "--run", str(run),
+                          "--data", str(data), "--out", str(tmp_path / "r.json")])
+        assert result.exit_code == 2, result.output
+        assert str(run / "manifest.json") in result.output
+        assert "per_step" in result.output
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_eval_rejects_a_train_step_without_an_embedding(workspace, tmp_path):
+    _, data, run = workspace
+    broken = tmp_path / "broken"
+    shutil.copytree(run, broken)
+    manifest = json.loads((broken / "manifest.json").read_text())
+    del manifest["per_step"][1]["embedding"]
+    (broken / "manifest.json").write_text(json.dumps(manifest))
+    result = _invoke(["eval", "reconstruction", "--run", str(broken),
+                      "--data", str(data), "--out", str(tmp_path / "r.json")])
+    assert result.exit_code == 2, result.output
+    assert str(broken / "manifest.json") in result.output
+    assert "embedding" in result.output
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_eval_non_finite_embeddings_exit_three(workspace, tmp_path):
     _, data, _ = workspace
     run = tmp_path / "gf"

@@ -206,34 +206,139 @@ def test_pure_python_env_var_forces_fallback():
 
 def test_backend_is_reported():
     assert BACKEND in ("compiled", "python")
-    if _compiled is not None and os.environ.get("DYNGEM_PURE_PYTHON") != "1":
+    if shutil.which("cc") is not None and os.environ.get("DYNGEM_PURE_PYTHON") != "1":
+        # a compiler on PATH must give the compiled backend, not a silent fallback
         assert BACKEND == "compiled"
+        assert _compiled is not None
 
 
-def test_compiled_backend_builds_with_the_system_compiler(tmp_path):
-    """Compile ``_libkernels.c`` with setup.py's flags into a copy of the
-    package, then run this file's tests against that copy: the two
-    ``needs_compiled`` tests must run, not skip."""
-    cc = shutil.which("cc")
-    if cc is None:
-        pytest.skip("no C compiler on PATH")
+@pytest.fixture
+def package_copy(tmp_path):
+    """A copy of the package with no cached library, and a function that runs
+    ``python -c code`` against it; returns ``(package_dir, run)``."""
     pkg = tmp_path / "dyngem"
     shutil.copytree(Path(__file__).resolve().parent.parent / "src" / "dyngem", pkg,
                     ignore=shutil.ignore_patterns("*.so", "__pycache__"))
-    subprocess.run([cc, "-O2", "-ffp-contract=off", "-shared", "-fPIC", "-o",
-                    str(pkg / "_libkernels.so"), str(pkg / "_libkernels.c"), "-lm"],
-                   check=True, timeout=120)
-    env = {k: v for k, v in os.environ.items() if k != "DYNGEM_PURE_PYTHON"}
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("DYNGEM_PURE_PYTHON", "PYTHONPYCACHEPREFIX")}
     env["PYTHONPATH"] = str(tmp_path)
 
-    def run(*args, **extra):
-        return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                              env=dict(env, **extra), cwd=tmp_path, timeout=300)
+    def run(code, wait=True, **extra):
+        argv = [sys.executable, "-c", code]
+        if not wait:
+            return subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                    text=True, env=dict(env, **extra), cwd=tmp_path)
+        return subprocess.run(argv, capture_output=True, text=True, env=dict(env, **extra),
+                              cwd=tmp_path, timeout=300)
 
-    tests = run("-m", "pytest", "-q", "-p", "no:cacheprovider", __file__,
-                "-k", "not builds_with_the_system_compiler")
+    return pkg, run
+
+
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+REPORT = "import dyngem.kernels as k; print(k.BACKEND)"
+
+
+def _libraries(pkg):
+    return sorted((pkg / "__pycache__").glob("_libkernels*"))
+
+
+@needs_cc
+def test_first_import_builds_one_library_and_later_imports_reuse_it(package_copy):
+    pkg, run = package_copy
+    first = run(REPORT)
+    assert first.stdout.strip() == "compiled", first.stdout + first.stderr
+    (library,) = _libraries(pkg)
+    assert library.suffix == ".so" and library.stat().st_mode & 0o444 == 0o444
+    before = library.stat()
+    second = run(REPORT)
+    assert second.stdout.strip() == "compiled", second.stdout + second.stderr
+    assert _libraries(pkg) == [library]
+    after = library.stat()
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
+
+@needs_cc
+def test_an_edited_source_gets_a_new_library(package_copy):
+    pkg, run = package_copy
+    assert run(REPORT).stdout.strip() == "compiled"
+    (old,) = _libraries(pkg)
+    with open(pkg / "_libkernels.c", "a", encoding="utf-8") as fh:
+        fh.write("/* edited */\n")
+    assert run(REPORT).stdout.strip() == "compiled"
+    libraries = _libraries(pkg)
+    assert len(libraries) == 2 and old in libraries
+
+
+@needs_cc
+def test_processes_importing_at_once_load_a_complete_library(package_copy):
+    pkg, run = package_copy
+    code = REPORT + "; import numpy as np; y = np.ones((2, 1)); e = np.zeros(1, dtype=np.intp)" \
+        "; k.gf_epoch(y, e, e + 1, np.ones(1), e, 0.1, 0.0); print(y[0, 0])"
+    procs = [run(code, wait=False) for _ in range(2)]
+    for proc in procs:
+        out, err = proc.communicate(timeout=300)
+        assert proc.returncode == 0, out + err
+        assert out.split() == ["compiled", "1.0"], out + err
+    assert len(_libraries(pkg)) == 1
+    assert not list(pkg.glob("**/*.tmp"))
+
+
+def test_without_a_compiler_the_import_falls_back_quietly(package_copy, tmp_path):
+    pkg, run = package_copy
+    empty = tmp_path / "empty-path"
+    empty.mkdir()
+    result = run(REPORT, PATH=str(empty))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "python"
+    assert "Warning" not in result.stderr, result.stderr
+    assert not (pkg / "__pycache__").exists()
+
+
+@needs_cc
+def test_the_library_cache_honours_the_pycache_prefix(package_copy, tmp_path):
+    pkg, run = package_copy
+    prefix = tmp_path / "prefix"
+    assert run(REPORT, PYTHONPYCACHEPREFIX=str(prefix)).stdout.strip() == "compiled"
+    assert not (pkg / "__pycache__").exists()
+    assert len(list(prefix.glob("**/_libkernels.*.so"))) == 1
+    # a cache that cannot be created falls back quietly
+    blocked = run(REPORT, PYTHONPYCACHEPREFIX=str(pkg / "kernels.py"))
+    assert blocked.stdout.strip() == "python", blocked.stderr
+    assert "Warning" not in blocked.stderr, blocked.stderr
+
+
+@needs_cc
+def test_a_failed_build_or_load_falls_back_with_a_warning(package_copy):
+    pkg, run = package_copy
+    assert run(REPORT).stdout.strip() == "compiled"
+    (library,) = _libraries(pkg)
+    library.write_bytes(b"not a shared library")
+    result = run(REPORT)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "python"
+    assert "RuntimeWarning" in result.stderr and str(library) in result.stderr, result.stderr
+    library.unlink()
+    with open(pkg / "_libkernels.c", "a", encoding="utf-8") as fh:
+        fh.write("int broken(void) { return }\n")
+    result = run(REPORT)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "python"
+    assert "RuntimeWarning" in result.stderr and "error" in result.stderr, result.stderr
+    assert "_libkernels.c" in result.stderr
+    assert not list(pkg.glob("**/_libkernels.*.so")) and not list(pkg.glob("**/*.tmp"))
+
+
+@needs_cc
+def test_compiled_backend_builds_with_the_system_compiler(package_copy):
+    """Run this file's tests against a fresh copy of the package, where the
+    first import builds the library: the ``needs_compiled`` tests must run,
+    not skip."""
+    pkg, run = package_copy
+    tests = run(f"import sys, pytest; sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', "
+                f"{__file__!r}, '-k', 'agree or is_reported']))")
     assert tests.returncode == 0, tests.stdout + tests.stderr
     assert "skipped" not in tests.stdout, tests.stdout
+    assert len(_libraries(pkg)) == 1
     check = (
         "import ctypes, numpy as np, dyngem.kernels as k\n"
         "y, e, w = np.zeros((3, 2)), np.zeros(1, dtype=np.intp), np.ones(1)\n"
@@ -245,8 +350,8 @@ def test_compiled_backend_builds_with_the_system_compiler(tmp_path):
         "    raise SystemExit('accepted an array the C kernel cannot read')\n"
         "print(k.BACKEND, k.__file__)\n"
     )
-    compiled = run("-c", check)
+    compiled = run(check)
     assert compiled.returncode == 0, compiled.stdout + compiled.stderr
     assert compiled.stdout.split() == ["compiled", str(pkg / "kernels.py")]
-    forced = run("-c", "import dyngem.kernels as k; print(k.BACKEND)", DYNGEM_PURE_PYTHON="1")
+    forced = run(REPORT, DYNGEM_PURE_PYTHON="1")
     assert forced.stdout.strip() == "python", forced.stdout + forced.stderr

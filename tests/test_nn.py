@@ -212,7 +212,7 @@ def test_nesterov_updates_non_contiguous_arrays_in_place():
 
 
 def test_scratch_slices_take_their_arrays_layout():
-    for shape, order in (((300, 250), "C"), ((300, 250), "F"), ((40000,), "C")):
+    for shape, order in (((300, 250), "C"), ((300, 250), "F"), ((70000,), "C")):
         a = np.zeros(shape, order=order)
         slices = list(nn._slices(a, 2))
         assert len(slices) > 1
@@ -220,7 +220,7 @@ def test_scratch_slices_take_their_arrays_layout():
         for index, got_order, buffers in slices:
             view = a[index]
             assert got_order == order and view.flags[f"{order}_CONTIGUOUS"]
-            assert view.size <= SLICE_ELEMENTS
+            assert view.size < SLICE_ELEMENTS * 3 // 2  # a short tail joins the slice before it
             for buffer in buffers:
                 assert buffer.shape == view.shape and buffer.flags[f"{order}_CONTIGUOUS"]
             covered[index] += 1
@@ -234,6 +234,17 @@ def test_scratch_covers_a_row_wider_than_a_slice():
         assert len(slices) == 3
         for index, _, (buffer,) in slices:
             assert a[index].size == WIDE and buffer.shape == a[index].shape
+
+
+def test_a_short_tail_joins_the_slice_before_it():
+    # 128x300: a slice holds 109 rows, so the 19-row tail joins it; in
+    # 170x300 the 61-row tail is kept, and the buffers fit the largest slice
+    for rows, expected in ((128, [128]), (170, [109, 61]), (240, [109, 131])):
+        a = np.zeros((rows, 300))
+        slices = list(nn._slices(a, 1))
+        assert [a[index].shape[0] for index, _, _ in slices] == expected, rows
+        for index, _, (buffer,) in slices:
+            assert buffer.shape == a[index].shape
 
 
 def test_nesterov_two_step_hand_case():

@@ -3,15 +3,16 @@
 The first import compiles that file with the system's ``cc`` and caches the
 library the way Python caches bytecode: in the package's ``__pycache__``
 (under ``sys.pycache_prefix`` when set), named by a hash of the source, the
-flags and the extension suffix, so an edited source is rebuilt.  The build
-writes a per-process temporary file and renames it into place, so processes
-importing at once never load a half-written library.  Importing raises
-ImportError, and :mod:`dyngem.kernels` selects the numpy fallback, when no
-``cc`` is on ``PATH`` or the cache directory cannot be written; a build or
-load that fails also warns, with the compiler's or loader's message.  The
-argument types, declared with ``numpy.ctypeslib.ndpointer``, make ctypes
-reject an array of the wrong dtype, rank or memory order
-(``ctypes.ArgumentError``) before any pointer reaches C.
+flags and the extension suffix, so an edited source is rebuilt and the
+libraries of earlier sources are deleted.  The build writes a per-process
+temporary file and renames it into place, so processes importing at once
+never load a half-written library.  Importing raises ImportError, and
+:mod:`dyngem.kernels` selects the numpy fallback, when no ``cc`` is on
+``PATH`` or the cache directory cannot be written; a build or load that
+fails also warns, with the compiler's or loader's message.  The argument
+types, declared with ``numpy.ctypeslib.ndpointer``, make ctypes reject an
+array of the wrong dtype, rank or memory order (``ctypes.ArgumentError``)
+before any pointer reaches C.
 """
 
 from __future__ import annotations
@@ -64,6 +65,10 @@ def _build(target):
         os.replace(partial, target)
     finally:
         partial.unlink(missing_ok=True)
+    # only this interpreter's libraries: another Python may share the cache
+    for stale in target.parent.glob(f"_libkernels.*{EXTENSION_SUFFIXES[0]}"):
+        if stale != target:
+            stale.unlink(missing_ok=True)
 
 
 def _load():

@@ -242,11 +242,16 @@ def cmd_generate(nodes, communities, p_in, p_out, steps, migrate, edge_weight, s
     click.echo(f"wrote {len(paths)} snapshots to {out}")
 
 
+def _csv_values(row):
+    """One embedding row as comma-separated values that read back exactly."""
+    return ",".join(f"{v:.17g}" for v in row)
+
+
 def _write_embedding_csv(path, emb):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("node," + ",".join(f"y{k}" for k in range(1, emb.shape[1] + 1)) + "\n")
         for node, row in enumerate(emb):
-            fh.write(f"{node}," + ",".join(f"{v:.17g}" for v in row) + "\n")
+            fh.write(f"{node},{_csv_values(row)}\n")
 
 
 def _read_embedding_csv(path):
@@ -372,12 +377,13 @@ def _load_run(run_dir):
     return manifest, embeddings, checkpoints
 
 
-def _step_scores(method, snapshot, embedding, checkpoint):
+def _step_scores(method, embedding, params):
+    """Pair scores of one step: the decoded embedding for the methods whose
+    decoder ``params`` match it, else embedding inner products."""
     if method in DECODER_SCORED:
-        if checkpoint is None:
+        if params is None:
             raise ConfigError(f"method {method!r} needs checkpoints for scoring")
-        params = checkpoint if isinstance(checkpoint, model.AutoencoderParams) else model.load_checkpoint(checkpoint)
-        return model.symmetrize_scores(model.reconstruct_scores(params, snapshot))
+        return model.symmetrize_scores(model.reconstruct_scores(params, embedding))
     return embedding @ embedding.T
 
 
@@ -401,7 +407,9 @@ def eval_reconstruction_cmd(run_dir, data_dir, out_path):
     per_step = []
     values = []
     for t, snap in enumerate(series):
-        scores = _step_scores(method, snap, embeddings[t], checkpoints[t])
+        checkpoint = checkpoints[t] if method in DECODER_SCORED else None
+        params = model.load_checkpoint(checkpoint) if checkpoint is not None else None
+        scores = _step_scores(method, embeddings[t], params)
         value = metrics.eval_reconstruction(scores, snap)
         values.append(value)
         per_step.append({"step": t, "map": value})
@@ -426,7 +434,7 @@ def eval_linkpred_cmd(data_dir, out_path, hide_fraction, hide_seed, **flags):
     train_last, hidden = hide_edges(series[last], hide_fraction, hide_seed)
     modified = DynamicGraph([series[t] for t in range(last)] + [train_last])
     result = run_method(modified, config)
-    scores = _step_scores(config.method, train_last, result.embeddings[last], result.checkpoints[last])
+    scores = _step_scores(config.method, result.embeddings[last], result.checkpoints[last])
     value = metrics.eval_link_prediction(scores, train_last, hidden)
     per_step = [{"step": last, "map": value, "hidden_edges": len(hidden)}]
     aggregate = {"average_map": value, "hide_fraction": hide_fraction, "hide_seed": hide_seed}
@@ -447,10 +455,7 @@ def eval_stability_cmd(run_dir, data_dir, out_path):
         raise ConfigError("run and data directories disagree on the number of steps")
     if len(series) < 2:
         raise ConfigError("stability needs at least two snapshots")
-    try:
-        report = metrics.stability_constant(embeddings, series)
-    except UndefinedMetricError:
-        report = metrics.stability_transitions(embeddings, series)
+    report = metrics.stability(embeddings, series)
     per_step = []
     for t, (s_abs, s_rel) in enumerate(zip(report.s_abs, report.s_rel)):
         entry = {"step": t + 1, "s_abs": s_abs, "s_rel": s_rel, "defined": s_rel is not None}
@@ -480,7 +485,7 @@ def eval_anomaly_cmd(run_dir, data_dir, out_path, rule, factor, threshold):
     series = load_series(data_dir)
     if len(series) != len(embeddings):
         raise ConfigError("run and data directories disagree on the number of steps")
-    deltas = metrics.anomaly_series(embeddings, series)
+    deltas = metrics.anomaly_series(embeddings)
     try:
         report = metrics.flag_anomalies(deltas, rule=rule, factor=factor, threshold=threshold)
         flagged = {t for t in report.flagged}
@@ -563,7 +568,7 @@ def cmd_export(run_dir, output_dir, ids_path):
                 prefix = f"{t},{node}"
                 if ext_of is not None:
                     prefix += f",{ext_of.get(node, node)}"
-                fh.write(prefix + "," + ",".join(f"{v:.17g}" for v in row) + "\n")
+                fh.write(f"{prefix},{_csv_values(row)}\n")
     deltas = metrics.anomaly_series(embeddings) if len(embeddings) > 1 else []
     with open(out / "deltas.csv", "w", encoding="utf-8") as fh:
         fh.write("step,delta\n")

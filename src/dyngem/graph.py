@@ -114,28 +114,6 @@ class GraphSnapshot:
         out[np.repeat(np.arange(indptr.size - 1), np.diff(indptr)), indices] = data
         return out
 
-    def induced_adjacency(self, node_set):
-        """Dense symmetric adjacency over a sorted node subset.
-
-        ``node_set`` must be strictly increasing and within range; the result
-        has a zero diagonal and shape (len(node_set), len(node_set)).
-        """
-        ns = np.asarray(node_set, dtype=np.intp)
-        if ns.size:
-            if np.any(np.diff(ns) <= 0):
-                raise ValueError("node_set must be sorted and free of duplicates")
-            if ns[0] < 0 or ns[-1] >= self._n:
-                raise IndexError("node_set contains ids out of range")
-        pos = np.full(self._n, -1, dtype=np.intp)
-        pos[ns] = np.arange(ns.size)
-        a, b = pos[self.heads], pos[self.tails]
-        keep = (a >= 0) & (b >= 0)
-        a, b, w = a[keep], b[keep], self.weights[keep]
-        out = np.zeros((ns.size, ns.size), dtype=np.float64)
-        out[a, b] = w
-        out[b, a] = w
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, GraphSnapshot):
             return NotImplemented

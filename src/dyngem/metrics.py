@@ -113,41 +113,11 @@ def eval_link_prediction(scores, train_snapshot, hidden):
     return _mean_average_precision(scores, GraphSnapshot(n, hidden), excluded=train_snapshot)
 
 
-def stability_absolute(f_next, f_curr, s_next, s_curr):
-    """||F_{t+1} - F_t||_F / ||S_{t+1} - S_t||_F over the common nodes.
-
-    Returns None (undefined) when the adjacency did not change.
-    """
-    f_next, f_curr, s_next, s_curr = (np.asarray(a, dtype=np.float64) for a in (f_next, f_curr, s_next, s_curr))
-    if f_next.shape != f_curr.shape or s_next.shape != s_curr.shape:
-        raise ValueError("matrix pairs must share their shapes")
-    ds = float(np.linalg.norm(s_next - s_curr))
-    if ds == 0.0:
-        return None
-    return float(np.linalg.norm(f_next - f_curr)) / ds
-
-
-def stability_relative(f_next, f_curr, s_next, s_curr):
-    """Relative embedding drift over relative adjacency drift.
-
-    ``(||dF|| / ||F_t||) / (||dS|| / ||S_t||)``; None when any required
-    denominator is zero.
-    """
-    f_next, f_curr, s_next, s_curr = (np.asarray(a, dtype=np.float64) for a in (f_next, f_curr, s_next, s_curr))
-    if f_next.shape != f_curr.shape or s_next.shape != s_curr.shape:
-        raise ValueError("matrix pairs must share their shapes")
-    nf = float(np.linalg.norm(f_curr))
-    ns = float(np.linalg.norm(s_curr))
-    ds = float(np.linalg.norm(s_next - s_curr))
-    if nf == 0.0 or ns == 0.0 or ds == 0.0:
-        return None
-    return (float(np.linalg.norm(f_next - f_curr)) / nf) / (ds / ns)
-
-
 @dataclass
 class StabilityReport:
-    """Per-transition stability values plus the spread of the defined ones
-    (None until it is known to be defined)."""
+    """Per-transition stability values, the transitions whose S_rel is
+    undefined, and the spread K_S of the defined S_rel values (None when
+    fewer than two are defined)."""
 
     s_abs: list
     s_rel: list
@@ -155,50 +125,60 @@ class StabilityReport:
     k_s: float | None
 
 
-def stability_transitions(embeddings, graphs):
-    """Per-step S_abs and S_rel over each transition's common nodes, as a
-    StabilityReport with ``k_s`` None.
+def _adjacency_norms(curr, nxt):
+    """``(||S_{t+1}(V_t) - S_t||_F, ||S_t||_F)`` from the edge lists, V_t the
+    nodes of ``curr``.
 
-    ``embeddings`` is a list of matrices, one per step.  Transitions with an
-    undefined S_rel are listed in ``skipped``.
+    Each pair (i, j) of V_t gets the key ``i * n_t + j``; the signed weights
+    of both snapshots are summed per key, and every pair counts twice in the
+    symmetric adjacency.
+    """
+    n = curr.node_count
+    inside = nxt.tails < n
+    keys = np.concatenate([nxt.heads[inside] * n + nxt.tails[inside], curr.heads * n + curr.tails])
+    signed = np.concatenate([nxt.weights[inside], -curr.weights])
+    _, pair = np.unique(keys, return_inverse=True)
+    d = np.bincount(pair, signed)
+    return float(np.sqrt(2.0 * np.dot(d, d))), float(np.sqrt(2.0 * np.dot(curr.weights, curr.weights)))
+
+
+def stability(embeddings, graphs):
+    """S_abs and S_rel of every transition over its common nodes V_t, and
+    the stability constant K_S.
+
+    ``S_abs = ||F_{t+1}(V_t) - F_t|| / ||S_{t+1}(V_t) - S_t||`` and
+    ``S_rel = (||dF|| / ||F_t||) / (||dS|| / ||S_t||)``, Frobenius norms,
+    with F_t the embedding and S_t the adjacency of step t.  S_abs is None
+    when the adjacency did not change; S_rel is None when any denominator
+    is zero, and such transitions are listed in ``skipped``.  K_S is the
+    spread (max minus min) of the defined S_rel values.
     """
     if len(embeddings) != len(graphs):
         raise ValueError("embedding series and graph series must share their length")
     s_abs, s_rel = [], []
     for t in range(len(graphs) - 1):
-        common = np.arange(graphs[t].node_count)
-        views = (embeddings[t + 1][: common.size], embeddings[t],
-                 graphs[t + 1].induced_adjacency(common), graphs[t].induced_adjacency(common))
-        s_abs.append(stability_absolute(*views))
-        s_rel.append(stability_relative(*views))
+        n = graphs[t].node_count
+        f_curr = np.asarray(embeddings[t], dtype=np.float64)
+        f_next = np.asarray(embeddings[t + 1], dtype=np.float64)[:n]
+        if f_curr.shape[0] != n or f_next.shape != f_curr.shape:
+            raise ValueError(f"step {t}: embeddings must hold one row per node of the snapshot")
+        ds, ns = _adjacency_norms(graphs[t], graphs[t + 1])
+        df = float(np.linalg.norm(f_next - f_curr))
+        nf = float(np.linalg.norm(f_curr))
+        s_abs.append(df / ds if ds else None)
+        s_rel.append((df / nf) / (ds / ns) if nf and ns and ds else None)
     skipped = [t for t, r in enumerate(s_rel) if r is None]
-    return StabilityReport(s_abs, s_rel, skipped, None)
+    defined = [r for r in s_rel if r is not None]
+    k_s = float(max(defined) - min(defined)) if len(defined) >= 2 else None
+    return StabilityReport(s_abs, s_rel, skipped, k_s)
 
 
-def stability_constant(embeddings, graphs):
-    """:func:`stability_transitions` plus the stability constant K_S, the
-    spread (max minus min) of the defined S_rel values.  Fewer than two
-    defined values leave K_S undefined (error).
-    """
-    report = stability_transitions(embeddings, graphs)
-    defined = [r for r in report.s_rel if r is not None]
-    if len(defined) < 2:
-        raise UndefinedMetricError(
-            "stability constant undefined: fewer than two defined S_rel values"
-        )
-    report.k_s = float(max(defined) - min(defined))
-    return report
-
-
-def anomaly_series(embeddings, graphs=None):
+def anomaly_series(embeddings):
     """Embedding deltas ||F_{t+1}(V_t) - F_t(V_t)||_F for each transition.
 
     ``embeddings`` is a list of matrices, one per step.  V_t, the node set
-    of step t, is the row set of F_t; ``graphs``, when given, must match
-    the series in length.
+    of step t, is the row set of F_t.
     """
-    if graphs is not None and len(embeddings) != len(graphs):
-        raise ValueError("embedding series and graph series must share their length")
     if len(embeddings) < 2:
         raise UndefinedMetricError("anomaly deltas need at least two steps")
     deltas = []

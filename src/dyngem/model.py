@@ -330,16 +330,12 @@ def embed(params, snapshot, block=512):
     return out
 
 
-def reconstruct_scores(params, snapshot, block=512):
-    """Decoder outputs for every node row; entry (i, j) scores j as a neighbor of i."""
-    if snapshot.node_count != params.n:
-        raise ValueError("snapshot node count does not match the model input width")
-    n = snapshot.node_count
-    out = np.empty((n, n))
-    for start in range(0, n, block):
-        rows = snapshot.dense_rows(np.arange(start, min(start + block, n)))
-        y = nn.forward(params.encoder, rows)[-1]
-        out[start : start + rows.shape[0]] = nn.forward(params.decoder, y)[-1]
+def reconstruct_scores(params, embedding, block=512):
+    """Decoder outputs for every row of an (n, d) embedding, in blocks of
+    ``block`` rows; entry (i, j) scores j as a neighbor of i."""
+    out = np.empty((embedding.shape[0], params.n))
+    for start in range(0, embedding.shape[0], block):
+        out[start : start + block] = nn.forward(params.decoder, embedding[start : start + block])[-1]
     return out
 
 

@@ -51,14 +51,16 @@ def forward(layers, x):
     """Run x through the layer stack.
 
     Returns the activation list with the input at position 0 and the output
-    of layer k at position k; x may be one vector, a (batch, in_dim) matrix
-    or a scipy sparse (batch, in_dim) array, which only the first layer reads.
+    of layer k at position k; x is a (batch, in_dim) matrix or a scipy
+    sparse (batch, in_dim) array, which only the first layer reads.
     """
     acts = [x if _is_sparse(x) else np.asarray(x, dtype=np.float64)]
+    if acts[0].ndim != 2:
+        raise ValueError("x must be a (batch, in_dim) matrix")
     for layer in layers:
-        if acts[-1].shape[-1] != layer.in_dim:
+        if acts[-1].shape[1] != layer.in_dim:
             raise ValueError(
-                f"input width {acts[-1].shape[-1]} does not match layer in_dim {layer.in_dim}"
+                f"input width {acts[-1].shape[1]} does not match layer in_dim {layer.in_dim}"
             )
         z = acts[-1] @ layer.weights.T
         z += layer.bias
@@ -82,13 +84,7 @@ def backward(layers, activations, grad_out, input_grad=True):
     grads = [None] * len(layers)
     for k in range(len(layers), 0, -1):
         a_prev = activations[k - 1]
-        if g.ndim == 2:
-            gw = g.T @ a_prev
-            gb = g.sum(axis=0)
-        else:
-            gw = np.outer(g, a_prev)
-            gb = g.copy()
-        grads[k - 1] = (gw, gb)
+        grads[k - 1] = (g.T @ a_prev, g.sum(axis=0))
         if k == 1 and not input_grad:
             return grads, None
         g = g @ layers[k - 1].weights

@@ -56,6 +56,35 @@ def map_oracle(scores, candidates_of, truth_of):
     return float(np.mean([ap_from_row(scores[i], candidates_of(i), truth_of[i]) for i in sorted(truth_of)]))
 
 
+def induced_adjacency(snapshot, n):
+    """Dense symmetric adjacency of the snapshot over the nodes 0..n-1."""
+    out = np.zeros((n, n))
+    for i, j, w in snapshot.edges():
+        if j < n:
+            out[i, j] = out[j, i] = w
+    return out
+
+
+def stability_oracle(embeddings, graphs):
+    """Per-transition ``(s_abs, s_rel)`` lists from dense induced adjacencies
+    over each transition's common nodes V_t, None where a denominator is 0.
+
+    S_abs = ||dF|| / ||dS|| and S_rel = (||dF|| / ||F_t||) / (||dS|| / ||S_t||),
+    with dF = F_{t+1}(V_t) - F_t and dS = S_{t+1}(V_t) - S_t.
+    """
+    s_abs, s_rel = [], []
+    for t in range(len(graphs) - 1):
+        n = graphs[t].node_count
+        df = np.linalg.norm(embeddings[t + 1][:n] - embeddings[t])
+        nf = np.linalg.norm(embeddings[t])
+        s_curr = induced_adjacency(graphs[t], n)
+        ds = np.linalg.norm(induced_adjacency(graphs[t + 1], n) - s_curr)
+        ns = np.linalg.norm(s_curr)
+        s_abs.append(None if ds == 0 else float(df / ds))
+        s_rel.append(None if 0 in (nf, ns, ds) else float((df / nf) / (ds / ns)))
+    return s_abs, s_rel
+
+
 def penalized_step_oracle(layers, grads, velocities, lr, mu, nu1, nu2):
     """The penalty and Nesterov passes as whole-array numpy operations, the
     oracle for the streamed passes in ``nn``.

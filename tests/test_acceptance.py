@@ -26,7 +26,7 @@ from dyngem.metrics import (
     eval_reconstruction,
     expected_speedup,
     flag_anomalies,
-    stability_constant,
+    stability,
 )
 from dyngem.model import Hyperparameters, build_autoencoder, reconstruct_scores, symmetrize_scores
 from dyngem import nn
@@ -169,7 +169,7 @@ def test_05_reconstruction_map_beats_null(desk_runs):
     rng = np.random.default_rng(99)
     values, nulls = [], []
     for t, snap in enumerate(run.graphs):
-        scores = symmetrize_scores(reconstruct_scores(run.dyn.checkpoints[t], snap))
+        scores = symmetrize_scores(reconstruct_scores(run.dyn.checkpoints[t], run.dyn.embeddings[t]))
         values.append(eval_reconstruction(scores, snap))
         null = rng.standard_normal((snap.node_count, snap.node_count))
         nulls.append(eval_reconstruction((null + null.T) / 2, snap))
@@ -186,9 +186,9 @@ def test_06_warm_start_is_most_stable(desk_runs):
     triples = []
     for seed in SEEDS:
         run = desk_runs[seed]
-        k_dyn = stability_constant(run.dyn.embeddings, run.graphs).k_s
-        k_ret = stability_constant(run.ret.embeddings, run.graphs).k_s
-        k_ali = stability_constant(run.aligned, run.graphs).k_s
+        k_dyn = stability(run.dyn.embeddings, run.graphs).k_s
+        k_ret = stability(run.ret.embeddings, run.graphs).k_s
+        k_ali = stability(run.aligned, run.graphs).k_s
         beats_retrain += k_dyn < k_ret
         beats_aligned += k_dyn < k_ali
         triples.append(f"seed {seed}: {k_dyn:.2f}|{k_ret:.2f}|{k_ali:.2f}")
@@ -210,7 +210,7 @@ def test_07_link_prediction_beats_null():
         train_last, hidden = hide_edges(graphs[last], 0.15, seed + 50)
         modified = DynamicGraph([graphs[t] for t in range(last)] + [train_last])
         result = run_method(modified, RunConfig(hyper=_desk_hyper(seed), method="dyngem"))
-        scores = symmetrize_scores(reconstruct_scores(result.checkpoints[last], train_last))
+        scores = symmetrize_scores(reconstruct_scores(result.checkpoints[last], result.embeddings[last]))
         maps.append(eval_link_prediction(scores, train_last, hidden))
         rng = np.random.default_rng(seed + 1000)
         null = rng.standard_normal(scores.shape)
@@ -251,7 +251,7 @@ def test_09_community_merge_is_flagged():
     for seed in SEEDS:
         series = merge_series(seed=seed)
         result = run_method(series, RunConfig(hyper=_desk_hyper(seed), method="dyngem"))
-        deltas = anomaly_series(result.embeddings, series)
+        deltas = anomaly_series(result.embeddings)
         rep = flag_anomalies(deltas, rule="std", factor=2.0)
         flagged_steps = [t + 1 for t in rep.flagged]
         peak = int(np.argmax(deltas)) + 1

@@ -324,6 +324,18 @@ def test_eval_stability_report(workspace, tmp_path):
     assert ks is None or ks >= 0.0
 
 
+def test_eval_stability_reports_an_undefined_constant(tmp_path):
+    data, run, out = tmp_path / "data", tmp_path / "run", tmp_path / "stab.json"
+    _generate(data, ["--steps", "2"])
+    trained = _invoke(["train", "--in", str(data), "--out", str(run), "--method", "gf", *FAST_TRAIN])
+    assert trained.exit_code == 0, trained.output
+    result = _invoke(["eval", "stability", "--run", str(run), "--data", str(data), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert "stability constant K_S: undefined" in result.output
+    assert json.loads(out.read_text())["aggregate"] == {
+        "defined_transitions": 1, "k_s": None, "reason": "fewer than two defined relative stabilities"}
+
+
 def test_eval_anomaly_report(workspace, tmp_path):
     _, data, run = workspace
     out = tmp_path / "anom.json"

@@ -71,23 +71,6 @@ def test_neighbors_and_dense_rows_agree():
         g.csr_rows([5])
 
 
-def test_induced_adjacency_subset():
-    g = GraphSnapshot(5, [(0, 2, 1.5), (0, 4, 2.0), (2, 3, 0.25)])
-    sub = g.induced_adjacency([0, 2, 3])
-    expected = np.array([[0, 1.5, 0], [1.5, 0, 0.25], [0, 0.25, 0]])
-    np.testing.assert_array_equal(sub, expected)
-    rng = np.random.default_rng(2)
-    for _ in range(20):
-        big = GraphSnapshot(12, {(i, j): float(rng.uniform(0.5, 2)) for i in range(12)
-                                 for j in range(i + 1, 12) if rng.random() < 0.3})
-        ns = np.flatnonzero(rng.random(12) < 0.6)
-        np.testing.assert_array_equal(big.induced_adjacency(ns), big.dense_rows(ns)[:, ns])
-    with pytest.raises(ValueError):
-        g.induced_adjacency([2, 0])
-    with pytest.raises(IndexError):
-        g.induced_adjacency([0, 9])
-
-
 def test_dynamic_graph_requires_nondecreasing_nodes():
     a = GraphSnapshot(3, [(0, 1, 1.0)])
     b = GraphSnapshot(4, [(0, 1, 1.0)])

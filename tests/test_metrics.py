@@ -12,12 +12,17 @@ from dyngem.metrics import (
     eval_reconstruction,
     expected_speedup,
     flag_anomalies,
-    stability_absolute,
-    stability_constant,
-    stability_relative,
-    stability_transitions,
+    stability,
 )
-from helpers import ap_from_row, exhaustive_ap, map_oracle, neighbors, random_snapshot, random_symmetric_scores
+from helpers import (
+    ap_from_row,
+    exhaustive_ap,
+    map_oracle,
+    neighbors,
+    random_snapshot,
+    random_symmetric_scores,
+    stability_oracle,
+)
 
 
 def test_eval_reconstruction_breaks_ties_by_id():
@@ -193,47 +198,86 @@ def test_eval_link_prediction_agrees_with_oracle_on_random_splits():
         )
 
 
+def _pair(w=None):
+    """Two nodes, joined by an edge of weight ``w`` unless it is None."""
+    return GraphSnapshot(2, [] if w is None else [(0, 1, w)])
+
+
 def test_stability_absolute_hand_case():
-    # ||dF|| = 5 against ||dS|| = 2.5
-    val = stability_absolute([[3.0, 4.0]], [[0.0, 0.0]], [[2.5]], [[0.0]])
-    assert val == pytest.approx(2.0, abs=1e-15)
-    assert stability_absolute([[1.0]], [[0.0]], [[1.0]], [[1.0]]) is None
+    # ||dF|| = 5 against ||dS|| = sqrt(2) * 2.5
+    rep = stability([np.zeros((2, 2)), np.array([[3.0, 4.0], [0.0, 0.0]])], [_pair(), _pair(2.5)])
+    assert rep.s_abs == pytest.approx([np.sqrt(2.0)], abs=1e-15)
+    assert rep.s_rel == [None]  # ||F_t|| = ||S_t|| = 0
+    rep = stability([np.zeros((2, 1)), np.ones((2, 1))], [_pair(1.0), _pair(1.0)])
+    assert rep.s_abs == [None] and rep.s_rel == [None]
     with pytest.raises(ValueError):
-        stability_absolute([[1.0]], [[1.0, 2.0]], [[1.0]], [[0.0]])
+        stability([np.ones((2, 1)), np.ones((2, 2))], [_pair(), _pair(1.0)])
 
 
 def test_stability_relative_hand_case():
     # (1/2) / (2/4)
-    val = stability_relative([[3.0, 0.0]], [[2.0, 0.0]], [[6.0]], [[4.0]])
-    assert val == pytest.approx(1.0, abs=1e-15)
-    assert stability_relative([[1.0]], [[0.0]], [[1.0]], [[0.0]]) is None  # ||S_t|| = 0
-    assert stability_relative([[1.0]], [[0.0]], [[2.0]], [[2.0]]) is None  # dS = 0
+    f_curr, f_next = np.array([[2.0, 0.0], [0.0, 0.0]]), np.array([[3.0, 0.0], [0.0, 0.0]])
+    assert stability([f_curr, f_next], [_pair(4.0), _pair(6.0)]).s_rel == pytest.approx([1.0], abs=1e-15)
+    assert stability([f_curr, f_next], [_pair(), _pair(2.0)]).s_rel == [None]  # ||S_t|| = 0
+    assert stability([f_curr, f_next], [_pair(2.0), _pair(2.0)]).s_rel == [None]  # dS = 0
+
+
+def _random_pair_of_steps(rng, n):
+    """Embeddings and weighted graphs of one transition over n nodes that
+    share their edge set and differ in its weights."""
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
+    graphs = [GraphSnapshot(n, [(i, j, float(rng.uniform(0.5, 2.0))) for i, j in edges]) for _ in range(2)]
+    f_curr = rng.standard_normal((n, 3))
+    return [f_curr, f_curr + rng.normal(0, 0.1, (n, 3))], graphs
 
 
 def test_stability_relative_scale_invariance():
     rng = np.random.default_rng(14)
-    f_curr = rng.standard_normal((6, 3))
-    f_next = f_curr + rng.normal(0, 0.1, (6, 3))
-    s_curr = np.abs(random_symmetric_scores(rng, 6))
-    s_next = s_curr + np.abs(random_symmetric_scores(rng, 6)) * 0.1
-    base = stability_relative(f_next, f_curr, s_next, s_curr)
-    assert stability_relative(7 * f_next, 7 * f_curr, s_next, s_curr) == pytest.approx(base)
-    assert stability_relative(f_next, f_curr, 3 * s_next, 3 * s_curr) == pytest.approx(base)
+    embeddings, graphs = _random_pair_of_steps(rng, 6)
+    base = stability(embeddings, graphs).s_rel[0]
+    scaled = [GraphSnapshot(6, [(i, j, 3 * w) for i, j, w in g.edges()]) for g in graphs]
+    assert stability([7 * f for f in embeddings], graphs).s_rel[0] == pytest.approx(base)
+    assert stability(embeddings, scaled).s_rel[0] == pytest.approx(base)
 
 
 def test_stability_values_invariant_under_node_relabeling():
     rng = np.random.default_rng(15)
-    f_curr = rng.standard_normal((5, 2))
-    f_next = rng.standard_normal((5, 2))
-    s_curr = np.abs(random_symmetric_scores(rng, 5))
-    s_next = np.abs(random_symmetric_scores(rng, 5))
-    perm = rng.permutation(5)
-    a = stability_absolute(f_next, f_curr, s_next, s_curr)
-    r = stability_relative(f_next, f_curr, s_next, s_curr)
-    pa = stability_absolute(f_next[perm], f_curr[perm], s_next[perm][:, perm], s_curr[perm][:, perm])
-    pr = stability_relative(f_next[perm], f_curr[perm], s_next[perm][:, perm], s_curr[perm][:, perm])
-    assert pa == pytest.approx(a, abs=1e-12)
-    assert pr == pytest.approx(r, abs=1e-12)
+    embeddings, graphs = _random_pair_of_steps(rng, 5)
+    perm = rng.permutation(5)  # node perm[k] becomes node k
+    where = np.argsort(perm)
+    relabeled = [GraphSnapshot(5, [(int(where[i]), int(where[j]), w) for i, j, w in g.edges()]) for g in graphs]
+    base = stability(embeddings, graphs)
+    moved = stability([f[perm] for f in embeddings], relabeled)
+    assert moved.s_abs == pytest.approx(base.s_abs, abs=1e-12)
+    assert moved.s_rel == pytest.approx(base.s_rel, abs=1e-12)
+
+
+def test_stability_matches_the_dense_adjacency_oracle():
+    """A growing series with non-unit weights, a transition whose
+    adjacency over V_t does not change (only new nodes gain edges) and one
+    from a zero embedding."""
+    rng = np.random.default_rng(16)
+    sizes = (6, 9, 9, 12, 12, 15)
+    graphs = []
+    for t, n in enumerate(sizes):
+        edges = {(i, j): float(rng.uniform(0.3, 3.0)) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < 0.4}
+        if t == 3:  # step 3 adds only edges at its new nodes
+            edges = {**{(i, j): w for i, j, w in graphs[2].edges()},
+                     **{(i, j): w for (i, j), w in edges.items() if j >= sizes[2]}}
+        graphs.append(GraphSnapshot(n, edges))
+    embeddings = [rng.standard_normal((n, 4)) for n in sizes]
+    embeddings[4] = np.zeros((sizes[4], 4))
+    rep = stability(embeddings, graphs)
+    s_abs, s_rel = stability_oracle(embeddings, graphs)
+    assert rep.skipped == [2, 4]
+    assert s_abs[2] is None and s_rel[4] is None and s_abs[4] is not None
+    for got, want in zip(rep.s_abs + rep.s_rel, s_abs + s_rel):
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
+    defined = [r for r in s_rel if r is not None]
+    assert rep.k_s == pytest.approx(max(defined) - min(defined), rel=1e-12, abs=0)
 
 
 def _weighted_pair_series(weights):
@@ -249,7 +293,7 @@ def test_stability_constant_spread_hand_case():
         np.array([[5.5], [0.0]]),
         np.array([[16.5], [0.0]]),
     ]
-    rep = stability_constant(embeddings, graphs)
+    rep = stability(embeddings, graphs)
     assert rep.s_rel == pytest.approx([1.0, 3.5, 2.0], abs=1e-12)
     assert rep.k_s == pytest.approx(2.5, abs=1e-12)
     assert rep.skipped == []
@@ -259,27 +303,22 @@ def test_stability_constant_spread_hand_case():
 def test_stability_constant_skips_static_transitions():
     graphs = _weighted_pair_series([1.0, 1.0, 2.0, 1.0])
     embeddings = [np.array([[float(t)], [0.0]]) for t in range(4)]
-    rep = stability_constant(embeddings, graphs)
+    rep = stability(embeddings, graphs)
     assert rep.skipped == [0]
     assert rep.s_rel[0] is None
     assert len([r for r in rep.s_rel if r is not None]) == 2
 
 
 def test_stability_constant_needs_two_defined_values():
-    with pytest.raises(UndefinedMetricError):
-        stability_constant(
-            [np.ones((2, 1)), np.zeros((2, 1))], _weighted_pair_series([1.0, 2.0])
-        )
+    report = stability([np.ones((2, 1)), np.zeros((2, 1))], _weighted_pair_series([1.0, 2.0]))
+    assert report.k_s is None and report.skipped == []
     # three steps but one static transition leaves a single defined value
     embeddings = [np.ones((2, 1)), np.full((2, 1), 2.0), np.ones((2, 1))]
-    graphs = _weighted_pair_series([1.0, 1.0, 2.0])
-    with pytest.raises(UndefinedMetricError):
-        stability_constant(embeddings, graphs)
-    report = stability_transitions(embeddings, graphs)
+    report = stability(embeddings, _weighted_pair_series([1.0, 1.0, 2.0]))
     assert report.k_s is None and report.skipped == [0]
     assert report.s_abs[0] is None and report.s_rel[1] == pytest.approx(0.5)
     with pytest.raises(ValueError):
-        stability_constant([np.ones((2, 1))], _weighted_pair_series([1.0, 2.0]))
+        stability([np.ones((2, 1))], _weighted_pair_series([1.0, 2.0]))
 
 
 def test_stability_constant_uses_common_prefix_on_growth():
@@ -289,27 +328,23 @@ def test_stability_constant_uses_common_prefix_on_growth():
         GraphSnapshot(3, [(0, 1, 1.0), (1, 2, 1.0)]),
     ]
     embeddings = [np.ones((2, 2)), np.ones((3, 2)) * 2.0, np.ones((3, 2))]
-    rep = stability_constant(embeddings, graphs)
+    rep = stability(embeddings, graphs)
     # transition 0 compares only the first two rows and the 2x2 subgraph:
     # dF/||F|| = 2/2 and dS/||S|| = sqrt(2)/sqrt(2)
     assert rep.s_rel[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_anomaly_series_hand_case():
-    graphs = [GraphSnapshot(1), GraphSnapshot(1)]
-    deltas = anomaly_series([np.array([[0.0, 0.0]]), np.array([[3.0, 4.0]])], graphs)
+    deltas = anomaly_series([np.array([[0.0, 0.0]]), np.array([[3.0, 4.0]])])
     assert deltas.tolist() == [5.0]
     with pytest.raises(UndefinedMetricError):
-        anomaly_series([np.zeros((1, 2))], [GraphSnapshot(1)])
-    with pytest.raises(ValueError):
-        anomaly_series([np.zeros((1, 2))], graphs)
+        anomaly_series([np.zeros((1, 2))])
 
 
 def test_anomaly_series_measures_old_nodes_only():
-    graphs = [GraphSnapshot(2), GraphSnapshot(3)]
     first = np.zeros((2, 1))
     second = np.array([[3.0], [4.0], [100.0]])
-    deltas = anomaly_series([first, second], graphs)
+    deltas = anomaly_series([first, second])
     assert deltas.tolist() == [5.0]
 
 

@@ -435,10 +435,11 @@ def test_embed_and_reconstruct_shapes_and_blocks():
     np.testing.assert_array_equal(y, embed(params, snap, block=5))
     rows = snap.dense_rows(np.arange(23))
     np.testing.assert_allclose(y, nn.forward(params.encoder, rows)[-1], atol=1e-15)
-    scores = reconstruct_scores(params, snap)
+    scores = reconstruct_scores(params, y)
     assert scores.shape == (23, 23)
-    np.testing.assert_array_equal(scores, reconstruct_scores(params, snap, block=7))
-    np.testing.assert_allclose(scores, nn.forward(params.decoder, y)[-1], atol=1e-15)
+    np.testing.assert_array_equal(scores, reconstruct_scores(params, y, block=7))
+    # the dense route: encode every adjacency row, decode the codes
+    np.testing.assert_array_equal(scores, nn.forward(params.decoder, nn.forward(params.encoder, rows)[-1])[-1])
     with pytest.raises(ValueError):
         embed(params, random_snapshot(rng, 9))
 

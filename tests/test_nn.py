@@ -32,11 +32,13 @@ def test_layer_params_validation():
 def test_forward_hand_case():
     # z = (2*1 + 1*(-1) + 0.5, 2*0 + 1*2 - 3) = (1.5, -1) -> relu (1.5, 0)
     layer = LayerParams(np.array([[1.0, -1.0], [0.0, 2.0]]), np.array([0.5, -3.0]))
-    acts = forward([layer], np.array([2.0, 1.0]))
-    np.testing.assert_array_equal(acts[-1], [1.5, 0.0])
+    acts = forward([layer], np.array([[2.0, 1.0]]))
+    np.testing.assert_array_equal(acts[-1], [[1.5, 0.0]])
     assert len(acts) == 2
     with pytest.raises(ValueError):
-        forward([layer], np.zeros(3))
+        forward([layer], np.zeros((1, 3)))
+    with pytest.raises(ValueError):
+        forward([layer], np.array([2.0, 1.0]))
 
 
 def test_forward_batch_matches_rows():
@@ -48,7 +50,7 @@ def test_forward_batch_matches_rows():
     x = rng.standard_normal((6, 4))
     batch_out = forward(layers, x)[-1]
     for i in range(6):
-        np.testing.assert_allclose(batch_out[i], forward(layers, x[i])[-1], atol=1e-15)
+        np.testing.assert_allclose(batch_out[i : i + 1], forward(layers, x[i : i + 1])[-1], atol=1e-15)
 
 
 def test_backward_matches_finite_differences():
@@ -93,11 +95,12 @@ def test_backward_matches_finite_differences():
 def test_backward_masks_dead_units():
     # first unit dead for this input: its weight rows get zero gradient
     layer = LayerParams(np.array([[-1.0, 0.0], [1.0, 1.0]]), np.array([0.0, 0.0]))
-    x = np.array([2.0, 1.0])
+    x = np.array([[2.0, 1.0]])
     acts = forward([layer], x)
-    grads, _ = backward([layer], acts, np.ones(2))
+    grads, _ = backward([layer], acts, np.ones((1, 2)))
     np.testing.assert_array_equal(grads[0][0][0], [0.0, 0.0])
-    np.testing.assert_array_equal(grads[0][0][1], x)
+    np.testing.assert_array_equal(grads[0][0][1], x[0])
+    np.testing.assert_array_equal(grads[0][1], [0.0, 1.0])
 
 
 def test_backward_without_input_grad_keeps_weight_grads():
@@ -118,7 +121,7 @@ def test_backward_without_input_grad_keeps_weight_grads():
 def test_backward_activation_mismatch():
     layer = LayerParams(np.eye(2), np.zeros(2))
     with pytest.raises(ValueError):
-        backward([layer], [np.zeros(2)], np.zeros(2))
+        backward([layer], [np.zeros((1, 2))], np.zeros((1, 2)))
 
 
 def test_regularizer_hand_case():

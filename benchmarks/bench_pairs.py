@@ -13,10 +13,13 @@ checkout, for k in SEEDS, the parent first in even pairs and the change
 first in odd ones, so that a slow or fast spell of the host falls on both
 sides.  The run length and the seeds are fixed here, so that every record
 of the trajectory is comparable with every other.  The record holds each side's median and
-quartiles (over the pairs) of the six end-to-end metrics, how many pairs
-the change won, both sides' fingerprints at the first seed, the kernel
-backend and ``os.cpu_count()``.  Runs are sequential; nothing runs in
-parallel with them.
+quartiles (over the pairs) of the end-to-end metrics of ``BENCHMARK.json``,
+how many pairs the change won, both sides' fingerprints at the first seed,
+whether their embedding checksums match (``embeddings_identical``), the
+metrics whose change median is worse than the parent's by more than their
+bound in ``BENCHMARK.json`` (``beyond_bound``), the kernel backend and
+``os.cpu_count()``.  Runs are sequential; nothing runs in parallel with
+them.
 """
 
 from __future__ import annotations
@@ -30,9 +33,9 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-# metric name -> True when higher is better
-METRICS = {"setup_s": False, "train_s": False, "eval_s": False, "train_edges_per_s": True,
-           "peak_rss_mb": False, "recon_map": True}
+# metric name -> (True when higher is better, relative bound on a worse median)
+METRICS = {m["name"]: (m["better"] == "higher", m["bound"])
+           for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
 SEEDS = list(range(10))
 SECONDS = 20.0
 TRAJECTORY = ROOT / "BENCH_trajectory.json"
@@ -57,6 +60,14 @@ def spread(values):
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
+def beyond_bound(parent, change, higher, bound):
+    """True when the change's median is worse than the parent's by more than
+    ``bound``, a fraction of the parent's median."""
+    if higher:
+        return change < parent * (1.0 - bound)
+    return change > parent * (1.0 + bound)
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True)
@@ -78,11 +89,16 @@ def main():
                   flush=True)
 
     table = {}
-    for name, higher in METRICS.items():
+    worse = []
+    for name, (higher, bound) in METRICS.items():
         values = {side: [run[name] for run in runs[side]] for side in sides}
         wins = sum((c > p) if higher else (c < p) for p, c in zip(values["parent"], values["change"]))
         table[name] = {side: spread(values[side]) for side in sides}
         table[name]["change_wins"] = wins
+        if beyond_bound(table[name]["parent"]["median"], table[name]["change"]["median"], higher, bound):
+            worse.append(name)
+    fingerprint = {side: records[side]["result"]["iterations"][0]["fingerprint"] for side in sides}
+    identical = fingerprint["parent"]["embedding_sha256"] == fingerprint["change"]["embedding_sha256"]
     environment = records["change"]["environment"]
     entry = {
         "workload": args.workload,
@@ -95,7 +111,9 @@ def main():
         "failed_ops": failed,
         "metrics": table,
         "fingerprint_seed": SEEDS[0],
-        "fingerprint": {side: records[side]["result"]["iterations"][0]["fingerprint"] for side in sides},
+        "fingerprint": fingerprint,
+        "embeddings_identical": identical,
+        "beyond_bound": worse,
         "backend": environment["backend"],
         "blas_threads": environment["blas_threads"],
         "cpu_count": os.cpu_count(),
@@ -104,9 +122,11 @@ def main():
     trajectory.append(entry)
     TRAJECTORY.write_text(json.dumps(trajectory, indent=1) + "\n")
     for name, row in table.items():
+        mark = "  BEYOND BOUND" if name in worse else ""
         print(f"{name:<18} parent {row['parent']['median']:.6g} [{row['parent']['q1']:.6g}, "
               f"{row['parent']['q3']:.6g}]  change {row['change']['median']:.6g}  "
-              f"wins {row['change_wins']}/{len(SEEDS)}")
+              f"wins {row['change_wins']}/{len(SEEDS)}{mark}")
+    print(f"seed-{SEEDS[0]} embeddings: " + ("identical" if identical else "differ"))
 
 
 if __name__ == "__main__":

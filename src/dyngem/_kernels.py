@@ -9,10 +9,13 @@ temporary file and renames it into place, so processes importing at once
 never load a half-written library.  Importing raises ImportError, and
 :mod:`dyngem.kernels` selects the numpy fallback, when no ``cc`` is on
 ``PATH`` or the cache directory cannot be written; a build or load that
-fails also warns, with the compiler's or loader's message.  The argument
-types, declared with ``numpy.ctypeslib.ndpointer``, make ctypes reject an
-array of the wrong dtype, rank or memory order (``ctypes.ArgumentError``)
-before any pointer reaches C.
+fails also warns, with the compiler's or loader's message.  A failed build
+leaves ``_libkernels.<hash>.failed`` there, holding that message; until the
+source changes or it is deleted, imports fall back without running ``cc``
+or warning again.  The argument types, declared with
+``numpy.ctypeslib.ndpointer``, make ctypes reject an array of the wrong
+dtype, rank or memory order (``ctypes.ArgumentError``) before any pointer
+reaches C.
 """
 
 from __future__ import annotations
@@ -32,18 +35,22 @@ import numpy as np
 _FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 _LIBS = ("-lm",)
 _SOURCE = Path(__file__).with_name("_libkernels.c")
+_SUFFIX = EXTENSION_SUFFIXES[0]
 
 
 def _library_path():
     # the hash Python keys hash-based bytecode with
-    key = source_hash(_SOURCE.read_bytes() + repr((_FLAGS, _LIBS, EXTENSION_SUFFIXES[0])).encode())
+    key = source_hash(_SOURCE.read_bytes() + repr((_FLAGS, _LIBS, _SUFFIX)).encode())
     cache = Path(cache_from_source(__file__)).parent
-    return cache / f"_libkernels.{key.hex()}{EXTENSION_SUFFIXES[0]}"
+    return cache / f"_libkernels.{key.hex()}{_SUFFIX}"
 
 
 def _build(target):
     import subprocess  # here, not at the top: it adds about 7 ms to every CLI start
 
+    failed = target.with_name(target.name.removesuffix(_SUFFIX) + ".failed")
+    if failed.exists():
+        raise ImportError(f"building the kernel library failed before; see {failed}")
     cc = shutil.which("cc")
     if cc is None:
         raise ImportError("no C compiler (cc) on PATH to build _libkernels.c")
@@ -59,16 +66,19 @@ def _build(target):
         built = subprocess.run([cc, *_FLAGS, "-o", partial, _SOURCE, *_LIBS],
                                capture_output=True, text=True)
         if built.returncode != 0:
-            warnings.warn(f"building {_SOURCE} failed, so dyngem uses its numpy fallback:\n"
-                          f"{built.stderr}", RuntimeWarning)
+            failed.write_text(built.stderr)
+            warnings.warn(f"building {_SOURCE} failed, so dyngem uses its numpy fallback until the "
+                          f"source changes or {failed} is deleted:\n{built.stderr}", RuntimeWarning)
             raise ImportError("the compiled kernel library could not be built")
         os.replace(partial, target)
     finally:
         partial.unlink(missing_ok=True)
-    # only this interpreter's libraries: another Python may share the cache
-    for stale in target.parent.glob(f"_libkernels.*{EXTENSION_SUFFIXES[0]}"):
-        if stale != target:
-            stale.unlink(missing_ok=True)
+    # only this interpreter's libraries (another Python may share the cache),
+    # and every failure marker
+    for pattern in (f"_libkernels.*{_SUFFIX}", "_libkernels.*.failed"):
+        for stale in target.parent.glob(pattern):
+            if stale != target:
+                stale.unlink(missing_ok=True)
 
 
 def _load():

@@ -77,15 +77,14 @@ class EmbeddingSeries:
 
 @dataclass
 class _Step:
-    """One step's result.  A warm next step takes ``params`` over and trains
-    it in place, so growth can free the previous model.  ``checkpoint`` is a
-    copy of ``params`` as this step left it; a model restored from it trains
-    to the same bits as ``params``."""
+    """One step's result.  ``checkpoint`` is the model the step trained
+    (None for factorization).  A warm next step trains a copy of it, so it
+    stays as this step left it, and a model restored from its saved file
+    trains to the same bits."""
 
     embedding: np.ndarray
     iterations: int
     trace: list
-    params: model.AutoencoderParams | None = None
     checkpoint: model.AutoencoderParams | None = None
     growth: dict | None = None
     backoffs: int = 0  # learning-rate halvings so far
@@ -103,10 +102,7 @@ def _drive(method, series, config, step, warm):
     def timed(t, snap, prev):
         start = time.perf_counter()
         result = step(snap, config, t, prev)
-        seconds = time.perf_counter() - start
-        if not warm:
-            result.params = None  # no later step continues it
-        return result, seconds
+        return result, time.perf_counter() - start
 
     if warm or config.jobs == 1:
         results = []
@@ -149,12 +145,12 @@ def _kills_embedding(before, after):
 
 def _autoencoder_step(snap, config, t, prev):
     """Train one autoencoder step.  A cold start builds a fresh model from
-    the step's seed; a warm start continues the previous step's model, grown
-    with a PropSize plan when the node set expanded.
+    the step's seed; a warm start trains a copy of the previous step's
+    checkpoint, grown with a PropSize plan when the node set expanded.
 
     A graph far from the one the model fits (two communities merging, say)
     can make a warm step's training overflow or kill most of the embedding
-    units.  Such a step is trained again from the previous step's checkpoint
+    units.  Such a step is trained again from a fresh copy of that checkpoint
     at half the learning rate for twice the epochs, and later steps keep the
     halved rate; at most MAX_BACKOFFS halvings in all.  The iteration count
     includes the attempts a step discarded."""
@@ -166,13 +162,10 @@ def _autoencoder_step(snap, config, t, prev):
             snap.node_count, config.hidden_sizes, hyper.d, _step_seed(hyper.seed, t, _SALT_INIT)
         )
         params, trace = model.train_snapshot(params, snap, hyper, hyper.epochs_first, seed=seed)
-        embedding = model.embed(params, snap)
-        return _Step(embedding, hyper.epochs_first * batches, trace, params, params.copy())
-    # taking the model over lets growth free the previous one
-    params, prev.params = prev.params, None
+        return _Step(model.embed(params, snap), hyper.epochs_first * batches, trace, params)
     backoffs, iterations = prev.backoffs, 0
     while True:
-        params, grown = _grow(params, snap, config, t)
+        params, grown = _grow(prev.checkpoint.copy(), snap, config, t)
         epochs = hyper.epochs_warm << backoffs
         iterations += epochs * batches
         slowed = replace(hyper, base_lr=hyper.base_lr / (1 << backoffs))
@@ -186,8 +179,7 @@ def _autoencoder_step(snap, config, t, prev):
             if backoffs == MAX_BACKOFFS or not _kills_embedding(prev.embedding, embedding):
                 break
         backoffs += 1
-        params = prev.checkpoint.copy()
-    return _Step(embedding, iterations, trace, params, params.copy(), grown, backoffs)
+    return _Step(embedding, iterations, trace, params, grown, backoffs)
 
 
 def procrustes_align(reference, target):

@@ -170,15 +170,14 @@ def net2deeper(params, side, position):
     return _rebuild(params, side, layers)
 
 
-def expand_input_output(params, new_n, init_scale=1.0, seed=0):
+def expand_input_output(params, new_n, seed=0):
     """Grow the input and output widths to ``new_n`` for a larger node set.
 
     The first encoder layer gains input columns and the last decoder layer
-    gains output rows and bias entries, all drawn uniformly from
-    ``[-init_scale * b, init_scale * b]`` with b the fan-scaled bound used at
-    initialization.  Outputs restricted to the old coordinates only change
-    through the new input coordinates, so rows that are zero there embed
-    exactly as before.
+    gains output rows and bias entries, all drawn uniformly from ``[-b, b]``
+    with b the fan-scaled bound used at initialization.  Outputs restricted
+    to the old coordinates only change through the new input coordinates, so
+    rows that are zero there embed exactly as before.
     """
     if new_n < params.n:
         raise ValueError("cannot shrink the input width")
@@ -188,13 +187,13 @@ def expand_input_output(params, new_n, init_scale=1.0, seed=0):
     extra = new_n - params.n
 
     first = params.encoder[0]
-    bound_in = init_scale * np.sqrt(6.0 / (new_n + first.out_dim))
+    bound_in = np.sqrt(6.0 / (new_n + first.out_dim))
     new_cols = rng.uniform(-bound_in, bound_in, (first.out_dim, extra))
     encoder = [l.copy() for l in params.encoder]
     encoder[0] = LayerParams(np.hstack([first.weights, new_cols]), first.bias.copy())
 
     last = params.decoder[-1]
-    bound_out = init_scale * np.sqrt(6.0 / (last.in_dim + new_n))
+    bound_out = np.sqrt(6.0 / (last.in_dim + new_n))
     new_rows = rng.uniform(-bound_out, bound_out, (extra, last.in_dim))
     new_bias = rng.uniform(-bound_out, bound_out, extra)
     decoder = [l.copy() for l in params.decoder]
@@ -249,7 +248,7 @@ def apply_plan(params, plan, noise_scale=0.0, seed=0):
     out = params
     new_n = plan.encoder_sizes[0]
     if new_n > params.n:
-        out = expand_input_output(out, new_n, init_scale=1.0, seed=_op_seed(seed, counter))
+        out = expand_input_output(out, new_n, seed=_op_seed(seed, counter))
         report.append({"op": "expand", "old_n": params.n, "new_n": int(new_n)})
         counter += 1
 

@@ -262,14 +262,6 @@ def loss_net_batch(params, batch, hyper):
     return total, parts, (enc_grads, dec_grads)
 
 
-def _flatten(params):
-    flat = []
-    for layer in params.layers():
-        flat.append(layer.weights)
-        flat.append(layer.bias)
-    return flat
-
-
 def train_snapshot(params, snapshot, hyper, epochs, seed=None):
     """Minibatch SGD over the snapshot's edge set, mutating params in place.
 
@@ -286,15 +278,16 @@ def train_snapshot(params, snapshot, hyper, epochs, seed=None):
         raise ValueError("snapshot has no edges to train on")
     heads, tails, weights = snapshot.heads, snapshot.tails, snapshot.weights
     rng = np.random.default_rng(hyper.seed if seed is None else seed)
-    # Column-major, the first layer's transpose is the row-major operand
-    # scipy's CSR product reads without a copy, and it shares the layout of
-    # its gradient (also from scipy), velocity and penalty.  Dense rows get
-    # row-major weights whatever the last snapshot was: BLAS rounds the two
-    # layouts differently, and a restored checkpoint is row-major.
+    # nn's penalty and Nesterov passes need each weight, its gradient and its
+    # velocity in one layout.  Column-major, the first layer's transpose is
+    # the row-major operand scipy's CSR product reads without a copy, and
+    # scipy returns its gradient column-major too.  Dense rows, like every
+    # other layer, get row-major weights whatever the last snapshot was: BLAS
+    # rounds the two layouts differently, and a restored checkpoint is row-major.
     first = params.encoder[0]
     layout = np.asfortranarray if _sparse_input(snapshot) else np.ascontiguousarray
     first.weights = layout(first.weights)
-    flat = _flatten(params)
+    flat = [a for layer in params.layers() for a in (layer.weights, layer.bias)]
     state = OptimizerState.for_params(flat, hyper.base_lr, hyper.momentum, hyper.decay)
     trace = []
     for epoch in range(epochs):
@@ -304,11 +297,7 @@ def train_snapshot(params, snapshot, hyper, epochs, seed=None):
             idx = perm[start : start + hyper.batch_size]
             batch = make_batch(snapshot, heads[idx], tails[idx], weights[idx])
             total, _, (enc_grads, dec_grads) = loss_net_batch(params, batch, hyper)
-            flat_grads = []
-            for gw, gb in enc_grads + dec_grads:
-                flat_grads.append(gw)
-                flat_grads.append(gb)
-            nn.nesterov_step(flat, flat_grads, state)
+            nn.nesterov_step(flat, [g for pair in enc_grads + dec_grads for g in pair], state)
             epoch_loss += total
         if not math.isfinite(epoch_loss):
             raise ConvergenceError(f"training objective is {epoch_loss} in epoch {epoch}")
@@ -353,13 +342,14 @@ def save_checkpoint(params, path):
 
     The archive is what ``np.savez`` writes, except that every member keeps
     zipfile's fixed 1980-01-01 stamp where ``np.savez`` stamps the current
-    time, so two runs from one manifest write identical bytes.
+    time, so two runs from one manifest write identical bytes.  Weights are
+    written row-major whatever their layout in memory.
     """
     path = Path(path)
     arrays = {"layer_counts": np.array([len(params.encoder), len(params.decoder)])}
     for tag, side in (("enc", params.encoder), ("dec", params.decoder)):
         for k, layer in enumerate(side):
-            arrays[f"{tag}{k}_w"] = layer.weights
+            arrays[f"{tag}{k}_w"] = np.ascontiguousarray(layer.weights)
             arrays[f"{tag}{k}_b"] = layer.bias
     with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as archive:
         for name, value in arrays.items():

@@ -75,16 +75,16 @@ def backward(layers, activations, grad_out, input_grad=True):
     ``(grads, grad_input)`` where grads is a list of (dW, db) per layer.
     With ``input_grad=False`` the first layer's input gradient is not formed
     and grad_input is None.  A sparse input gets its weight gradient from
-    scipy's sparse product.  ReLU masking uses activation > 0, which matches
-    a zero subgradient at exactly 0.
+    scipy's sparse product.  Each weight gradient takes its weights' layout.
+    ReLU masking uses activation > 0, which matches a zero subgradient at 0.
     """
     if len(activations) != len(layers) + 1:
         raise ValueError("activation list does not match the layer stack")
     g = np.asarray(grad_out, dtype=np.float64) * (activations[-1] > 0)
     grads = [None] * len(layers)
     for k in range(len(layers), 0, -1):
-        a_prev = activations[k - 1]
-        grads[k - 1] = (g.T @ a_prev, g.sum(axis=0))
+        order = "F" if layers[k - 1].weights.flags.f_contiguous else "C"
+        grads[k - 1] = (np.asarray(g.T @ activations[k - 1], order=order), g.sum(axis=0))
         if k == 1 and not input_grad:
             return grads, None
         g = g @ layers[k - 1].weights
@@ -93,42 +93,33 @@ def backward(layers, activations, grad_out, input_grad=True):
     return grads, g
 
 
-# The penalty and optimizer passes walk each parameter in slices of about
-# this many float64s (256 KB), so every operation on a slice finds its
+# The penalty and optimizer passes walk each parameter in chunks of about
+# this many float64s (256 KB), so every operation on a chunk finds its
 # operands still in L2 cache instead of streaming whole arrays through memory
 # once per operation.
 SLICE_ELEMENTS = 1 << 15
 
 
-def _slices(a, scratch):
-    """Cut ``a`` into views of about SLICE_ELEMENTS along its slowest-varying
-    axis, never narrower than one row (one column when ``a`` is
-    column-major), however wide that is.  A tail shorter than half a slice
-    joins the slice before it.
-
-    Yields ``(index, order, buffers)`` per slice: ``a[index]`` is the slice,
-    ``order`` its memory layout ("F" for a column-major ``a``, else "C"),
-    and ``buffers`` holds ``scratch`` uninitialised arrays of the slice's
-    shape and layout, the same memory from slice to slice.
-    """
-    order = "F" if a.flags.f_contiguous and not a.flags.c_contiguous else "C"
-    axis = a.ndim - 1 if order == "F" else 0
-    length = a.shape[axis]
-    row = max(a.size // max(length, 1), 1)  # elements in one row (column)
-    step = max(1, SLICE_ELEMENTS // row)
-    starts = list(range(0, length, step))
-    if len(starts) > 1 and 2 * (length - starts[-1]) < step:
-        starts.pop()
-    ends = starts[1:] + [length]
-    shape = list(a.shape)
-    shape[axis] = max((end - start for start, end in zip(starts, ends)), default=0)
-    buffers = [np.empty(shape, order=order) for _ in range(scratch)]
-    index = [slice(None)] * a.ndim
-    head = [slice(None)] * a.ndim
-    for start, end in zip(starts, ends):
-        index[axis] = slice(start, end)
-        head[axis] = slice(0, end - start)
-        yield tuple(index), order, [b[tuple(head)] for b in buffers]
+def _flat_chunks(groups, scratch):
+    """Walk each group of same-shaped arrays in matching chunks of flat
+    memory.  A group's arrays must be all C- or all F-contiguous, so their
+    ``ravel("K")`` views list the same elements in the same order; every group
+    is checked before the first chunk, else ValueError.  Each view is cut into
+    ``max(1, round(size / SLICE_ELEMENTS))`` near-equal chunks, each shorter
+    than 1.5 * SLICE_ELEMENTS.  Yields per chunk the group's chunk views, then
+    ``scratch`` uninitialised buffers of the chunk's length."""
+    groups = list(groups)
+    for group in groups:
+        if not (all(a.flags.c_contiguous for a in group) or all(a.flags.f_contiguous for a in group)):
+            raise ValueError("arrays updated together must be all C- or all F-contiguous")
+    counts = [max(1, round(group[0].size / SLICE_ELEMENTS)) for group in groups]
+    width = max((-(-group[0].size // count) for group, count in zip(groups, counts)), default=0)
+    buffers = [np.empty(width) for _ in range(scratch)]
+    for group, count in zip(groups, counts):
+        flat = [a.ravel("K") for a in group]
+        bounds = [flat[0].size * k // count for k in range(count + 1)]
+        for start, end in zip(bounds, bounds[1:]):
+            yield (*(a[start:end] for a in flat), *(b[: end - start] for b in buffers))
 
 
 def regularizer_value_and_grads(layers, grads, nu1, nu2):
@@ -137,9 +128,10 @@ def regularizer_value_and_grads(layers, grads, nu1, nu2):
     Returns ``(l1, l2)``, the raw sums ``sum|W|`` and ``sum W^2`` over all
     layers, and adds the gradient ``nu1 * sign(W) + 2 * nu2 * W`` of the
     penalty ``nu1 * l1 + nu2 * l2`` into each layer's weight gradient in
-    ``grads`` in place; sign(0) is 0.  Each weight matrix is walked one
-    cache-sized slice at a time, and a gradient may have another layout
-    than its weights.
+    ``grads`` in place; sign(0) is 0.  Each weight matrix and its gradient
+    must share their shape and be both C- or both F-contiguous; they are
+    walked one cache-sized chunk of flat memory at a time.  Any mismatch
+    raises ValueError before a gradient is written.
     """
     if nu1 < 0 or nu2 < 0:
         raise ValueError("penalty coefficients must be non-negative")
@@ -151,17 +143,14 @@ def regularizer_value_and_grads(layers, grads, nu1, nu2):
             raise ValueError("gradient shape does not match its weights")
     l1 = 0.0
     l2 = 0.0
-    for w, grad in zip(weights, grads):
-        for index, order, (sign, penalty) in _slices(w, 2):
-            ws, gs = w[index], grad[index]
-            np.sign(ws, out=sign)
-            flat = ws.ravel(order)
-            l1 += float(np.vdot(sign.ravel(order), flat))
-            l2 += float(np.vdot(flat, flat))
-            sign *= nu1
-            np.multiply(ws, 2.0 * nu2, out=penalty)
-            sign += penalty
-            gs += sign
+    for ws, gs, sign, penalty in _flat_chunks(zip(weights, grads), 2):
+        np.sign(ws, out=sign)
+        l1 += float(np.vdot(sign, ws))
+        l2 += float(np.vdot(ws, ws))
+        sign *= nu1
+        np.multiply(ws, 2.0 * nu2, out=penalty)
+        sign += penalty
+        gs += sign
     return l1, l2
 
 
@@ -194,8 +183,10 @@ def nesterov_step(params, grads, state):
 
     v <- mu*v - lr_t*g and p <- p + mu*v - lr_t*g with
     lr_t = base_lr / (1 + decay*step_count); momentum 0 reduces to plain SGD.
-    Each array is updated one cache-sized slice at a time, through views, so
-    non-contiguous parameters and velocities are updated in place too.
+    Each parameter, its gradient and its velocity must share their shape and
+    be all C- or all F-contiguous; they are updated one cache-sized chunk of
+    flat memory at a time.  Any mismatch raises ValueError before an array
+    is written.
     """
     if len(params) != len(grads) or len(params) != len(state.velocities):
         raise ValueError("params, grads and velocities must align")
@@ -204,14 +195,12 @@ def nesterov_step(params, grads, state):
             raise ValueError("parameter, gradient and velocity shapes differ")
     lr = state.learning_rate()
     mu = state.momentum
-    for p, g, v in zip(params, grads, state.velocities):
-        for index, _, (step, push) in _slices(p, 2):
-            ps, vs = p[index], v[index]
-            np.multiply(g[index], lr, out=step)
-            vs *= mu
-            vs -= step
-            np.multiply(vs, mu, out=push)
-            ps += push
-            ps -= step
+    for ps, gs, vs, step, push in _flat_chunks(zip(params, grads, state.velocities), 2):
+        np.multiply(gs, lr, out=step)
+        vs *= mu
+        vs -= step
+        np.multiply(vs, mu, out=push)
+        ps += push
+        ps -= step
     state.step_count += 1
     return params, state

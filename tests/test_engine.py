@@ -221,9 +221,15 @@ def test_restored_checkpoint_continues_the_run_bit_for_bit(tmp_path):
     config = RunConfig(hyper=hyper, hidden_sizes=(24, 8), growth_noise=1e-4)
     series = run_method(graphs, config)
     assert [g is not None for g in series.growth] == [False, True, False, True, False, False]
+    # every stored model is the one its step trained: a later step that
+    # trained it in place would change what it embeds
+    retrained = run_method(graphs, replace(config, method="sdne_retrain"))
+    for run in (series, retrained):
+        for t, snap in enumerate(graphs):
+            np.testing.assert_array_equal(embed(run.checkpoints[t], snap), run.embeddings[t])
     for t in range(len(graphs) - 1):
         path = save_checkpoint(series.checkpoints[t], tmp_path / f"checkpoint_{t:04d}.npz")
-        step = engine._Step(series.embeddings[t], 0, [], params=load_checkpoint(path))
+        step = engine._Step(series.embeddings[t], 0, [], checkpoint=load_checkpoint(path))
         for later in range(t + 1, len(graphs)):
             step = engine._autoencoder_step(graphs[later], config, later, step)
             np.testing.assert_array_equal(step.embedding, series.embeddings[later])

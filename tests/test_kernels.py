@@ -1,4 +1,5 @@
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -326,6 +327,39 @@ def test_a_failed_build_or_load_falls_back_with_a_warning(package_copy):
     assert "RuntimeWarning" in result.stderr and "error" in result.stderr, result.stderr
     assert "_libkernels.c" in result.stderr
     assert not list(pkg.glob("**/_libkernels.*.so")) and not list(pkg.glob("**/*.tmp"))
+
+
+@needs_cc
+def test_a_failed_build_is_remembered_until_the_source_changes(package_copy, tmp_path):
+    pkg, run = package_copy
+    # a cc on PATH that logs each call, then runs the real compiler
+    shim, log = tmp_path / "shim", tmp_path / "cc.log"
+    shim.mkdir()
+    (shim / "cc").write_text(f"#!/bin/sh\necho cc >> {shlex.quote(str(log))}\n"
+                             f"exec {shlex.quote(shutil.which('cc'))} \"$@\"\n")
+    (shim / "cc").chmod(0o755)
+    path = f"{shim}{os.pathsep}{os.environ['PATH']}"
+    source = pkg / "_libkernels.c"
+    original = source.read_text(encoding="utf-8")
+    source.write_text(original + "int broken(void) { return }\n", encoding="utf-8")
+    first = run(REPORT, PATH=path)
+    assert first.stdout.strip() == "python", first.stderr
+    assert "RuntimeWarning" in first.stderr and "error" in first.stderr, first.stderr
+    (marker,) = (pkg / "__pycache__").glob("_libkernels.*.failed")
+    assert str(marker) in first.stderr and "error" in marker.read_text()
+    assert log.read_text().split() == ["cc"]
+    # a second process falls back without running the compiler or warning
+    second = run(REPORT, PATH=path)
+    assert second.returncode == 0 and second.stdout.strip() == "python", second.stderr
+    assert "Warning" not in second.stderr, second.stderr
+    assert log.read_text().split() == ["cc"]
+    # a source edit changes the key, so the build runs again; its success
+    # deletes the stale marker
+    source.write_text(original, encoding="utf-8")
+    third = run(REPORT, PATH=path)
+    assert third.stdout.strip() == "compiled", third.stderr
+    assert log.read_text().split() == ["cc", "cc"]
+    assert not list((pkg / "__pycache__").glob("_libkernels.*.failed"))
 
 
 @needs_cc

@@ -261,7 +261,8 @@ def test_sparse_and_dense_batches_agree(monkeypatch):
 
 def test_training_steps_on_a_sparse_batch_match_the_whole_array_oracle(monkeypatch):
     # C-ordered weights with a sparse batch: scipy hands back a column-major
-    # first-layer gradient, so the streamed passes meet two layouts at once
+    # first-layer gradient, which backward lays out like its weights, so the
+    # streamed passes see one layout per weight
     snap = random_snapshot(np.random.default_rng(8), 40, p=0.1)
     pick = np.random.default_rng(9).choice(snap.edge_count, 12, replace=False)
     _, sparse = _both_batches(monkeypatch, snap, snap.heads[pick], snap.tails[pick], snap.weights[pick])
@@ -275,8 +276,7 @@ def test_training_steps_on_a_sparse_batch_match_the_whole_array_oracle(monkeypat
     for step in range(4):
         lr = state.learning_rate()
         _, parts, (enc, dec) = loss_net_batch(params, sparse, hyper)
-        assert enc[0][0].flags.f_contiguous and not enc[0][0].flags.c_contiguous
-        assert params.encoder[0].weights.flags.c_contiguous
+        assert enc[0][0].flags.c_contiguous and params.encoder[0].weights.flags.c_contiguous
         nn.nesterov_step(flat, [g for pair in enc + dec for g in pair], state)
         # the oracle starts from the raw backprop gradients
         monkeypatch.setattr(nn, "regularizer_value_and_grads", lambda *args: (0.0, 0.0))

@@ -118,6 +118,24 @@ def test_backward_without_input_grad_keeps_weight_grads():
         np.testing.assert_array_equal(gb, sb)
 
 
+def test_weight_gradients_take_their_weights_layout():
+    # scipy's sparse product returns a column-major gradient and numpy's
+    # dense one a row-major gradient; each is laid out like its weights
+    from scipy.sparse import csr_array
+
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((6, 7)) * (rng.random((6, 7)) < 0.3)
+    c = rng.standard_normal((6, 3))
+    for order, first_input in (("C", csr_array(x)), ("F", x)):
+        layers = [LayerParams(np.asarray(rng.standard_normal((5, 7)), order=order), np.zeros(5)),
+                  LayerParams(rng.standard_normal((3, 5)), np.zeros(3))]
+        grads, _ = backward(layers, forward(layers, first_input), c, input_grad=False)
+        assert grads[0][0].flags[f"{order}_CONTIGUOUS"], order
+        assert grads[1][0].flags.c_contiguous, order
+        dense, _ = backward(layers, forward(layers, x), c, input_grad=False)
+        np.testing.assert_allclose(grads[0][0], dense[0][0], rtol=1e-12, atol=1e-12)
+
+
 def test_backward_activation_mismatch():
     layer = LayerParams(np.eye(2), np.zeros(2))
     with pytest.raises(ValueError):
@@ -142,20 +160,22 @@ def test_regularizer_hand_case():
         regularizer_value_and_grads([layer, layer], [np.zeros((2, 2))], 0.1, 0.0)
 
 
-WIDE = SLICE_ELEMENTS + 5  # one row (or column) longer than a whole slice
+WIDE = SLICE_ELEMENTS + 5  # one row (or column) longer than a whole chunk
 
 # Each case: per layer (weight shape, weight order, gradient order), then
-# momentum, nu1, nu2.  The shapes span several slices.
+# momentum, nu1, nu2.  The shapes span several chunks.
 ORACLE_CASES = {
     "row_major": ([((300, 250), "C", "C"), ((250, 40), "C", "C")], 0.9, 1e-3, 2e-3),
     "column_major": ([((300, 250), "F", "F"), ((250, 40), "F", "F")], 0.9, 1e-3, 2e-3),
-    "gradient_layout_differs": ([((300, 250), "C", "F"), ((250, 300), "F", "C")], 0.9, 1e-3, 2e-3),
-    "rows_wider_than_a_slice": ([((3, WIDE), "C", "C"), ((WIDE, 3), "F", "F"), ((2, WIDE), "C", "F")],
+    "rows_wider_than_a_slice": ([((3, WIDE), "C", "C"), ((WIDE, 3), "F", "F"), ((2, WIDE), "C", "C")],
                                 0.9, 1e-3, 2e-3),
+    # just above 1.5 and 2.5 chunks: two and three chunks of uneven length
+    "uneven_chunks": ([((1, 3 * SLICE_ELEMENTS // 2 + 7), "C", "C"),
+                       ((5 * SLICE_ELEMENTS // 2 + 3, 1), "F", "F")], 0.9, 1e-3, 2e-3),
     "momentum_zero": ([((300, 250), "C", "C"), ((250, 300), "F", "F")], 0.0, 1e-3, 2e-3),
     "no_penalty": ([((300, 250), "C", "C"), ((250, 300), "F", "F")], 0.9, 0.0, 0.0),
-    # every array fits in one slice
-    "single_slice": ([((128, 64), "C", "C"), ((64, 128), "F", "F"), ((32, 64), "C", "F"),
+    # every array fits in one chunk; a single row is both C- and F-contiguous
+    "single_slice": ([((128, 64), "C", "C"), ((64, 128), "F", "F"), ((32, 64), "F", "F"),
                       ((1, SLICE_ELEMENTS), "F", "C")], 0.9, 1e-3, 2e-3),
 }
 
@@ -191,63 +211,51 @@ def test_streamed_passes_match_the_whole_array_oracle(case):
         assert layer.weights.flags[f"{w_order}_CONTIGUOUS"]
 
 
-def test_nesterov_updates_non_contiguous_arrays_in_place():
-    for rows in (200, 20):  # several slices, and a single one
-        rng = np.random.default_rng(6)
-        base = rng.standard_normal((rows, 400))
-        grads = rng.standard_normal((rows, 400))
-        expected = base.copy()
-        p = base[:, ::2]  # neither row- nor column-major: ravel would copy it
-        assert not (p.flags.c_contiguous or p.flags.f_contiguous)
-        v = np.zeros((rows, 400))[::-1, ::2]
-        state = OptimizerState([v], base_lr=0.1, momentum=0.9)
-        for _ in range(3):
-            nesterov_step([p], [grads[:, ::2]], state)
-        expected_v = np.zeros((rows, 200))
-        for _ in range(3):
-            step = 0.1 * grads[:, ::2]
-            expected_v *= 0.9
-            expected_v -= step
-            expected[:, ::2] += 0.9 * expected_v
-            expected[:, ::2] -= step
-        assert np.array_equal(base, expected), rows
-        assert np.array_equal(state.velocities[0], expected_v), rows
+def test_passes_reject_arrays_of_another_layout_before_writing_any():
+    # a gradient or a velocity in the other layout, or a non-contiguous
+    # parameter, raises ValueError and leaves every array as it was; the
+    # first pair or triple is valid, so a pass that wrote as it checked
+    # would have changed it
+    rng = np.random.default_rng(6)
+    good = [rng.standard_normal((20, 30)) for _ in range(3)]
+    base = rng.standard_normal((20, 60))
+    cases = {
+        "gradient": (rng.standard_normal((20, 30)), np.asfortranarray(rng.standard_normal((20, 30))),
+                     rng.standard_normal((20, 30))),
+        "velocity": (rng.standard_normal((20, 30)), rng.standard_normal((20, 30)),
+                     np.asfortranarray(rng.standard_normal((20, 30)))),
+        "parameter": (base[:, ::2], rng.standard_normal((20, 30)), rng.standard_normal((20, 30))),
+    }
+    for name, (p, g, v) in cases.items():
+        assert not (p.flags.c_contiguous and g.flags.c_contiguous and v.flags.c_contiguous)
+        arrays = good + [p, g, v]
+        before = [a.copy() for a in arrays]
+        state = OptimizerState([good[2], v], base_lr=0.1, momentum=0.9)
+        with pytest.raises(ValueError):
+            nesterov_step([good[0], p], [good[1], g], state)
+        assert state.step_count == 0, name
+        if name != "velocity":
+            layers = [LayerParams(good[0], np.zeros(20)), LayerParams(p, np.zeros(20))]
+            with pytest.raises(ValueError):
+                regularizer_value_and_grads(layers, [good[1], g], 1e-3, 2e-3)
+        for a, b in zip(arrays, before):
+            assert np.array_equal(a, b), name
 
 
-def test_scratch_slices_take_their_arrays_layout():
-    for shape, order in (((300, 250), "C"), ((300, 250), "F"), ((70000,), "C")):
+def test_chunks_cover_each_array_once_and_stay_under_one_and_a_half_slices():
+    shapes = [((128, 300), "C"), ((300, 250), "F"), ((3, WIDE), "C"), ((70000,), "C"),
+              ((3 * SLICE_ELEMENTS // 2 + 1,), "C"), ((0, 4), "C")]
+    for shape, order in shapes:
         a = np.zeros(shape, order=order)
-        slices = list(nn._slices(a, 2))
-        assert len(slices) > 1
-        covered = np.zeros(shape, dtype=int)
-        for index, got_order, buffers in slices:
-            view = a[index]
-            assert got_order == order and view.flags[f"{order}_CONTIGUOUS"]
-            assert view.size < SLICE_ELEMENTS * 3 // 2  # a short tail joins the slice before it
-            for buffer in buffers:
-                assert buffer.shape == view.shape and buffer.flags[f"{order}_CONTIGUOUS"]
-            covered[index] += 1
-        assert (covered == 1).all()
-
-
-def test_scratch_covers_a_row_wider_than_a_slice():
-    # one row (column) per slice, and the buffers hold a whole one
-    for a in (np.zeros((3, WIDE)), np.zeros((WIDE, 3), order="F")):
-        slices = list(nn._slices(a, 1))
-        assert len(slices) == 3
-        for index, _, (buffer,) in slices:
-            assert a[index].size == WIDE and buffer.shape == a[index].shape
-
-
-def test_a_short_tail_joins_the_slice_before_it():
-    # 128x300: a slice holds 109 rows, so the 19-row tail joins it; in
-    # 170x300 the 61-row tail is kept, and the buffers fit the largest slice
-    for rows, expected in ((128, [128]), (170, [109, 61]), (240, [109, 131])):
-        a = np.zeros((rows, 300))
-        slices = list(nn._slices(a, 1))
-        assert [a[index].shape[0] for index, _, _ in slices] == expected, rows
-        for index, _, (buffer,) in slices:
-            assert buffer.shape == a[index].shape
+        chunks = list(nn._flat_chunks([(a,)], 2))
+        for view, *buffers in chunks:
+            assert 0 < view.size < SLICE_ELEMENTS * 3 // 2 or a.size == 0, shape
+            assert all(buffer.shape == view.shape for buffer in buffers), shape
+            view += 1
+        assert (a == 1).all(), shape
+        assert len(chunks) == max(1, round(a.size / SLICE_ELEMENTS)), shape
+    # the desk model's 128x300 weights run as one chunk
+    assert len(list(nn._flat_chunks([(np.zeros((128, 300)),)], 0))) == 1
 
 
 def test_nesterov_two_step_hand_case():

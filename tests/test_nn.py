@@ -242,20 +242,51 @@ def test_passes_reject_arrays_of_another_layout_before_writing_any():
             assert np.array_equal(a, b), name
 
 
-def test_chunks_cover_each_array_once_and_stay_under_one_and_a_half_slices():
-    shapes = [((128, 300), "C"), ((300, 250), "F"), ((3, WIDE), "C"), ((70000,), "C"),
-              ((3 * SLICE_ELEMENTS // 2 + 1,), "C"), ((0, 4), "C")]
-    for shape, order in shapes:
+def _chunks_cover_once(a, scratch):
+    """Chunk ``a`` alone; check that the chunks are views of its memory, each
+    under 1.5 slices with buffers of its length, and that together they cover
+    every element exactly once.  Returns the chunk lengths."""
+    chunks = list(nn._flat_chunks([(a,)], scratch))
+    for view, *buffers in chunks:
+        assert view.base is not None and np.shares_memory(view, a) or a.size == 0, a.shape
+        assert 0 < view.size < SLICE_ELEMENTS * 3 // 2 or a.size == 0, a.shape
+        assert len(buffers) == scratch and all(b.shape == view.shape for b in buffers), a.shape
+        view += 1
+    assert (a == 1).all(), a.shape
+    assert len(chunks) == max(1, round(a.size / SLICE_ELEMENTS)), a.shape
+    return [view.size for view, *_ in chunks]
+
+
+def test_scratch_slices_take_their_arrays_layout():
+    # chunks walk each array's own memory order, C or F, and come with
+    # scratch buffers of their length
+    for shape, order in (((300, 250), "C"), ((300, 250), "F"), ((70000,), "C"), ((0, 4), "C")):
         a = np.zeros(shape, order=order)
-        chunks = list(nn._flat_chunks([(a,)], 2))
-        for view, *buffers in chunks:
-            assert 0 < view.size < SLICE_ELEMENTS * 3 // 2 or a.size == 0, shape
-            assert all(buffer.shape == view.shape for buffer in buffers), shape
-            view += 1
-        assert (a == 1).all(), shape
-        assert len(chunks) == max(1, round(a.size / SLICE_ELEMENTS)), shape
-    # the desk model's 128x300 weights run as one chunk
-    assert len(list(nn._flat_chunks([(np.zeros((128, 300)),)], 0))) == 1
+        sizes = _chunks_cover_once(a, 2)
+        assert len(sizes) > 1 or a.size == 0, shape
+    # a pair in one layout is cut at the same flat positions, element for element
+    w = np.asfortranarray(np.arange(300 * 250, dtype=float).reshape(300, 250))
+    g = np.asfortranarray(-w)
+    for ws, gs in nn._flat_chunks([(w, g)], 0):
+        assert np.array_equal(ws, -gs)
+
+
+def test_scratch_covers_a_row_wider_than_a_slice():
+    # a row (column) longer than a chunk is cut inside it: chunks follow
+    # flat memory, not rows
+    for a in (np.zeros((3, WIDE)), np.zeros((WIDE, 3), order="F")):
+        sizes = _chunks_cover_once(a, 1)
+        assert sizes == [WIDE] * 3, a.shape
+
+
+def test_a_short_tail_joins_the_slice_before_it():
+    # 128x300 (38,400 elements, under 1.5 slices) runs as one chunk; larger
+    # arrays split into near-equal chunks instead of a full one and a tail
+    for rows, expected in ((128, [38400]), (170, [25500, 25500]), (240, [36000, 36000])):
+        assert _chunks_cover_once(np.zeros((rows, 300)), 1) == expected, rows
+    # just above 1.5 slices: two chunks whose lengths differ by one
+    n = 3 * SLICE_ELEMENTS // 2 + 1
+    assert _chunks_cover_once(np.zeros(n), 2) == [n // 2, n - n // 2]
 
 
 def test_nesterov_two_step_hand_case():

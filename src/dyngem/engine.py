@@ -124,15 +124,14 @@ def _drive(method, series, config, step, warm):
 
 
 def _grow(params, snap, config, t):
-    """``(params, growth record)``: the model widened by a PropSize plan
-    when the node set expanded, else as it is with a None record."""
+    """Grow ``params`` in place by a PropSize plan when the node set expanded.
+    Returns ``(params, growth record)``, the record None when nothing grew."""
     if snap.node_count <= params.n:
         return params, None
     hyper = config.hyper
     plan = propsize_plan(params.encoder_sizes[:-1], snap.node_count, hyper.rho, hyper.d)
-    params, applied = apply_plan(
-        params, plan, config.growth_noise, _step_seed(hyper.seed, t, _SALT_GROW)
-    )
+    seed = _step_seed(hyper.seed, t, _SALT_GROW)
+    params, applied = apply_plan(params, plan, config.growth_noise, seed)
     return params, {"plan": plan.to_dict(), "applied": applied}
 
 
@@ -251,15 +250,18 @@ def _gf_step(snap, config, t, prev):
     return _Step(y, config.gf_iters * snap.edge_count, trace)
 
 
-def run_gf(series, config, warm_start=False):
+def run_gf(series, config):
     """Graph factorization baseline: per-edge SGD on
     ``sum (s_ij - <y_i, y_j>)^2 + gf_lambda * ||Y||_F^2``.
 
-    ``warm_start`` initializes each step from the previous embedding (new
-    nodes random); otherwise every step starts from a fresh seeded init.
-    The evaluation pair score is the inner product.
+    ``config.method`` picks the start: ``gf_init`` warm-starts each step from
+    the previous embedding (new nodes random), ``gf`` and ``gf_align`` start
+    each from a fresh seeded init (``run_method`` aligns ``gf_align``).  The
+    evaluation pair score is the inner product.
     """
-    return _drive("gf_init" if warm_start else "gf", series, config, _gf_step, warm_start)
+    if not config.method.startswith("gf"):
+        raise ConfigError(f"run_gf needs a gf method, got {config.method!r}")
+    return _drive(config.method, series, config, _gf_step, config.method == "gf_init")
 
 
 def run_method(series, config):
@@ -269,11 +271,11 @@ def run_method(series, config):
     rotate each step onto the previous one, charging each its own time."""
     method = config.method
     if method.startswith("gf"):
-        out = run_gf(series, config, warm_start=method == "gf_init")
+        out = run_gf(series, config)
     else:
         out = _drive(method, series, config, _autoencoder_step, warm=method == "dyngem")
     if not method.endswith("_align"):
         return out
     aligned, _, align_seconds = align_series(out.embeddings)
     seconds = [s + a for s, a in zip(out.seconds, align_seconds)]
-    return replace(out, method=method, embeddings=aligned, seconds=seconds)
+    return replace(out, embeddings=aligned, seconds=seconds)

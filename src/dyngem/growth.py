@@ -1,5 +1,6 @@
 """Function-preserving model growth: width planning for growing graphs plus
-the layer transforms that widen, deepen, and extend the autoencoder."""
+the layer transforms that widen, deepen, and extend the autoencoder.  The
+transforms edit the model they are given: to keep it, grow a copy."""
 
 from __future__ import annotations
 
@@ -97,28 +98,22 @@ def propsize_plan(current_encoder_sizes, new_n, rho, d):
 
 def _side_layers(params, side):
     if side == "enc":
-        return list(params.encoder)
+        return params.encoder
     if side == "dec":
-        return list(params.decoder)
+        return params.decoder
     raise ValueError(f"side must be 'enc' or 'dec', got {side!r}")
 
 
-def _rebuild(params, side, layers):
-    if side == "enc":
-        return AutoencoderParams(layers, [l.copy() for l in params.decoder])
-    return AutoencoderParams([l.copy() for l in params.encoder], layers)
-
-
 def net2wider(params, side, layer, new_width, noise_scale=0.0, seed=0):
-    """Widen one hidden layer by unit replication, preserving the function.
+    """Widen one hidden layer in place by unit replication, keeping the function.
 
     New units copy a random existing unit's incoming weights and bias; every
     outgoing weight of a replicated unit is divided by its replication count,
     so with ``noise_scale == 0`` the network output is unchanged.  Noise, if
     any, perturbs only the copied incoming weights.  The side's last layer
     (the embedding, or the reconstruction output) cannot be widened.
-    Returns ``(new_params, mapping)``; ``mapping[u]`` is the original unit
-    that new unit ``old_width + u`` copies.
+    Returns ``mapping``: new unit ``old_width + u`` copies unit ``mapping[u]``.
+    Only the widened layer and the next one are replaced.
     """
     layers = _side_layers(params, side)
     if not (1 <= layer <= len(layers) - 1):
@@ -132,7 +127,7 @@ def net2wider(params, side, layer, new_width, noise_scale=0.0, seed=0):
     rng = np.random.default_rng(seed)
     mapping = rng.integers(0, old_width, size=new_width - old_width)
     if new_width == old_width:
-        return params.copy(), mapping
+        return mapping
     new_rows = target.weights[mapping]
     if noise_scale:
         new_rows = new_rows + rng.uniform(-noise_scale, noise_scale, new_rows.shape)
@@ -147,14 +142,13 @@ def net2wider(params, side, layer, new_width, noise_scale=0.0, seed=0):
     # take, unlike [:, group_of], keeps the weights row-major like every
     # other layer, so a copy or a checkpoint trains to the same bits
     scaled = nxt.weights.take(group_of, axis=1) / counts[group_of]
-    layers = [l.copy() for l in layers]
     layers[layer - 1] = widened
-    layers[layer] = LayerParams(scaled, nxt.bias.copy())
-    return _rebuild(params, side, layers), mapping
+    layers[layer] = LayerParams(scaled, nxt.bias)
+    return mapping
 
 
 def net2deeper(params, side, position):
-    """Insert an identity layer (W = I, b = 0) at a 0-based list position.
+    """Insert an identity layer (W = I, b = 0) in place at a 0-based position.
 
     Inputs to the inserted layer are post-ReLU and therefore non-negative,
     so relu(I x) = x and the function is preserved exactly.  Inserting at
@@ -165,13 +159,11 @@ def net2deeper(params, side, position):
     if not (lo <= position <= len(layers) - 1):
         raise ValueError(f"position must lie in [{lo}, {len(layers) - 1}] for side {side!r}")
     width = layers[position].in_dim
-    layers = [l.copy() for l in layers]
     layers.insert(position, LayerParams(np.eye(width), np.zeros(width)))
-    return _rebuild(params, side, layers)
 
 
 def expand_input_output(params, new_n, seed=0):
-    """Grow the input and output widths to ``new_n`` for a larger node set.
+    """Grow the input and output widths in place to ``new_n`` (more nodes).
 
     The first encoder layer gains input columns and the last decoder layer
     gains output rows and bias entries, all drawn uniformly from ``[-b, b]``
@@ -182,29 +174,26 @@ def expand_input_output(params, new_n, seed=0):
     if new_n < params.n:
         raise ValueError("cannot shrink the input width")
     if new_n == params.n:
-        return params.copy()
+        return
     rng = np.random.default_rng(seed)
     extra = new_n - params.n
 
     first = params.encoder[0]
     bound_in = np.sqrt(6.0 / (new_n + first.out_dim))
     new_cols = rng.uniform(-bound_in, bound_in, (first.out_dim, extra))
-    encoder = [l.copy() for l in params.encoder]
-    encoder[0] = LayerParams(np.hstack([first.weights, new_cols]), first.bias.copy())
+    params.encoder[0] = LayerParams(np.hstack([first.weights, new_cols]), first.bias)
 
     last = params.decoder[-1]
     bound_out = np.sqrt(6.0 / (last.in_dim + new_n))
     new_rows = rng.uniform(-bound_out, bound_out, (extra, last.in_dim))
     new_bias = rng.uniform(-bound_out, bound_out, extra)
-    decoder = [l.copy() for l in params.decoder]
-    decoder[-1] = LayerParams(
+    params.decoder[-1] = LayerParams(
         np.vstack([last.weights, new_rows]), np.concatenate([last.bias, new_bias])
     )
-    return AutoencoderParams(encoder, decoder)
 
 
 def _push_inserted(params, side, position, width):
-    """Insert a narrower-than-incoming layer without changing the function.
+    """Insert a narrower-than-incoming layer in place, keeping the function.
 
     Keeping the displaced layer's weights and feeding them through a narrower
     identity cannot be exact (the identity would need rank above its width),
@@ -219,14 +208,11 @@ def _push_inserted(params, side, position, width):
     if width < nxt.out_dim:
         raise ValueError("inserted width below the downstream output width")
     pad = width - nxt.out_dim
-    pushed = LayerParams(
+    layers[position] = LayerParams(
         np.vstack([nxt.weights, np.zeros((pad, nxt.in_dim))]),
         np.concatenate([nxt.bias, np.zeros(pad)]),
     )
-    layers = [l.copy() for l in layers]
-    layers[position] = pushed
     layers.insert(position + 1, LayerParams(np.eye(width)[: nxt.out_dim], np.zeros(nxt.out_dim)))
-    return _rebuild(params, side, layers)
 
 
 def _op_seed(seed, counter):
@@ -234,35 +220,34 @@ def _op_seed(seed, counter):
 
 
 def apply_plan(params, plan, noise_scale=0.0, seed=0):
-    """Apply a growth plan: input/output expansion, then deepen, then widen.
+    """Apply a growth plan in place: input/output expansion, deepen, widen.
 
     Deepen ops at or above the incoming width insert a square identity and
     widen it to the planned width; below the incoming width the displaced
     layer's weights are pushed into the insert.  Either way the outputs on
-    old coordinates are unchanged.  Returns ``(new_params, report)`` where
-    the report lists every applied op with its replication mapping, ready
-    for serialization.
+    old coordinates are unchanged, and layers no op touches keep their arrays.
+    Returns ``(params, report)``, ``params`` itself plus every applied op with
+    its replication mapping, ready for serialization.  A plan that does not
+    fit raises ``ValueError`` and may leave ``params`` partly grown.
     """
     report = []
     counter = 0
-    out = params
     new_n = plan.encoder_sizes[0]
     if new_n > params.n:
-        out = expand_input_output(out, new_n, seed=_op_seed(seed, counter))
         report.append({"op": "expand", "old_n": params.n, "new_n": int(new_n)})
+        expand_input_output(params, new_n, seed=_op_seed(seed, counter))
         counter += 1
 
     for side, position, width in plan.deepen_ops:
-        incoming = _side_layers(out, side)[position].in_dim
+        incoming = _side_layers(params, side)[position].in_dim
         if width >= incoming:
-            out = net2deeper(out, side, position)
+            net2deeper(params, side, position)
             construction = "identity"
             if width > incoming:
-                op_seed = _op_seed(seed, counter)
-                out, _ = net2wider(out, side, position + 1, width, noise_scale, op_seed)
+                net2wider(params, side, position + 1, width, noise_scale, _op_seed(seed, counter))
                 construction = "identity_then_widen"
         else:
-            out = _push_inserted(out, side, position, width)
+            _push_inserted(params, side, position, width)
             construction = "weight_push"
         report.append(
             {
@@ -276,7 +261,7 @@ def apply_plan(params, plan, noise_scale=0.0, seed=0):
         counter += 1
 
     for side, layer, old_width, new_width in plan.widen_ops:
-        out, mapping = net2wider(out, side, layer, new_width, noise_scale, _op_seed(seed, counter))
+        mapping = net2wider(params, side, layer, new_width, noise_scale, _op_seed(seed, counter))
         report.append(
             {
                 "op": "widen",
@@ -289,6 +274,7 @@ def apply_plan(params, plan, noise_scale=0.0, seed=0):
         )
         counter += 1
 
-    if out.encoder_sizes != tuple(plan.encoder_sizes) or out.decoder_sizes != tuple(plan.decoder_sizes):
+    AutoencoderParams(params.encoder, params.decoder)  # validates the grown chain
+    if params.encoder_sizes != tuple(plan.encoder_sizes) or params.decoder_sizes != tuple(plan.decoder_sizes):
         raise ValueError("applied sizes do not match the plan")
-    return out, report
+    return params, report

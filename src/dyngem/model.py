@@ -73,9 +73,9 @@ class Hyperparameters:
 class AutoencoderParams:
     """Encoder and decoder layer stacks; the decoder mirrors the encoder.
 
-    Individual growth transforms may leave the two sides transiently
-    unmirrored; construction only enforces a consistent dimension chain,
-    and every complete growth plan restores the full symmetry.
+    Growth transforms edit the stacks in place and may leave them transiently
+    unmirrored; construction enforces only a consistent dimension chain, and
+    ``apply_plan`` checks that chain, now mirrored, after its last transform.
     """
 
     encoder: list

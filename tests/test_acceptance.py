@@ -103,8 +103,11 @@ def test_02_growth_transforms_preserve_outputs():
     params = build_autoencoder(100, (60,), 5, seed=3)
     x = rng.uniform(0.0, 1.0, (100, 100))
     base = _outputs(params, x)
-    err_wide = float(np.max(np.abs(_outputs(net2wider(params, "enc", 1, 80)[0], x) - base)))
-    err_deep = float(np.max(np.abs(_outputs(net2deeper(params, "enc", 1), x) - base)))
+    wider, deeper = params.copy(), params.copy()
+    net2wider(wider, "enc", 1, 80)
+    net2deeper(deeper, "enc", 1)
+    err_wide = float(np.max(np.abs(_outputs(wider, x) - base)))
+    err_deep = float(np.max(np.abs(_outputs(deeper, x) - base)))
     # the grown net sees the old inputs zero-extended to the new node count
     plan = propsize_plan((100, 60), 140, 0.3, 5)
     assert plan.deepen_ops, "the plan must exercise layer insertion"

@@ -299,15 +299,17 @@ def test_align_series_handles_growing_rows():
 
 def test_gf_objective_decreases_and_warm_start_differs():
     graphs = _series(seed=6)
-    config = _small_config(seed=6)
-    cold = run_gf(graphs, config, warm_start=False)
+    config = _small_config(seed=6, method="gf")
+    cold = run_gf(graphs, config)
+    assert cold.method == "gf"
     for trace in cold.traces:
         assert trace[-1] < trace[0]
-    warm = run_gf(graphs, config, warm_start=True)
+    warm = run_gf(graphs, replace(config, method="gf_init"))
+    assert warm.method == "gf_init"
     np.testing.assert_array_equal(cold.embeddings[0], warm.embeddings[0])
     assert not np.array_equal(cold.embeddings[1], warm.embeddings[1])
     assert cold.iterations[0] == config.gf_iters * graphs[0].edge_count
-    again = run_gf(graphs, config, warm_start=False)
+    again = run_gf(graphs, config)
     for a, b in zip(cold.embeddings, again.embeddings):
         np.testing.assert_array_equal(a, b)
 
@@ -315,7 +317,13 @@ def test_gf_objective_decreases_and_warm_start_differs():
 def test_gf_rejects_empty_snapshot():
     empty = DynamicGraph([GraphSnapshot(5)])
     with pytest.raises(ValueError):
-        run_gf(empty, _small_config())
+        run_gf(empty, _small_config(method="gf"))
+
+
+def test_gf_rejects_an_autoencoder_method():
+    # a dyngem config run as factorization would write a GF series under the wrong name
+    with pytest.raises(ConfigError, match="gf method"):
+        run_gf(_series(seed=6), _small_config())
 
 
 def test_run_method_dispatch():

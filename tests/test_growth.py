@@ -19,6 +19,20 @@ def _outputs(params, x):
     return nn.forward(params.decoder, nn.forward(params.encoder, x)[-1])[-1]
 
 
+def _widened(params, *args, **kwargs):
+    """A copy of ``params`` widened by net2wider, and the replication mapping."""
+    grown = params.copy()
+    return grown, net2wider(grown, *args, **kwargs)
+
+
+def _deepened(params, *positions):
+    """A copy of ``params`` with identity layers inserted into the encoder."""
+    grown = params.copy()
+    for position in positions:
+        net2deeper(grown, "enc", position)
+    return grown
+
+
 def test_propsize_widen_only_example():
     # raising the input to 2000 forces the first hidden to 600 = 0.3*2000
     plan = propsize_plan((1000, 500, 300), 2000, 0.3, 100)
@@ -104,8 +118,8 @@ def test_propsize_plan_properties():
 
 def test_widen_mapping_deterministic():
     params = build_autoencoder(10, (4, 3), 2, seed=1)
-    a, m1 = net2wider(params, "enc", 1, 7, seed=3)
-    b, m2 = net2wider(params, "enc", 1, 7, seed=3)
+    a, m1 = _widened(params, "enc", 1, 7, seed=3)
+    b, m2 = _widened(params, "enc", 1, 7, seed=3)
     np.testing.assert_array_equal(m1, m2)
     assert m1.size == 3
     assert np.all((m1 >= 0) & (m1 < 4))
@@ -118,7 +132,7 @@ def test_net2wider_preserves_function():
     params = build_autoencoder(10, (6, 4), 2, seed=1)
     x = np.random.default_rng(2).uniform(0, 1, (50, 10))
     before = _outputs(params, x)
-    wider, _ = net2wider(params, "enc", 1, 9, noise_scale=0.0, seed=5)
+    wider, _ = _widened(params, "enc", 1, 9, noise_scale=0.0, seed=5)
     assert wider.encoder_sizes == (10, 9, 4, 2)
     np.testing.assert_allclose(_outputs(wider, x), before, atol=1e-12)
     # replication structure: each new row copies an original row
@@ -131,7 +145,7 @@ def test_net2wider_splits_outgoing_weights():
     # find a seed whose mapping replicates unit 0 once: both columns get half
     params = build_autoencoder(4, (2,), 2, seed=0)
     wider, _ = next(
-        grown for grown in (net2wider(params, "enc", 1, 3, seed=s) for s in range(50))
+        grown for grown in (_widened(params, "enc", 1, 3, seed=s) for s in range(50))
         if grown[1].tolist() == [0]
     )
     old_col = params.encoder[1].weights[:, 0]
@@ -142,8 +156,8 @@ def test_net2wider_splits_outgoing_weights():
 
 def test_net2wider_noise_perturbs_only_new_rows():
     params = build_autoencoder(10, (6, 4), 2, seed=1)
-    a, mapping_a = net2wider(params, "enc", 1, 8, noise_scale=0.0, seed=9)
-    b, mapping_b = net2wider(params, "enc", 1, 8, noise_scale=1e-3, seed=9)
+    a, mapping_a = _widened(params, "enc", 1, 8, noise_scale=0.0, seed=9)
+    b, mapping_b = _widened(params, "enc", 1, 8, noise_scale=1e-3, seed=9)
     np.testing.assert_array_equal(mapping_a, mapping_b)
     np.testing.assert_array_equal(a.encoder[0].weights[:6], b.encoder[0].weights[:6])
     assert not np.array_equal(a.encoder[0].weights[6:], b.encoder[0].weights[6:])
@@ -151,7 +165,7 @@ def test_net2wider_noise_perturbs_only_new_rows():
 
 def test_net2wider_validation_and_identity():
     params = build_autoencoder(10, (6, 4), 2, seed=1)
-    same, mapping = net2wider(params, "enc", 1, 6)
+    same, mapping = _widened(params, "enc", 1, 6)
     assert same is not params
     assert mapping.size == 0
     np.testing.assert_array_equal(same.encoder[0].weights, params.encoder[0].weights)
@@ -167,7 +181,7 @@ def test_net2deeper_identity_insert_exact():
     params = build_autoencoder(10, (6, 4), 2, seed=3)
     x = np.random.default_rng(4).uniform(0, 1, (40, 10))
     before = _outputs(params, x)
-    deeper = net2deeper(params, "enc", 1)
+    deeper = _deepened(params, 1)
     assert deeper.encoder_sizes == (10, 6, 6, 4, 2)
     inserted = deeper.encoder[1]
     np.testing.assert_array_equal(inserted.weights, np.eye(6))
@@ -177,8 +191,8 @@ def test_net2deeper_identity_insert_exact():
 
 def test_net2deeper_insertions_commute():
     params = build_autoencoder(10, (6, 4), 2, seed=3)
-    a = net2deeper(net2deeper(params, "enc", 1), "enc", 3)
-    b = net2deeper(net2deeper(params, "enc", 2), "enc", 1)
+    a = _deepened(params, 1, 3)
+    b = _deepened(params, 2, 1)
     assert a.encoder_sizes == b.encoder_sizes
     for la, lb in zip(a.layers(), b.layers()):
         np.testing.assert_array_equal(la.weights, lb.weights)
@@ -198,7 +212,8 @@ def test_expand_input_output_old_coordinates_exact():
     params = build_autoencoder(10, (6, 4), 2, seed=5)
     x = np.random.default_rng(6).uniform(0, 1, (30, 10))
     before = _outputs(params, x)
-    bigger = expand_input_output(params, 14, seed=7)
+    bigger = params.copy()
+    expand_input_output(bigger, 14, seed=7)
     assert bigger.n == 14
     assert bigger.encoder_sizes == (14, 6, 4, 2)
     assert bigger.decoder_sizes == (2, 4, 6, 14)
@@ -209,13 +224,16 @@ def test_expand_input_output_old_coordinates_exact():
     np.testing.assert_allclose(
         nn.forward(bigger.encoder, xt)[-1], nn.forward(params.encoder, x)[-1], atol=1e-15
     )
-    assert expand_input_output(params, 10).n == 10
+    same = params.copy()
+    expand_input_output(same, 10)
+    assert same.n == 10
     with pytest.raises(ValueError):
         expand_input_output(params, 9)
 
 
 def test_expand_checkpoint_roundtrip(tmp_path):
-    params = expand_input_output(build_autoencoder(8, (5,), 2, seed=1), 12, seed=2)
+    params = build_autoencoder(8, (5,), 2, seed=1)
+    expand_input_output(params, 12, seed=2)
     loaded = load_checkpoint(save_checkpoint(params, tmp_path / "ck.npz"))
     for a, b in zip(params.layers(), loaded.layers()):
         np.testing.assert_array_equal(a.weights, b.weights)
@@ -225,7 +243,7 @@ def test_expand_checkpoint_roundtrip(tmp_path):
 def test_apply_plan_empty_is_identity():
     params = build_autoencoder(10, (6, 4), 2, seed=8)
     plan = propsize_plan(params.encoder_sizes[:-1], 10, 0.3, 2)
-    grown, report = apply_plan(params, plan)
+    grown, report = apply_plan(params.copy(), plan)
     assert report == []
     for a, b in zip(params.layers(), grown.layers()):
         np.testing.assert_array_equal(a.weights, b.weights)
@@ -271,11 +289,38 @@ def test_apply_plan_noise_changes_outputs_but_not_sizes():
     params = build_autoencoder(30, (20,), 4, seed=9)
     plan = propsize_plan((30, 20), 80, 0.4, 4)
     assert plan.widen_ops  # raising n to 80 forces the hidden layer wider
-    exact, _ = apply_plan(params, plan, noise_scale=0.0, seed=2)
-    noisy, _ = apply_plan(params, plan, noise_scale=1e-3, seed=2)
+    exact, _ = apply_plan(params.copy(), plan, noise_scale=0.0, seed=2)
+    noisy, _ = apply_plan(params.copy(), plan, noise_scale=1e-3, seed=2)
     assert noisy.encoder_sizes == exact.encoder_sizes
     x = np.hstack([np.random.default_rng(3).uniform(0, 1, (20, 30)), np.zeros((20, 50))])
     assert not np.array_equal(_outputs(noisy, x), _outputs(exact, x))
+
+
+def test_growth_edits_the_given_model_in_place():
+    # this plan widens encoder layer 1 and decoder layer 2 only, so the
+    # embedding layer and the first decoder layer are never touched
+    params = build_autoencoder(10, (6, 4), 2, seed=8)
+    untouched = [params.encoder[2], params.decoder[0]]
+    kept = [(layer.weights, layer.bias) for layer in untouched]
+    plan = propsize_plan((10, 6, 4), 30, 0.3, 2)
+    assert [op[:2] for op in plan.widen_ops] == [("enc", 1), ("dec", 2)] and not plan.deepen_ops
+    grown, _ = apply_plan(params, plan, seed=1)
+    assert grown is params and params.encoder_sizes == (30, 9, 4, 2)
+    for layer, (weights, bias) in zip([params.encoder[2], params.decoder[0]], kept):
+        assert layer.weights is weights and layer.bias is bias
+
+    # net2wider replaces the widened layer and the one it feeds, and no other
+    params = build_autoencoder(10, (6, 4), 2, seed=8)
+    before = params.layers()
+    net2wider(params, "enc", 1, 8, seed=3)
+    assert params.encoder_sizes == (10, 8, 4, 2)
+    for k, (old, new) in enumerate(zip(before, params.layers())):
+        if k not in (0, 1):
+            assert new.weights is old.weights and new.bias is old.bias
+    # at the layer's own width it replaces nothing
+    before = params.layers()
+    assert net2wider(params, "enc", 1, 8).size == 0
+    assert all(new is old for old, new in zip(before, params.layers()))
 
 
 def test_growth_plan_serialization():

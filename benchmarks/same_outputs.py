@@ -1,0 +1,99 @@
+"""Check that a change writes the same files as its parent, byte for byte.
+
+Run as::
+
+    python3 benchmarks/same_outputs.py --parent ../parent
+
+``--parent`` is a checkout of the parent commit and the change is this
+checkout, each with its own ``src/``.  For each workload of
+``perfbench/workloads.py`` the seed-0 series is built once, with that
+file's ``build_series``.  Then each checkout's CLI runs ``train`` on it with
+the workload's flags, the workload's ``eval`` commands and ``export``.
+Every file written is compared byte for byte, except that a manifest is
+compared without the keys that hold timings or the input path
+(``seconds``, ``total_seconds``, ``input``).  Each file that differs is
+printed, and the exit code is 1 when any does.  BLAS runs on one thread, as
+in the benchmark, because the thread count changes the summation order.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+os.environ.update({name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
+
+from workloads import WORKLOADS, build_series  # noqa: E402
+
+from dyngem.graph import save_series  # noqa: E402
+
+UNCOMPARED_KEYS = {"seconds", "total_seconds", "input"}
+
+
+def run_cli(checkout, *args):
+    args = [str(a) for a in args]
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    proc = subprocess.run([sys.executable, "-m", "dyngem.cli", *args], env=env,
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"{checkout}: dyngem {' '.join(args)} exited {proc.returncode}\n"
+                         f"{proc.stdout}{proc.stderr}")
+
+
+def write_outputs(checkout, workload, series_dir, out):
+    run = out / "run"
+    run_cli(checkout, "train", "--in", series_dir, "--out", run, *workload.train_args)
+    for kind in workload.evals:
+        run_cli(checkout, "eval", kind, "--run", run, "--data", series_dir, "--out", out / f"{kind}.json")
+    run_cli(checkout, "export", "--run", run, "--out", out / "export")
+
+
+def _compared_part(node):
+    if isinstance(node, dict):
+        return {k: _compared_part(v) for k, v in node.items() if k not in UNCOMPARED_KEYS}
+    if isinstance(node, list):
+        return [_compared_part(v) for v in node]
+    return node
+
+
+def comparable(path):
+    """The bytes of ``path``, or None when it is missing; a manifest without
+    its timings and input path."""
+    if not path.is_file():
+        return None
+    if path.name != "manifest.json":
+        return path.read_bytes()
+    return json.dumps(_compared_part(json.loads(path.read_text(encoding="utf-8"))), sort_keys=True)
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
+    parent = parser.parse_args().parent.resolve()
+    differing = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, workload in WORKLOADS.items():
+            work = Path(tmp) / name
+            save_series(build_series(workload.series, 0), work / "series")
+            write_outputs(parent, workload, work / "series", work / "parent")
+            write_outputs(ROOT, workload, work / "series", work / "change")
+            files = sorted({p.relative_to(side) for side in (work / "parent", work / "change")
+                            for p in side.rglob("*") if p.is_file()})
+            for rel in files:
+                if comparable(work / "parent" / rel) != comparable(work / "change" / rel):
+                    differing += 1
+                    print(f"{name}: {rel} differs")
+            print(f"{name}: compared {len(files)} files")
+    print("same outputs" if not differing else f"{differing} files differ")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

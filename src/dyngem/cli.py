@@ -217,11 +217,8 @@ def cmd_generate(nodes, communities, p_in, p_out, steps, migrate, edge_weight, s
     graph, labels = generate_sbm_series(config, seed)
     out = Path(output_dir)
     paths = save_series(graph, out)
-    with open(out / "labels.csv", "w", encoding="utf-8") as fh:
-        fh.write("step,node,community\n")
-        for t in range(labels.shape[0]):
-            for node in range(labels.shape[1]):
-                fh.write(f"{t},{node},{int(labels[t, node])}\n")
+    keys = [np.repeat(np.arange(steps), nodes), np.tile(np.arange(nodes), steps), labels.ravel()]
+    _write_csv(out / "labels.csv", "step,node,community", keys, np.empty((labels.size, 0)))
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "command": "generate",
@@ -242,37 +239,33 @@ def cmd_generate(nodes, communities, p_in, p_out, steps, migrate, edge_weight, s
     click.echo(f"wrote {len(paths)} snapshots to {out}")
 
 
-def _csv_values(row):
-    """One embedding row as comma-separated values that read back exactly."""
-    return ",".join(f"{v:.17g}" for v in row)
+def _write_csv(path, header, keys, values):
+    """Write ``header``, then one row per entry of the ``keys`` columns
+    (integers or external-id strings, as ``%s``) followed by that row of the
+    2-D ``values`` (as ``%.17g``, which reads back exactly).  The rows hold
+    Python objects, which carry string ids and format faster than numpy's."""
+    values = np.asarray(values, dtype=object)
+    rows = np.column_stack([np.asarray(k, dtype=object) for k in keys] + [values])
+    np.savetxt(path, rows, fmt=["%s"] * len(keys) + ["%.17g"] * values.shape[1], delimiter=",",
+               header=header, comments="", encoding="utf-8")
 
 
-def _write_embedding_csv(path, emb):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("node," + ",".join(f"y{k}" for k in range(1, emb.shape[1] + 1)) + "\n")
-        for node, row in enumerate(emb):
-            fh.write(f"{node},{_csv_values(row)}\n")
-
-
-def _read_embedding_csv(path):
+def _read_embedding_csv(path, rows):
+    """The embedding stored at ``path``, which must list nodes ``0..rows-1``
+    in order; C-contiguous like the array that was written."""
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split(",")
         if header[:1] != ["node"] or len(header) < 2:
             raise ParseError(f"{path}:1: expected 'node,y1,...' header")
-        rows = []
-        for lineno, raw in enumerate(fh, 2):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != len(header):
-                raise ParseError(f"{path}:{lineno}: expected {len(header)} fields")
-            try:
-                rows.append([float(v) for v in parts[1:]])
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: non-numeric embedding value") from None
-    emb = np.array(rows, dtype=np.float64).reshape(len(rows), len(header) - 1)
+        try:
+            table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError as exc:
+            raise ParseError(f"{path}: {exc}") from None
+    if table.shape != (rows, len(header)) or not np.array_equal(table[:, 0], np.arange(rows)):
+        raise ParseError(f"{path}: expected nodes 0..{rows - 1} in order, "
+                         f"each with {len(header) - 1} values, as manifest.json counts them")
+    emb = np.ascontiguousarray(table[:, 1:])
     if not np.isfinite(emb).all():
         raise FloatingPointError(f"{path}: embedding holds non-finite values")
     return emb
@@ -291,7 +284,8 @@ def _write_run(out_dir, input_dir, series, config, result):
     per_step = []
     for t, emb in enumerate(result.embeddings):
         emb_name = EMB_FMT.format(t)
-        _write_embedding_csv(out_dir / emb_name, emb)
+        header = "node" + "".join(f",y{k}" for k in range(1, emb.shape[1] + 1))
+        _write_csv(out_dir / emb_name, header, [np.arange(emb.shape[0])], emb)
         entry = {
             "step": t,
             "embedding": emb_name,
@@ -368,10 +362,16 @@ def _load_run(run_dir):
     steps = manifest.get("per_step")
     if not isinstance(steps, list) or not all(isinstance(e, dict) and "embedding" in e for e in steps):
         raise ConfigError(f"{manifest_path} needs a per_step list with an embedding per step")
+    if manifest.get("method") not in METHODS or not isinstance(manifest.get("config"), dict):
+        raise ConfigError(f"{manifest_path} needs a method out of {', '.join(METHODS)} and a config echo")
+    counts = manifest.get("node_counts")
+    if not (isinstance(counts, list) and len(counts) == len(steps)
+            and all(type(c) is int and c >= 0 for c in counts)):
+        raise ConfigError(f"{manifest_path} needs node_counts: one non-negative integer per step")
     embeddings = []
     checkpoints = []
-    for entry in steps:
-        embeddings.append(_read_embedding_csv(run_dir / entry["embedding"]))
+    for entry, count in zip(steps, counts):
+        embeddings.append(_read_embedding_csv(run_dir / entry["embedding"], count))
         name = entry.get("checkpoint")
         checkpoints.append(run_dir / name if name else None)
     return manifest, embeddings, checkpoints
@@ -557,25 +557,18 @@ def cmd_export(run_dir, output_dir, ids_path):
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     ext_of = _load_ids(ids_path) if ids_path else None
-    d = embeddings[0].shape[1]
-    with open(out / "embeddings.csv", "w", encoding="utf-8") as fh:
-        head = "t,node"
-        if ext_of is not None:
-            head += ",external_id"
-        fh.write(head + "," + ",".join(f"y{k}" for k in range(1, d + 1)) + "\n")
-        for t, emb in enumerate(embeddings):
-            for node, row in enumerate(emb):
-                prefix = f"{t},{node}"
-                if ext_of is not None:
-                    prefix += f",{ext_of.get(node, node)}"
-                fh.write(f"{prefix},{_csv_values(row)}\n")
-    deltas = metrics.anomaly_series(embeddings) if len(embeddings) > 1 else []
-    with open(out / "deltas.csv", "w", encoding="utf-8") as fh:
-        fh.write("step,delta\n")
-        for t, delta in enumerate(deltas):
-            fh.write(f"{t + 1},{delta:.17g}\n")
-    rows = sum(e.shape[0] for e in embeddings)
-    click.echo(f"exported {rows} embedding rows to {out}")
+    sizes = [e.shape[0] for e in embeddings]
+    nodes = np.concatenate([np.arange(n) for n in sizes])
+    keys = [np.repeat(np.arange(len(sizes)), sizes), nodes]
+    head = "t,node"
+    if ext_of is not None:
+        keys.append([ext_of.get(node, node) for node in nodes.tolist()])
+        head += ",external_id"
+    head += "".join(f",y{k}" for k in range(1, embeddings[0].shape[1] + 1))
+    _write_csv(out / "embeddings.csv", head, keys, np.concatenate(embeddings))
+    deltas = metrics.anomaly_series(embeddings) if len(embeddings) > 1 else np.empty(0)
+    _write_csv(out / "deltas.csv", "step,delta", [np.arange(1, deltas.size + 1)], deltas.reshape(-1, 1))
+    click.echo(f"exported {nodes.size} embedding rows to {out}")
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import dyngem
-from dyngem import kernels, model, nn
+from dyngem import cli, kernels, model, nn
 from dyngem.cli import main, retain_freed_memory
 from dyngem.errors import ConvergenceError
 
@@ -464,6 +464,91 @@ def test_eval_rejects_a_train_step_without_an_embedding(workspace, tmp_path):
     assert str(broken / "manifest.json") in result.output
     assert "embedding" in result.output
     assert not (tmp_path / "r.json").exists()
+
+
+# Each edit of an emb_<t>.csv's lines (header first) that eval and export must reject.
+BROKEN_EMBEDDINGS = {
+    "truncated": lambda lines: lines[:11],  # 10 of 30 rows kept
+    "out_of_order": lambda lines: [lines[0], lines[2], lines[1], *lines[3:]],
+    "extra_field": lambda lines: [*lines[:4], lines[4] + ",0.5", *lines[5:]],
+    "comment": lambda lines: [*lines[:5], "# a comment", *lines[5:]],
+    "non_numeric": lambda lines: [*lines[:6], lines[6].rsplit(",", 1)[0] + ",oops", *lines[7:]],
+}
+
+
+@pytest.mark.parametrize("edit", BROKEN_EMBEDDINGS.values(), ids=list(BROKEN_EMBEDDINGS))
+def test_eval_and_export_reject_an_embedding_that_disagrees_with_the_manifest(workspace, tmp_path, edit):
+    _, data, run = workspace
+    broken = tmp_path / "broken"
+    shutil.copytree(run, broken)
+    emb = broken / "emb_0000.csv"
+    emb.write_text("\n".join(edit(emb.read_text().splitlines())) + "\n")
+    report, export = tmp_path / "anomaly.json", tmp_path / "export"
+    for command in (["eval", "anomaly", "--data", str(data), "--out", str(report)],
+                    ["export", "--out", str(export)]):
+        result = _invoke([*command, "--run", str(broken)])
+        assert result.exit_code == 2, result.output
+        assert str(broken / "emb_0000.csv") in result.output
+    assert not report.exists() and not export.exists()
+
+
+def test_eval_and_export_reject_a_manifest_without_the_fields_they_read(workspace, tmp_path):
+    _, data, run = workspace
+    good = json.loads((run / "manifest.json").read_text())
+    broken = [
+        {k: v for k, v in good.items() if k != "method"},
+        dict(good, method="sdne_plus"),
+        dict(good, config=None),
+        {k: v for k, v in good.items() if k != "node_counts"},
+        dict(good, node_counts=[30, 30]),
+        dict(good, node_counts=[30, -1, 30]),
+    ]
+    for k, manifest in enumerate(broken):
+        bad = tmp_path / f"run{k}"
+        shutil.copytree(run, bad)
+        (bad / "manifest.json").write_text(json.dumps(manifest))
+        for command in (["eval", "stability", "--data", str(data), "--out", str(tmp_path / "s.json")],
+                        ["export", "--out", str(tmp_path / "export")]):
+            result = _invoke([*command, "--run", str(bad)])
+            assert result.exit_code == 2, result.output
+            assert str(bad / "manifest.json") in result.output
+    assert sorted(p.name for p in tmp_path.iterdir()) == [f"run{k}" for k in range(len(broken))]
+
+
+def test_csv_values_round_trip_and_export_layouts(workspace, tmp_path):
+    values = [-0.0, 5e-324, 1e-05, 0.1, 1 / 3, 1e16]
+    emb = np.array([values, values[::-1]])
+    path = tmp_path / "emb.csv"
+    cli._write_csv(path, "node,y1,y2,y3,y4,y5,y6", [np.arange(2)], emb)
+    assert path.read_text().splitlines() == [
+        "node,y1,y2,y3,y4,y5,y6",
+        "0," + ",".join(f"{v:.17g}" for v in values),
+        "1," + ",".join(f"{v:.17g}" for v in values[::-1]),
+    ]
+    back = cli._read_embedding_csv(path, 2)
+    assert back.flags.c_contiguous and back.tobytes() == emb.tobytes()
+    # a one-step run has no transitions, so deltas.csv is its header alone
+    _, _, run = workspace
+    one = tmp_path / "one"
+    shutil.copytree(run, one)
+    manifest = json.loads((one / "manifest.json").read_text())
+    manifest.update(per_step=manifest["per_step"][:1], node_counts=manifest["node_counts"][:1])
+    (one / "manifest.json").write_text(json.dumps(manifest))
+    result = _invoke(["export", "--run", str(one), "--out", str(tmp_path / "one_export")])
+    assert result.exit_code == 0, result.output
+    assert (tmp_path / "one_export" / "deltas.csv").read_text() == "step,delta\n"
+    # nodes missing from the ids file keep their internal index
+    ids = tmp_path / "ids.csv"
+    ids.write_text("external,internal\n" + "".join(f"host{i:02d},{i}\n" for i in range(20)))
+    result = _invoke(["export", "--run", str(run), "--out", str(tmp_path / "ids_export"), "--ids", str(ids)])
+    assert result.exit_code == 0, result.output
+    rows = (tmp_path / "ids_export" / "embeddings.csv").read_text().splitlines()
+    assert rows[0] == "t,node,external_id,y1,y2,y3,y4"
+    stored = [cli._read_embedding_csv(run / f"emb_{t:04d}.csv", 30) for t in range(3)]
+    assert rows[1:] == [
+        f"{t},{node},{f'host{node:02d}' if node < 20 else node}," + ",".join(f"{v:.17g}" for v in row)
+        for t, emb_t in enumerate(stored) for node, row in enumerate(emb_t)
+    ]
 
 
 def test_eval_non_finite_embeddings_exit_three(workspace, tmp_path):

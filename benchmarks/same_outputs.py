@@ -8,12 +8,16 @@ Run as::
 checkout, each with its own ``src/``.  For each workload of
 ``perfbench/workloads.py`` the seed-0 series is built once, with that
 file's ``build_series``.  Then each checkout's CLI runs ``train`` on it with
-the workload's flags, the workload's ``eval`` commands and ``export``.
-Every file written is compared byte for byte, except that a manifest is
-compared without the keys that hold timings or the input path
-(``seconds``, ``total_seconds``, ``input``).  Each file that differs is
-printed, and the exit code is 1 when any does.  BLAS runs on one thread, as
-in the benchmark, because the thread count changes the summation order.
+the workload's flags, the workload's ``eval`` commands, ``eval linkpred``
+with the train flags (the one eval that ranks with excluded pairs) and
+``export``.  Every file written is compared byte for byte, except that a
+manifest is compared without the keys that hold timings or the input path
+(``seconds``, ``total_seconds``, ``input``).  This checkout then runs the
+workload's ``eval`` commands on its own run again with
+``DYNGEM_PURE_PYTHON=1``, and each report must equal the compiled backend's
+byte for byte.  Each file that differs is printed, and the exit code is 1
+when any does.  BLAS runs on one thread, as in the benchmark, because the
+thread count changes the summation order.
 """
 
 from __future__ import annotations
@@ -37,9 +41,9 @@ from dyngem.graph import save_series  # noqa: E402
 UNCOMPARED_KEYS = {"seconds", "total_seconds", "input"}
 
 
-def run_cli(checkout, *args):
+def run_cli(checkout, *args, **env):
     args = [str(a) for a in args]
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"), **env)
     proc = subprocess.run([sys.executable, "-m", "dyngem.cli", *args], env=env,
                           capture_output=True, text=True)
     if proc.returncode != 0:
@@ -47,11 +51,17 @@ def run_cli(checkout, *args):
                          f"{proc.stdout}{proc.stderr}")
 
 
+def run_evals(checkout, workload, run, series_dir, out, **env):
+    for kind in workload.evals:
+        run_cli(checkout, "eval", kind, "--run", run, "--data", series_dir, "--out", out / f"{kind}.json", **env)
+
+
 def write_outputs(checkout, workload, series_dir, out):
     run = out / "run"
     run_cli(checkout, "train", "--in", series_dir, "--out", run, *workload.train_args)
-    for kind in workload.evals:
-        run_cli(checkout, "eval", kind, "--run", run, "--data", series_dir, "--out", out / f"{kind}.json")
+    run_evals(checkout, workload, run, series_dir, out)
+    run_cli(checkout, "eval", "linkpred", "--data", series_dir, "--out", out / "linkpred.json",
+            *workload.train_args)
     run_cli(checkout, "export", "--run", run, "--out", out / "export")
 
 
@@ -91,6 +101,13 @@ def main():
                     differing += 1
                     print(f"{name}: {rel} differs")
             print(f"{name}: compared {len(files)} files")
+            run_evals(ROOT, workload, work / "change" / "run", work / "series", work / "python",
+                      DYNGEM_PURE_PYTHON="1")
+            for kind in workload.evals:
+                if comparable(work / "python" / f"{kind}.json") != comparable(work / "change" / f"{kind}.json"):
+                    differing += 1
+                    print(f"{name}: {kind}.json differs between the compiled and the python backend")
+            print(f"{name}: compared {len(workload.evals)} eval reports across backends")
     print("same outputs" if not differing else f"{differing} files differ")
     return 1 if differing else 0
 

@@ -1,4 +1,5 @@
-"""ctypes bindings for the compiled hot loops in ``_libkernels.c``.
+"""ctypes bindings for the compiled hot loops in ``_libkernels.c``:
+``gf_epoch``, ``truth_ranks`` and ``jacobi_sweeps``.
 
 The first import compiles that file with the system's ``cc`` and caches the
 library the way Python caches bytecode: in the package's ``__pycache__``
@@ -108,6 +109,9 @@ _lib.gf_epoch.argtypes = [
     _array(np.intp, 1), _array(np.intp, 1), _array(np.float64, 1), _array(np.intp, 1),
     _size, _size, _size, _size, ctypes.c_double, ctypes.c_double,
 ]
+_lib.truth_ranks.restype = ctypes.c_int
+_lib.truth_ranks.argtypes = [_array(np.float64, 2), *[_array(np.intp, 1)] * 4,
+                             _array(np.intp, 1, writeable=True), _size, _size]
 _lib.jacobi_sweeps.restype = ctypes.c_int
 _lib.jacobi_sweeps.argtypes = [
     _array(np.float64, 2, writeable=True), _array(np.float64, 2, writeable=True),
@@ -129,6 +133,23 @@ def gf_epoch(y, heads, tails, weights, order, lr, lam):
                            len(order), lr, lam)
     if status != 0:
         raise IndexError("gf_epoch: an edge or node index is out of range")
+
+
+def truth_ranks(scores, heads, tails, excluded):
+    """``_kernels_py.truth_ranks`` on C-ordered float64 ``scores``, with the
+    same ranks; raises IndexError when a pair or an excluded neighbour is out
+    of range."""
+    n = scores.shape[0]
+    if scores.shape != (n, n) or len(tails) != len(heads):
+        raise ValueError("scores must be square and heads and tails of one length")
+    if excluded is None:
+        indptr, indices = np.zeros(n + 1, dtype=np.intp), np.empty(0, dtype=np.intp)
+    else:
+        indptr, indices, _ = excluded.csr_rows(np.arange(n))
+    ranks = np.empty(len(heads), dtype=np.intp)
+    if _lib.truth_ranks(scores, heads, tails, indptr, indices, ranks, n, len(heads)) != 0:
+        raise IndexError("truth_ranks: a pair or an excluded neighbour is out of range")
+    return ranks
 
 
 def jacobi_sweeps(g, v, tol, max_sweeps):

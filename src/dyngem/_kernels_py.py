@@ -10,6 +10,12 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
+# truth_ranks compares blocks of this many score entries (1 MB of float64);
+# at n = 2,000 the time is flat from 2^16 to 2^19
+RANK_BLOCK_ELEMENTS = 1 << 17
+
 
 def gf_epoch(y, heads, tails, weights, order, lr, lam):
     """One epoch of per-edge SGD for graph factorization, updating y in place.
@@ -80,3 +86,35 @@ def jacobi_sweeps(g, v, tol, max_sweeps):
         if rotated == 0:
             return sweep
     return -1
+
+
+def truth_ranks(scores, heads, tails, excluded):
+    """Rank of each true pair ``(heads[e], tails[e])`` in its head's ranking.
+
+    Node i ranks every other node that is not its neighbour in ``excluded``
+    (a snapshot, or None) by descending score, ties broken by ascending id,
+    so a pair's rank is one more than the number of candidates that score
+    higher plus the number that tie with it and have a lower id.  A pair
+    whose tail is no candidate gets rank 0.  Pairs are taken in blocks, each
+    row compared once per pair.
+    """
+    n = scores.shape[0]
+    ids = np.arange(n)
+    ranks = np.empty(heads.size, dtype=np.intp)
+    step = max(1, RANK_BLOCK_ELEMENTS // max(n, 1))
+    for start in range(0, heads.size, step):
+        h, t = heads[start : start + step], tails[start : start + step]
+        pairs = np.arange(h.size)
+        rows = scores[h]
+        s = rows[pairs, t][:, None]
+        ahead = rows > s
+        ahead |= (rows == s) & (ids < t[:, None])
+        ahead[pairs, h] = False
+        blocked = np.zeros(h.size, dtype=bool)
+        if excluded is not None:
+            indptr, cols, _ = excluded.csr_rows(h)
+            owner = np.repeat(pairs, np.diff(indptr))
+            ahead[owner, cols] = False
+            blocked[owner[cols == t[owner]]] = True
+        ranks[start : start + step] = np.where(blocked, 0, np.count_nonzero(ahead, axis=1) + 1)
+    return ranks

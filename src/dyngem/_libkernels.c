@@ -1,9 +1,12 @@
 /* Compiled hot loops, loaded through ctypes by _kernels.py.
  *
- * Each function does what its namesake in _kernels_py.py does, in the same
- * order; results differ from it only where numpy sums a dot product in
- * another order.  Built with -ffp-contract=off, so no multiply-add is fused
- * and the results do not depend on the build host's instruction set.
+ * Three loops are compiled: gf_epoch, truth_ranks and jacobi_sweeps.  Each
+ * does what its namesake in _kernels_py.py does, in the same order; results
+ * differ from it only where numpy sums a dot product in another order.
+ * truth_ranks only compares and counts, so its ranks equal numpy's exactly
+ * and eval reports do not depend on the backend.  Built with
+ * -ffp-contract=off, so no multiply-add is fused and the results do not
+ * depend on the build host's instruction set.
  * Matrices are row-major doubles; indices are ptrdiff_t (numpy's intp). */
 #include <float.h>
 #include <math.h>
@@ -33,6 +36,46 @@ int gf_epoch(double *y, const ptrdiff_t *heads, const ptrdiff_t *tails,
             yi[l] = a + two_lr * (r * b - lam * a);
             yj[l] += two_lr * (r * a - lam * b);
         }
+    }
+    return 0;
+}
+
+/* Rank of each of the m true pairs (heads[e], tails[e]) in its head's row of
+ * the n x n scores: the head ranks every other node that is not in its row
+ * of the excluded CSR (indptr over n rows, indices), by descending score,
+ * ties by ascending id.  One pass over row h counts the j < t scoring at
+ * least s[h,t] and the j > t scoring more; the head and every excluded
+ * neighbour counted there are taken off again.  A tail in the head's
+ * excluded row gets rank 0.  Returns 0, or -1 at the first pair or excluded
+ * index out of range. */
+int truth_ranks(const double *scores, const ptrdiff_t *heads, const ptrdiff_t *tails,
+                const ptrdiff_t *indptr, const ptrdiff_t *indices, ptrdiff_t *ranks,
+                ptrdiff_t n, ptrdiff_t m)
+{
+    for (ptrdiff_t e = 0; e < m; e++) {
+        ptrdiff_t h = heads[e], t = tails[e];
+        if (h < 0 || h >= n || t < 0 || t >= n)
+            return -1;
+        const double *row = scores + h * n;
+        double s = row[t];
+        ptrdiff_t ahead = 0;
+        for (ptrdiff_t j = 0; j < t; j++)
+            ahead += row[j] >= s;
+        for (ptrdiff_t j = t + 1; j < n; j++)
+            ahead += row[j] > s;
+        if (h != t)
+            ahead -= h < t ? row[h] >= s : row[h] > s;
+        int blocked = 0;
+        for (ptrdiff_t k = indptr[h]; k < indptr[h + 1]; k++) {
+            ptrdiff_t c = indices[k];
+            if (c < 0 || c >= n)
+                return -1;
+            if (c == t)
+                blocked = 1;
+            else  /* never h: a snapshot has no self-loops */
+                ahead -= c < t ? row[c] >= s : row[c] > s;
+        }
+        ranks[e] = blocked ? 0 : ahead + 1;
     }
     return 0;
 }

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,9 +24,9 @@ class _InvalidEdge(ValueError):
 
 
 def _canonical_edges(n, edges):
-    """``(heads, tails, weights)`` arrays of a ``{(i, j): w}`` dict or an
-    iterable of ``(i, j, w)``, each pair stored as ``i < j`` and sorted by
-    ``(i, j)``.
+    """``(heads, tails, weights)`` arrays of a ``{(i, j): w}`` dict, an
+    iterable of ``(i, j, w)`` or an (m, 3) array of them, each pair stored
+    as ``i < j`` and sorted by ``(i, j)``.
 
     Raises ``_InvalidEdge`` at the first edge in input order that is a
     self-loop, leaves 0..n-1, has a weight that is not positive and finite,
@@ -33,7 +34,9 @@ def _canonical_edges(n, edges):
     """
     if hasattr(edges, "items"):
         edges = [(i, j, w) for (i, j), w in edges.items()]
-    triples = np.array(list(edges) or np.empty((0, 3)), dtype=np.float64)
+    if not isinstance(edges, np.ndarray):  # an array goes in whole, not as m row objects
+        edges = list(edges) or np.empty((0, 3))
+    triples = np.asarray(edges, dtype=np.float64)
     if triples.ndim != 2 or triples.shape[1] != 3:
         raise ValueError("edges must be (i, j, w) triples")
     i, j, w = triples[:, 0].astype(np.intp), triples[:, 1].astype(np.intp), triples[:, 2]
@@ -61,9 +64,9 @@ class GraphSnapshot:
     The edges are stored once, in the ``heads``, ``tails`` and ``weights``
     arrays: one entry per undirected pair ``(i, j)`` with ``i < j``, sorted
     by ``(i, j)``.  A symmetric CSR view built from them extracts rows of
-    the adjacency matrix cheaply.  ``edges`` accepts a ``{(i, j): w}`` dict
-    or an iterable of ``(i, j, w)``.  Instances and their arrays are
-    treated as immutable after construction.
+    the adjacency matrix cheaply.  ``edges`` accepts a ``{(i, j): w}`` dict,
+    an iterable of ``(i, j, w)`` or an (m, 3) array.  Instances and their
+    arrays are treated as immutable after construction.
     """
 
     def __init__(self, node_count, edges=()):
@@ -253,15 +256,40 @@ def generate_sbm_series(config, seed):
     return DynamicGraph(snaps), np.array(label_steps)
 
 
+def _parse_snapshot_text(text):
+    """The snapshot in an edge-list file's text, converted from its token list
+    at once (lines split as the file iterator splits them).  Ids convert as
+    ``int()`` and weights as ``float()`` do; raises ValueError or OverflowError
+    on all that the line loop of :func:`load_snapshot` rejects, and on ids
+    beyond intp."""
+    if "#" in text:
+        text = "\n".join(line for line in text.split("\n") if not line.lstrip().startswith("#"))
+    # fields per significant line, counted without keeping each line's list
+    counts = list(filter(None, map(len, map(str.split, text.split("\n")))))
+    tokens = text.split()
+    if not counts or counts[0] != 2 or tokens[0] != "n" or set(counts[1:]) - {3}:
+        raise ValueError("no 'n <node_count>' header, or an edge line without three fields")
+    node_count = int(tokens[1])
+    ids = [np.array(tokens[k::3], dtype=np.intp) for k in (2, 3)]
+    edges = np.column_stack((*ids, np.array(tokens[4::3], dtype=np.float64)))
+    del text, tokens, ids  # freed before the snapshot's sorts: the peak stays the line loop's
+    # GraphSnapshot rejects a negative node count and ids out of range
+    return GraphSnapshot(node_count, edges)
+
+
 def load_snapshot(path):
     """Parse one edge-list file.
 
     Format: UTF-8 text, lines starting with ``#`` and blank lines ignored,
     first significant line ``n <node_count>``, then one ``<i> <j> <w>`` line
     per undirected edge with ``i != j`` and ``w > 0``; each pair may appear
-    at most once.
+    at most once.  A file the one-pass parse rejects is parsed again line by
+    line, so the ParseError names the first bad line.
     """
     path = Path(path)
+    # a UnicodeDecodeError and an _InvalidEdge are ValueErrors too
+    with suppress(ValueError, OverflowError), open(path, encoding="utf-8") as fh:
+        return _parse_snapshot_text(fh.read())
     node_count = None
     triples, linenos = [], []
     with open(path, encoding="utf-8") as fh:

@@ -1,11 +1,14 @@
 """Backend selection for the numerical hot loops, plus the Jacobi SVD driver.
 
-The compiled C kernels (``_libkernels.c``, built on first import and bound
-by ``_kernels``) are used wherever a C compiler is on ``PATH``; without one,
-or when the library cannot be built or cached, the pure-numpy fallback in
-``_kernels_py`` is used, as it is when the environment variable
-``DYNGEM_PURE_PYTHON=1`` is set before import.  ``BACKEND`` names the active
-implementation.
+Three loops are compiled: ``gf_epoch``, ``truth_ranks`` (the rank of each
+true pair, which every MAP counts) and ``jacobi_sweeps``.  The C kernels
+(``_libkernels.c``, built on first import and bound by ``_kernels``) are used
+wherever a C compiler is on ``PATH``; without one, or when the library cannot
+be built or cached, the pure-numpy fallback in ``_kernels_py`` is used, as it
+is when the environment variable ``DYNGEM_PURE_PYTHON=1`` is set before
+import.  ``BACKEND`` names the active implementation.  Ranks are equal on
+both, so eval reports do not depend on the backend; GF embeddings and Jacobi
+rotations may differ in their last bits.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ else:
         BACKEND = "python"
 
 gf_epoch = _impl.gf_epoch
+truth_ranks = _impl.truth_ranks
 jacobi_sweeps = _impl.jacobi_sweeps
 
 

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from dyngem import kernels
 from dyngem.errors import UndefinedMetricError
 from dyngem.graph import GraphSnapshot
 
@@ -20,46 +21,9 @@ def _finite_scores(scores, n):
     return scores
 
 
-# Ranks are counted over blocks of this many score entries (1 MB of
-# float64); at n = 2,000 the time is flat from 2^16 to 2^19.
-RANK_BLOCK_ELEMENTS = 1 << 17
-
-
-def _truth_ranks(scores, heads, tails, excluded):
-    """Rank of each true pair ``(heads[e], tails[e])`` in its head's ranking.
-
-    Node i ranks every other node that is not its neighbour in ``excluded``
-    (a snapshot, or None) by descending score, ties broken by ascending id,
-    so a pair's rank is one more than the number of candidates that score
-    higher plus the number that tie with it and have a lower id.  A pair
-    whose tail is no candidate gets rank 0.  Pairs are taken in blocks, each
-    row compared once per pair.
-    """
-    n = scores.shape[0]
-    ids = np.arange(n)
-    ranks = np.empty(heads.size, dtype=np.intp)
-    step = max(1, RANK_BLOCK_ELEMENTS // max(n, 1))
-    for start in range(0, heads.size, step):
-        h, t = heads[start : start + step], tails[start : start + step]
-        pairs = np.arange(h.size)
-        rows = scores[h]
-        s = rows[pairs, t][:, None]
-        ahead = rows > s
-        ahead |= (rows == s) & (ids < t[:, None])
-        ahead[pairs, h] = False
-        blocked = np.zeros(h.size, dtype=bool)
-        if excluded is not None:
-            indptr, cols, _ = excluded.csr_rows(h)
-            owner = np.repeat(pairs, np.diff(indptr))
-            ahead[owner, cols] = False
-            blocked[owner[cols == t[owner]]] = True
-        ranks[start : start + step] = np.where(blocked, 0, np.count_nonzero(ahead, axis=1) + 1)
-    return ranks
-
-
 def _mean_average_precision(scores, truth, excluded=None):
     """MAP over the nodes with at least one neighbour in the ``truth``
-    snapshot, ranked as :func:`_truth_ranks` says.
+    snapshot, ranked as :func:`dyngem.kernels.truth_ranks` ranks them.
 
     Each node's AP sums ``k / rank`` over its k-th ranked true neighbour and
     divides by its truth count.  The sums are formed one row per node in a
@@ -70,7 +34,7 @@ def _mean_average_precision(scores, truth, excluded=None):
     indptr, tails, _ = truth.csr_rows(np.arange(n))
     counts = np.diff(indptr)
     heads = np.repeat(np.arange(n), counts)
-    ranks = _truth_ranks(scores, heads, tails, excluded)
+    ranks = kernels.truth_ranks(np.ascontiguousarray(scores), heads, tails, excluded)
     hit = ranks > 0
     order = np.lexsort((ranks[hit], heads[hit]))
     heads, ranks = heads[hit][order], ranks[hit][order]

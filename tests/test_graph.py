@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from dyngem import graph
 from dyngem.errors import ConfigError, ParseError
 from dyngem.graph import (
     DynamicGraph,
@@ -15,6 +16,7 @@ from dyngem.graph import (
     save_series,
     save_snapshot,
 )
+from helpers import random_snapshot
 
 
 def test_snapshot_canonicalizes_edges():
@@ -195,6 +197,61 @@ def test_load_snapshot_errors(tmp_path):
     empty.write_text("# only comments\n\n", encoding="utf-8")
     with pytest.raises(ParseError):
         load_snapshot(empty)
+
+
+PARSE_CASES = {
+    # six tokens that read as two valid edges, were lines not counted one by one
+    "two_then_four_fields": "n 9\n0 1\n2 3 4 1.5\n",
+    "float_id": "n 3\n1.0 2 1.0\n",
+    "exponent_id": "n 2000\n0 1e3 1.0\n",
+    "signed_and_underscored_ids": "n 2000\n+1 1_000 2.5\n٣ 7 1_0.5\n",
+    "comments_and_blanks_around_the_header": "# a\n\n  # b\nn 4\n\n#c\n0 1 1.0\n \n# d\n2 3 0.5\n\n",
+    "crlf_cr_and_tabs": "n 4\r\n0\t1\t1.5\r\n1 2 2.0\r2 \t 3 0.25\r\n",
+    "vertical_tab_and_next_line": "n 4\n0\x0b1 1.0\n1 2 1.0\x852 3 1.0\n",
+    "id_beyond_intp": "n 3\n0 99999999999999999999 1.0\n",
+    "negative_id": "n 3\n-1 2 1.0\n",
+    "nan_weight": "n 3\n0 1 nan\n",
+    "inf_weight": "n 3\n0 1 inf\n",
+    "negative_weight": "n 3\n0 1 1.0\n1 2 -0.5\n",
+    "duplicate_pair": "n 3\n0 1 1.0\n1 2 1.0\n1 0 2.0\n",
+    "header_without_edges": "# none\nn 5\n\n",
+    "missing_header": "0 1 1.0\n",
+    "empty_file": "",
+    "negative_node_count": "n -2\n",
+    "header_with_three_fields": "n 3 4\n0 1 1.0\n",
+}
+
+
+def _parse_outcome(path):
+    try:
+        return load_snapshot(path)
+    except ParseError as exc:
+        return str(exc)
+
+
+def _reject(text):
+    raise ValueError("line loop only")
+
+
+@pytest.mark.parametrize("text", [pytest.param(text, id=name) for name, text in PARSE_CASES.items()]
+                         + [pytest.param(seed, id=f"saved_graph_{seed}") for seed in range(4)])
+def test_one_pass_parse_matches_the_line_loop(tmp_path, monkeypatch, text):
+    path = tmp_path / "case.edges"
+    if isinstance(text, int):
+        rng = np.random.default_rng(text)
+        n = int(rng.integers(2, 200))
+        save_snapshot(random_snapshot(rng, n, p=float(rng.uniform(0.01, 0.3))), path)
+    else:
+        path.write_bytes(text.encode("utf-8"))
+    one_pass = graph._parse_snapshot_text
+    fast = _parse_outcome(path)
+    monkeypatch.setattr(graph, "_parse_snapshot_text", _reject)
+    loop = _parse_outcome(path)
+    assert fast == loop
+    if isinstance(loop, GraphSnapshot):
+        # the one-pass parse serves a valid file itself, with no fallback
+        with open(path, encoding="utf-8") as fh:
+            assert one_pass(fh.read()) == loop
 
 
 def test_load_snapshot_skips_comments(tmp_path):

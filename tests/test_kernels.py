@@ -8,9 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dyngem import _kernels_py
+from dyngem import _kernels_py, kernels
 from dyngem.errors import ConvergenceError
+from dyngem.graph import GraphSnapshot, hide_edges
 from dyngem.kernels import BACKEND, _complete_basis, gf_epoch, jacobi_svd
+from dyngem.metrics import eval_link_prediction, eval_reconstruction
+from helpers import random_snapshot, random_symmetric_scores
 
 try:
     from dyngem import _kernels as _compiled
@@ -18,6 +21,8 @@ except ImportError:
     _compiled = None
 
 needs_compiled = pytest.mark.skipif(_compiled is None, reason="compiled extension unavailable")
+RANKERS = [pytest.param(_kernels_py.truth_ranks, id="python"),
+           pytest.param(getattr(_compiled, "truth_ranks", None), id="compiled", marks=needs_compiled)]
 
 
 def _svd_checks(m, u, s, vt, atol=1e-9):
@@ -97,6 +102,79 @@ def test_backends_agree_on_jacobi():
         assert s_c >= 0 and s_p >= 0
         np.testing.assert_allclose(g_c, g_p, atol=1e-10)
         np.testing.assert_allclose(v_c, v_p, atol=1e-10)
+
+
+def _pairs(*pairs):
+    heads, tails = zip(*pairs)
+    return np.array(heads, dtype=np.intp), np.array(tails, dtype=np.intp)
+
+
+@pytest.mark.parametrize("truth_ranks", RANKERS)
+def test_truth_ranks_hand_cases(truth_ranks):
+    scores = np.array([
+        [9.0, 5.0, 7.0, 5.0, 3.0],
+        [0.0, 0.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0, 0.0],
+        [1.0, 1.0, 0.0, 1.0, 1.0],
+        [0.0, 0.0, 0.0, 0.0, 0.0],
+    ])
+    heads, tails = _pairs((0, 2), (0, 1), (0, 3), (0, 4), (3, 4), (3, 0), (3, 2))
+    # node 0 ranks 2, 1, 3, 4 (its own top score does not count; 1 and 3 tie
+    # and go by id); node 3 ranks 0, 1, 4, 2, its own tie ignored
+    np.testing.assert_array_equal(truth_ranks(scores, heads, tails, None), [1, 2, 3, 4, 3, 1, 4])
+    # excluded: 2 ranks ahead of the tails 1 and 3, 4 behind them; 2 and 4
+    # are no candidates of node 0, so their pairs get rank 0
+    excluded = GraphSnapshot(5, [(0, 2, 1.0), (0, 4, 1.0), (3, 1, 1.0)])
+    np.testing.assert_array_equal(truth_ranks(scores, heads, tails, excluded), [0, 1, 2, 0, 2, 1, 3])
+    one, empty = np.zeros(1, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    assert truth_ranks(np.zeros((1, 1)), empty, empty, None).size == 0
+    np.testing.assert_array_equal(truth_ranks(np.zeros((1, 1)), one, one, None), [1])
+    pair = _pairs((0, 1), (1, 0))
+    np.testing.assert_array_equal(truth_ranks(np.eye(2), *pair, None), [1, 1])
+    np.testing.assert_array_equal(truth_ranks(np.eye(2), *pair, GraphSnapshot(2, [(0, 1, 1.0)])), [0, 0])
+
+
+@pytest.mark.parametrize("truth_ranks", RANKERS)
+def test_truth_ranks_rejects_out_of_range_pairs(truth_ranks):
+    scores = np.zeros((3, 3))
+    for pair in ((3, 1), (1, 3)):
+        with pytest.raises(IndexError):
+            truth_ranks(scores, *_pairs(pair), None)
+        with pytest.raises(IndexError):
+            truth_ranks(scores, *_pairs(pair), GraphSnapshot(3, [(0, 1, 1.0)]))
+
+
+@needs_compiled
+def test_backends_agree_on_truth_ranks():
+    rng = np.random.default_rng(8)
+    for trial in range(40):
+        n = int(rng.integers(2, 60))
+        scores = rng.standard_normal((n, n))
+        if trial % 2:  # ReLU-like: many exact zeros, and ties among the rest
+            scores = np.maximum(np.round(scores, 1), 0.0)
+        snap = random_snapshot(rng, n, p=0.2)
+        heads = rng.integers(0, n, 3 * n).astype(np.intp)
+        tails = rng.integers(0, n, 3 * n).astype(np.intp)
+        for excluded in (None, snap):
+            expected = _kernels_py.truth_ranks(scores, heads, tails, excluded)
+            got = _compiled.truth_ranks(scores, heads, tails, excluded)
+            assert got.dtype == expected.dtype
+            np.testing.assert_array_equal(got, expected)
+
+
+@needs_compiled
+def test_backends_agree_on_map(monkeypatch):
+    rng = np.random.default_rng(9)
+    n = 200
+    snap = random_snapshot(rng, n, p=0.1)
+    train, hidden = hide_edges(snap, 0.2, seed=1)
+    for scores in (random_symmetric_scores(rng, n),
+                   np.maximum(np.round(random_symmetric_scores(rng, n), 1), 0.0)):
+        values = []
+        for impl in (_compiled, _kernels_py):
+            monkeypatch.setattr(kernels, "truth_ranks", impl.truth_ranks)
+            values.append((eval_reconstruction(scores, snap), eval_link_prediction(scores, train, hidden)))
+        assert values[0] == values[1]
 
 
 def test_jacobi_svd_matches_lapack_values():
@@ -382,10 +460,18 @@ def test_compiled_backend_builds_with_the_system_compiler(package_copy):
         "    except ctypes.ArgumentError:\n"
         "        continue\n"
         "    raise SystemExit('accepted an array the C kernel cannot read')\n"
+        "s = np.array([[0.0, 2.0, 1.0], [0.0, 0.0, 0.0], [1.0, 3.0, 0.0]])\n"
+        "for bad in (np.asfortranarray(s), s.astype(np.float32)):\n"
+        "    try:\n"
+        "        k.truth_ranks(bad, e, e + 2, None)\n"
+        "    except ctypes.ArgumentError:\n"
+        "        continue\n"
+        "    raise SystemExit('accepted scores the C kernel cannot read')\n"
+        "print(k.truth_ranks(s, np.array([0, 2], dtype=np.intp), np.array([2, 0], dtype=np.intp), None))\n"
         "print(k.BACKEND, k.__file__)\n"
     )
     compiled = run(check)
     assert compiled.returncode == 0, compiled.stdout + compiled.stderr
-    assert compiled.stdout.split() == ["compiled", str(pkg / "kernels.py")]
+    assert compiled.stdout.split() == ["[2", "2]", "compiled", str(pkg / "kernels.py")]
     forced = run(REPORT, DYNGEM_PURE_PYTHON="1")
     assert forced.stdout.strip() == "python", forced.stdout + forced.stderr

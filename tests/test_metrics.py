@@ -5,7 +5,7 @@ import pytest
 
 from dyngem.errors import UndefinedMetricError
 from dyngem.graph import GraphSnapshot, hide_edges
-from dyngem import metrics
+from dyngem import _kernels_py, kernels
 from dyngem.metrics import (
     anomaly_series,
     eval_link_prediction,
@@ -102,7 +102,9 @@ def test_map_equals_the_per_node_sort_bit_for_bit(monkeypatch, pairs_per_block):
     scores = np.round(random_symmetric_scores(rng, n), 1)
     scores[:, :40] = scores[:40, :] = 0.0
     if pairs_per_block is not None:
-        monkeypatch.setattr(metrics, "RANK_BLOCK_ELEMENTS", pairs_per_block * n)
+        # the numpy ranking, over blocks of a few pairs
+        monkeypatch.setattr(kernels, "truth_ranks", _kernels_py.truth_ranks)
+        monkeypatch.setattr(_kernels_py, "RANK_BLOCK_ELEMENTS", pairs_per_block * n)
     everyone = np.arange(n)
     truth = {i: neighbors(snap, i)[0] for i in range(n) if neighbors(snap, i)[0].size}
     expected = map_oracle(scores, lambda i: np.delete(everyone, i), truth)

@@ -10,6 +10,7 @@ from dyngem import model, nn
 from dyngem.errors import ConfigError, ParseError
 from dyngem.graph import GraphSnapshot
 from dyngem.model import (
+    SYMMETRIZE_TILE,
     AutoencoderParams,
     Hyperparameters,
     build_autoencoder,
@@ -449,3 +450,18 @@ def test_symmetrize_scores():
     np.testing.assert_array_equal(symmetrize_scores(s), [[0.0, 3.0], [3.0, 0.0]])
     with pytest.raises(ValueError):
         symmetrize_scores(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("n", sorted({1, 255, 256, 257, 600, SYMMETRIZE_TILE - 1, SYMMETRIZE_TILE,
+                                       SYMMETRIZE_TILE + 1, 3 * SYMMETRIZE_TILE}))
+def test_symmetrize_scores_is_bit_equal_across_tile_edges(n):
+    rng = np.random.default_rng(n)
+    s = rng.standard_normal((n, n))
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-310, -1e-310])
+    mask = rng.random((n, n)) < 0.3
+    s[mask] = rng.choice(special, mask.sum())
+    for scores in (s, np.asfortranarray(s)):
+        before = scores.tobytes()
+        got = symmetrize_scores(scores)
+        assert got.tobytes() == (0.5 * (scores + scores.T)).tobytes()
+        assert scores.tobytes() == before

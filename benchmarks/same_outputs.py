@@ -10,7 +10,10 @@ checkout, each with its own ``src/``.  For each workload of
 file's ``build_series``.  Then each checkout's CLI runs ``train`` on it with
 the workload's flags, the workload's ``eval`` commands, ``eval linkpred``
 with the train flags (the one eval that ranks with excluded pairs) and
-``export``.  Every file written is compared byte for byte, except that a
+``export``.  On the desk series of ``desk_warm`` each checkout also trains
+the methods of ``METHOD_RUNS`` (an aligned autoencoder, a warm-started
+factorization and a cold autoencoder on a thread pool), which no workload
+reaches.  Every file written is compared byte for byte, except that a
 manifest is compared without the keys that hold timings or the input path
 (``seconds``, ``total_seconds``, ``input``).  This checkout then runs the
 workload's ``eval`` commands on its own run again with
@@ -39,6 +42,12 @@ from workloads import WORKLOADS, build_series  # noqa: E402
 from dyngem.graph import save_series  # noqa: E402
 
 UNCOMPARED_KEYS = {"seconds", "total_seconds", "input"}
+# train flags of the extra runs on the desk series, a few epochs each
+METHOD_RUNS = {
+    "sdne_align": ("--method", "sdne_align", "--d", "32", "--epochs-first", "3"),
+    "gf_init": ("--method", "gf_init", "--gf-iters", "5"),
+    "sdne_retrain_jobs2": ("--method", "sdne_retrain", "--d", "32", "--epochs-first", "3", "--jobs", "2"),
+}
 
 
 def run_cli(checkout, *args, **env):
@@ -83,6 +92,20 @@ def comparable(path):
     return json.dumps(_compared_part(json.loads(path.read_text(encoding="utf-8"))), sort_keys=True)
 
 
+def count_differing(name, work):
+    """Compare the files under ``work/parent`` and ``work/change``, print
+    each that differs, and return how many do."""
+    files = sorted({p.relative_to(side) for side in (work / "parent", work / "change")
+                    for p in side.rglob("*") if p.is_file()})
+    differing = 0
+    for rel in files:
+        if comparable(work / "parent" / rel) != comparable(work / "change" / rel):
+            differing += 1
+            print(f"{name}: {rel} differs")
+    print(f"{name}: compared {len(files)} files")
+    return differing
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
@@ -94,13 +117,7 @@ def main():
             save_series(build_series(workload.series, 0), work / "series")
             write_outputs(parent, workload, work / "series", work / "parent")
             write_outputs(ROOT, workload, work / "series", work / "change")
-            files = sorted({p.relative_to(side) for side in (work / "parent", work / "change")
-                            for p in side.rglob("*") if p.is_file()})
-            for rel in files:
-                if comparable(work / "parent" / rel) != comparable(work / "change" / rel):
-                    differing += 1
-                    print(f"{name}: {rel} differs")
-            print(f"{name}: compared {len(files)} files")
+            differing += count_differing(name, work)
             run_evals(ROOT, workload, work / "change" / "run", work / "series", work / "python",
                       DYNGEM_PURE_PYTHON="1")
             for kind in workload.evals:
@@ -108,6 +125,12 @@ def main():
                     differing += 1
                     print(f"{name}: {kind}.json differs between the compiled and the python backend")
             print(f"{name}: compared {len(workload.evals)} eval reports across backends")
+        desk = Path(tmp) / "desk_warm" / "series"
+        for name, args in METHOD_RUNS.items():
+            work = Path(tmp) / name
+            for checkout, side in ((parent, "parent"), (ROOT, "change")):
+                run_cli(checkout, "train", "--in", desk, "--out", work / side, *args)
+            differing += count_differing(name, work)
     print("same outputs" if not differing else f"{differing} files differ")
     return 1 if differing else 0
 

@@ -28,6 +28,7 @@ from dyngem.graph import (
     hide_edges,
     load_series,
     save_series,
+    series_files,
 )
 from dyngem.model import Hyperparameters
 
@@ -271,18 +272,19 @@ def _read_embedding_csv(path, rows):
     return emb
 
 
-def _write_run(out_dir, input_dir, series, config, result):
+def _write_run(out_dir, input_dir, series, config, steps):
     """Write a run directory with ``manifest.json`` last.  A manifest left
     by an earlier run is deleted first, so a write that fails part-way
     leaves a directory that ``eval`` rejects instead of a mix of two runs."""
-    for t, emb in enumerate(result.embeddings):
-        if not np.isfinite(emb).all():
+    for t, step in enumerate(steps):
+        if not np.isfinite(step.embedding).all():
             raise FloatingPointError(f"step {t}: embedding holds non-finite values")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "manifest.json").unlink(missing_ok=True)
     per_step = []
-    for t, emb in enumerate(result.embeddings):
+    for t, step in enumerate(steps):
+        emb = step.embedding
         emb_name = EMB_FMT.format(t)
         header = "node" + "".join(f",y{k}" for k in range(1, emb.shape[1] + 1))
         _write_csv(out_dir / emb_name, header, [np.arange(emb.shape[0])], emb)
@@ -290,15 +292,15 @@ def _write_run(out_dir, input_dir, series, config, result):
             "step": t,
             "embedding": emb_name,
             "checkpoint": None,
-            "seconds": result.seconds[t],
-            "iterations": int(result.iterations[t]),
-            "final_objective": result.traces[t][-1] if result.traces[t] else None,
-            "growth": result.growth[t],
-            "backoffs": int(result.backoffs[t]),
+            "seconds": step.seconds,
+            "iterations": int(step.iterations),
+            "final_objective": step.trace[-1] if step.trace else None,
+            "growth": step.growth,
+            "backoffs": int(step.backoffs),
         }
-        if result.checkpoints[t] is not None:
+        if step.checkpoint is not None:
             ckpt_name = CKPT_FMT.format(t)
-            model.save_checkpoint(result.checkpoints[t], out_dir / ckpt_name)
+            model.save_checkpoint(step.checkpoint, out_dir / ckpt_name)
             entry["checkpoint"] = ckpt_name
         per_step.append(entry)
     manifest = {
@@ -314,8 +316,8 @@ def _write_run(out_dir, input_dir, series, config, result):
         "node_counts": [int(c) for c in series.node_counts],
         "per_step": per_step,
         "aggregate": {
-            "total_seconds": float(sum(result.seconds)),
-            "total_iterations": int(sum(result.iterations)),
+            "total_seconds": float(sum(s.seconds for s in steps)),
+            "total_iterations": int(sum(s.iterations for s in steps)),
         },
     }
     _write_json(out_dir / "manifest.json", manifest)
@@ -433,8 +435,8 @@ def eval_linkpred_cmd(data_dir, out_path, hide_fraction, hide_seed, **flags):
     last = len(series) - 1
     train_last, hidden = hide_edges(series[last], hide_fraction, hide_seed)
     modified = DynamicGraph([series[t] for t in range(last)] + [train_last])
-    result = run_method(modified, config)
-    scores = _step_scores(config.method, result.embeddings[last], result.checkpoints[last])
+    step = run_method(modified, config)[last]
+    scores = _step_scores(config.method, step.embedding, step.checkpoint)
     value = metrics.eval_link_prediction(scores, train_last, hidden)
     per_step = [{"step": last, "map": value, "hidden_edges": len(hidden)}]
     aggregate = {"average_map": value, "hide_fraction": hide_fraction, "hide_seed": hide_seed}
@@ -482,8 +484,7 @@ def eval_stability_cmd(run_dir, data_dir, out_path):
 def eval_anomaly_cmd(run_dir, data_dir, out_path, rule, factor, threshold):
     """Embedding-drift deltas per transition with threshold flags."""
     manifest, embeddings, _ = _load_run(run_dir)
-    series = load_series(data_dir)
-    if len(series) != len(embeddings):
+    if len(series_files(data_dir)) != len(embeddings):
         raise ConfigError("run and data directories disagree on the number of steps")
     deltas = metrics.anomaly_series(embeddings)
     try:

@@ -1,7 +1,7 @@
-"""Turn a snapshot series into an embedding series.  All six methods share
-one driver: a method picks its step (autoencoder or graph factorization),
-whether each step warm-starts from the previous one, and whether the result
-is rotated onto the previous step (orthogonal Procrustes)."""
+"""Turn a snapshot series into one ``Step`` per snapshot.  All six methods
+share one driver: a method picks its step (autoencoder or graph
+factorization), whether each step warm-starts from the previous one, and
+whether the result is rotated onto the previous step (orthogonal Procrustes)."""
 
 from __future__ import annotations
 
@@ -58,69 +58,47 @@ class RunConfig:
 
 
 @dataclass
-class EmbeddingSeries:
-    """Per-step embeddings with wall-clock and iteration bookkeeping, the
-    trained autoencoder (None for factorization), the growth plan applied
-    before training (None where the model was not grown) and the
-    learning-rate halvings in effect (a warm step that had to be trained
+class Step:
+    """One snapshot's result: its embedding, the training iterations (a warm
+    step counts the attempts it discarded), the per-epoch objective and the
+    wall-clock seconds, alignment included.  ``checkpoint`` is the trained
+    model (None for factorization); a warm next step trains a copy, so it
+    stays as this step left it and its saved file trains on to the same bits.
+    ``growth`` is the plan applied before training (None where nothing grew)
+    and ``backoffs`` the learning-rate halvings in effect (a warm step trained
     again halved the rate for itself and every later step)."""
-
-    method: str
-    embeddings: list = field(default_factory=list)
-    seconds: list = field(default_factory=list)
-    iterations: list = field(default_factory=list)
-    traces: list = field(default_factory=list)
-    checkpoints: list = field(default_factory=list)
-    growth: list = field(default_factory=list)
-    backoffs: list = field(default_factory=list)
-
-
-@dataclass
-class _Step:
-    """One step's result.  ``checkpoint`` is the model the step trained
-    (None for factorization).  A warm next step trains a copy of it, so it
-    stays as this step left it, and a model restored from its saved file
-    trains to the same bits."""
 
     embedding: np.ndarray
     iterations: int
     trace: list
     checkpoint: model.AutoencoderParams | None = None
     growth: dict | None = None
-    backoffs: int = 0  # learning-rate halvings so far
+    backoffs: int = 0
+    seconds: float = 0.0
 
 
 def _step_seed(base, t, salt):
     return int(np.random.SeedSequence([int(base), int(t), salt]).generate_state(1)[0])
 
 
-def _drive(method, series, config, step, warm):
-    """Run ``step(snap, config, t, prev)`` on every snapshot, timing each.
-    A warm method passes the previous step's result and runs in order; a
-    cold one passes None and runs on ``config.jobs`` threads."""
+def _drive(series, config, step, warm):
+    """Run ``step(snap, config, t, prev)`` on every snapshot, timing each
+    Step.  A warm method passes the previous Step and runs in order; a cold
+    one passes None and runs on ``config.jobs`` threads."""
 
     def timed(t, snap, prev):
         start = time.perf_counter()
         result = step(snap, config, t, prev)
-        return result, time.perf_counter() - start
+        result.seconds = time.perf_counter() - start
+        return result
 
     if warm or config.jobs == 1:
-        results = []
+        steps = []
         for t, snap in enumerate(series):
-            results.append(timed(t, snap, results[-1][0] if warm and results else None))
-    else:
-        with futures.ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(lambda ts: timed(*ts, None), enumerate(series)))
-    out = EmbeddingSeries(method)
-    for result, seconds in results:
-        out.embeddings.append(result.embedding)
-        out.seconds.append(seconds)
-        out.iterations.append(result.iterations)
-        out.traces.append(result.trace)
-        out.checkpoints.append(result.checkpoint)
-        out.growth.append(result.growth)
-        out.backoffs.append(result.backoffs)
-    return out
+            steps.append(timed(t, snap, steps[-1] if warm and steps else None))
+        return steps
+    with futures.ThreadPoolExecutor(max_workers=config.jobs) as pool:
+        return list(pool.map(lambda ts: timed(*ts, None), enumerate(series)))
 
 
 def _grow(params, snap, config, t):
@@ -161,7 +139,7 @@ def _autoencoder_step(snap, config, t, prev):
             snap.node_count, config.hidden_sizes, hyper.d, _step_seed(hyper.seed, t, _SALT_INIT)
         )
         params, trace = model.train_snapshot(params, snap, hyper, hyper.epochs_first, seed=seed)
-        return _Step(model.embed(params, snap), hyper.epochs_first * batches, trace, params)
+        return Step(model.embed(params, snap), hyper.epochs_first * batches, trace, params)
     backoffs, iterations = prev.backoffs, 0
     while True:
         params, grown = _grow(prev.checkpoint.copy(), snap, config, t)
@@ -178,7 +156,7 @@ def _autoencoder_step(snap, config, t, prev):
             if backoffs == MAX_BACKOFFS or not _kills_embedding(prev.embedding, embedding):
                 break
         backoffs += 1
-    return _Step(embedding, iterations, trace, params, grown, backoffs)
+    return Step(embedding, iterations, trace, params, grown, backoffs)
 
 
 def procrustes_align(reference, target):
@@ -203,22 +181,20 @@ def align_series(embeddings):
     """Chain-wise alignment: each step is rotated onto the already-aligned
     previous step over their common (prefix) node rows.
 
-    Returns ``(aligned, rotations, seconds)``; ``seconds[t]`` is the time
-    spent aligning step t, 0 for the reference step 0.
+    Returns ``(aligned, seconds)``; ``seconds[t]`` is the time spent
+    aligning step t, 0 for the reference step 0.
     """
     if not embeddings:
-        return [], [], []
+        return [], []
     aligned = [embeddings[0]]
-    rotations = [np.eye(embeddings[0].shape[1])]
     seconds = [0.0]
     for t in range(1, len(embeddings)):
         start = time.perf_counter()
         m = aligned[t - 1].shape[0]
         r, _ = procrustes_align(aligned[t - 1], embeddings[t][:m])
         aligned.append(embeddings[t] @ r)
-        rotations.append(r)
         seconds.append(time.perf_counter() - start)
-    return aligned, rotations, seconds
+    return aligned, seconds
 
 
 def _gf_objective(y, heads, tails, weights, lam):
@@ -247,7 +223,7 @@ def _gf_step(snap, config, t, prev):
         if not math.isfinite(value):
             raise ConvergenceError(f"snapshot {t}: factorization objective is {value} in iteration {it}")
         trace.append(value)
-    return _Step(y, config.gf_iters * snap.edge_count, trace)
+    return Step(y, config.gf_iters * snap.edge_count, trace)
 
 
 def run_gf(series, config):
@@ -261,21 +237,21 @@ def run_gf(series, config):
     """
     if not config.method.startswith("gf"):
         raise ConfigError(f"run_gf needs a gf method, got {config.method!r}")
-    return _drive(config.method, series, config, _gf_step, config.method == "gf_init")
+    return _drive(series, config, _gf_step, config.method == "gf_init")
 
 
 def run_method(series, config):
-    """Run ``config.method`` over the series and return its EmbeddingSeries.
+    """Run ``config.method`` over the series: one Step per snapshot.
     ``dyngem`` and ``gf_init`` warm-start each step from the previous one;
     the other methods start every step cold.  The ``*_align`` methods then
     rotate each step onto the previous one, charging each its own time."""
     method = config.method
     if method.startswith("gf"):
-        out = run_gf(series, config)
+        steps = run_gf(series, config)
     else:
-        out = _drive(method, series, config, _autoencoder_step, warm=method == "dyngem")
+        steps = _drive(series, config, _autoencoder_step, warm=method == "dyngem")
     if not method.endswith("_align"):
-        return out
-    aligned, _, align_seconds = align_series(out.embeddings)
-    seconds = [s + a for s, a in zip(out.seconds, align_seconds)]
-    return replace(out, embeddings=aligned, seconds=seconds)
+        return steps
+    aligned, align_seconds = align_series([s.embedding for s in steps])
+    return [replace(s, embedding=e, seconds=s.seconds + a)
+            for s, e, a in zip(steps, aligned, align_seconds)]

@@ -341,9 +341,9 @@ def save_snapshot(snapshot, path):
     return path
 
 
-def load_series(dirpath):
-    """Load ``snapshot_<t>.edges`` files from a directory in order of the
-    integer step ``t``, so unpadded names load in step order too."""
+def series_files(dirpath):
+    """The ``snapshot_<t>.edges`` files of a directory in order of the
+    integer step ``t``, so unpadded names come in step order too."""
     dirpath = Path(dirpath)
     files = {}
     for path in sorted(dirpath.glob(SNAPSHOT_GLOB)):
@@ -356,7 +356,12 @@ def load_series(dirpath):
         files[step] = path
     if not files:
         raise ConfigError(f"no {SNAPSHOT_GLOB} files found in {dirpath}")
-    return DynamicGraph([load_snapshot(files[t]) for t in sorted(files)])
+    return [files[t] for t in sorted(files)]
+
+
+def load_series(dirpath):
+    """Load the snapshot files of a directory in step order (``series_files``)."""
+    return DynamicGraph([load_snapshot(path) for path in series_files(dirpath)])
 
 
 def save_series(graph, dirpath):

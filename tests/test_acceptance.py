@@ -75,7 +75,7 @@ def desk_runs():
             results[method] = run_method(graphs, RunConfig(hyper=hyper, method=method))
             seconds[method] = time.perf_counter() - start
         dyn, ret = results["dyngem"], results["sdne_retrain"]
-        aligned, _, _ = align_series(ret.embeddings)
+        aligned, _ = align_series([s.embedding for s in ret])
         runs[seed] = SimpleNamespace(
             graphs=graphs, dyn=dyn, ret=ret, aligned=aligned,
             t_dyn=seconds["dyngem"], t_ret=seconds["sdne_retrain"],
@@ -128,11 +128,11 @@ def test_02_growth_transforms_preserve_outputs():
 def test_03_growth_keeps_layer_ratio_floor():
     graphs = growing_series(n_start=100, n_end=200, steps=10, seed=0)
     hyper = Hyperparameters(d=4, epochs_first=5, epochs_warm=3, seed=0)
-    series = run_method(graphs, RunConfig(hyper=hyper, method="dyngem", hidden_sizes=(40, 12)))
-    events = [g for g in series.growth if g is not None]
+    steps = run_method(graphs, RunConfig(hyper=hyper, method="dyngem", hidden_sizes=(40, 12)))
+    events = [s.growth for s in steps if s.growth is not None]
     pairs = 0
     ok = len(events) == 9  # every step after the first adds nodes
-    for ckpt in series.checkpoints:
+    for ckpt in (s.checkpoint for s in steps):
         for chain in (ckpt.encoder_sizes, tuple(reversed(ckpt.decoder_sizes))):
             for a, b in zip(chain, chain[1:]):
                 pairs += 1
@@ -172,7 +172,7 @@ def test_05_reconstruction_map_beats_null(desk_runs):
     rng = np.random.default_rng(99)
     values, nulls = [], []
     for t, snap in enumerate(run.graphs):
-        scores = symmetrize_scores(reconstruct_scores(run.dyn.checkpoints[t], run.dyn.embeddings[t]))
+        scores = symmetrize_scores(reconstruct_scores(run.dyn[t].checkpoint, run.dyn[t].embedding))
         values.append(eval_reconstruction(scores, snap))
         null = rng.standard_normal((snap.node_count, snap.node_count))
         nulls.append(eval_reconstruction((null + null.T) / 2, snap))
@@ -189,8 +189,8 @@ def test_06_warm_start_is_most_stable(desk_runs):
     triples = []
     for seed in SEEDS:
         run = desk_runs[seed]
-        k_dyn = stability(run.dyn.embeddings, run.graphs).k_s
-        k_ret = stability(run.ret.embeddings, run.graphs).k_s
+        k_dyn = stability([s.embedding for s in run.dyn], run.graphs).k_s
+        k_ret = stability([s.embedding for s in run.ret], run.graphs).k_s
         k_ali = stability(run.aligned, run.graphs).k_s
         beats_retrain += k_dyn < k_ret
         beats_aligned += k_dyn < k_ali
@@ -212,8 +212,8 @@ def test_07_link_prediction_beats_null():
         last = len(graphs) - 1
         train_last, hidden = hide_edges(graphs[last], 0.15, seed + 50)
         modified = DynamicGraph([graphs[t] for t in range(last)] + [train_last])
-        result = run_method(modified, RunConfig(hyper=_desk_hyper(seed), method="dyngem"))
-        scores = symmetrize_scores(reconstruct_scores(result.checkpoints[last], result.embeddings[last]))
+        step = run_method(modified, RunConfig(hyper=_desk_hyper(seed), method="dyngem"))[last]
+        scores = symmetrize_scores(reconstruct_scores(step.checkpoint, step.embedding))
         maps.append(eval_link_prediction(scores, train_last, hidden))
         rng = np.random.default_rng(seed + 1000)
         null = rng.standard_normal(scores.shape)
@@ -253,8 +253,8 @@ def test_09_community_merge_is_flagged():
     peaks = []
     for seed in SEEDS:
         series = merge_series(seed=seed)
-        result = run_method(series, RunConfig(hyper=_desk_hyper(seed), method="dyngem"))
-        deltas = anomaly_series(result.embeddings)
+        steps = run_method(series, RunConfig(hyper=_desk_hyper(seed), method="dyngem"))
+        deltas = anomaly_series([s.embedding for s in steps])
         rep = flag_anomalies(deltas, rule="std", factor=2.0)
         flagged_steps = [t + 1 for t in rep.flagged]
         peak = int(np.argmax(deltas)) + 1
@@ -275,7 +275,7 @@ def test_10_rotation_alignment_recovers_and_preserves_geometry():
     for _ in range(4):
         step, _ = np.linalg.qr(rng.standard_normal((16, 16)))
         series.append(series[-1] @ step + rng.normal(0, 0.01, x.shape))
-    aligned, _, _ = align_series(series)
+    aligned, _ = align_series(series)
     isometry = max(
         float(np.max(np.abs(_pdist(al) - _pdist(raw)))) for raw, al in zip(series, aligned)
     )

@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import dyngem
-from dyngem import cli, kernels, model, nn
+from dyngem import cli, graph, kernels, model, nn
 from dyngem.cli import main, retain_freed_memory
 from dyngem.errors import ConvergenceError
 
@@ -354,6 +354,33 @@ def test_eval_anomaly_report(workspace, tmp_path):
     assert result.exit_code == 0
     report2 = json.loads(out2.read_text())
     assert report2["aggregate"]["flagged_steps"] == [1, 2]
+
+
+@pytest.mark.parametrize("kind", ["reconstruction", "stability", "anomaly"])
+def test_eval_rejects_data_with_another_number_of_steps(workspace, tmp_path, kind):
+    _, data, run = workspace
+    short, out = tmp_path / "short", tmp_path / "report.json"
+    shutil.copytree(data, short)
+    (short / graph.SNAPSHOT_FMT.format(2)).unlink()
+    result = _invoke(["eval", kind, "--run", str(run), "--data", str(short), "--out", str(out)])
+    assert result.exit_code == 2
+    assert "run and data directories disagree on the number of steps" in result.output
+    assert not out.exists()
+
+
+def test_eval_anomaly_parses_no_snapshot(workspace, tmp_path, monkeypatch):
+    # the deltas come from the run's embeddings; the data directory only
+    # has to hold as many snapshot files as the run has steps
+    _, data, run = workspace
+
+    def refuse(path):
+        raise AssertionError(f"eval anomaly parsed {path}")
+
+    monkeypatch.setattr(graph, "load_snapshot", refuse)
+    out = tmp_path / "anom.json"
+    result = _invoke(["eval", "anomaly", "--run", str(run), "--data", str(data), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert [e["step"] for e in json.loads(out.read_text())["per_step"]] == [1, 2]
 
 
 def test_eval_speedup_echo_and_report(tmp_path):

@@ -60,20 +60,20 @@ def test_dyngem_bookkeeping_and_prefix_stability():
     graphs = _series()
     config = _small_config()
     full = run_method(graphs, config)
-    assert len(full.embeddings) == len(graphs)
-    assert full.growth[0] is None  # first step builds fresh, no growth event
+    assert len(full) == len(graphs)
+    assert full[0].growth is None  # first step builds fresh, no growth event
     for t, snap in enumerate(graphs):
-        assert full.embeddings[t].shape == (snap.node_count, 4)
+        assert full[t].embedding.shape == (snap.node_count, 4)
         batches = (snap.edge_count + 31) // 32
         epochs = 3 if t == 0 else 2
-        assert full.iterations[t] == epochs * batches
-        assert len(full.traces[t]) == epochs
+        assert full[t].iterations == epochs * batches
+        assert len(full[t].trace) == epochs
     # a prefix run reproduces the full run's first steps exactly, and later
     # warm steps leave the earlier checkpoints as they were
     prefix = run_method(DynamicGraph(list(graphs)[:2]), config)
     for t in range(2):
-        np.testing.assert_array_equal(prefix.embeddings[t], full.embeddings[t])
-        for a, b in zip(prefix.checkpoints[t].layers(), full.checkpoints[t].layers(), strict=True):
+        np.testing.assert_array_equal(prefix[t].embedding, full[t].embedding)
+        for a, b in zip(prefix[t].checkpoint.layers(), full[t].checkpoint.layers(), strict=True):
             np.testing.assert_array_equal(a.weights, b.weights)
             np.testing.assert_array_equal(a.bias, b.bias)
 
@@ -81,16 +81,16 @@ def test_dyngem_bookkeeping_and_prefix_stability():
 def test_dyngem_grows_when_nodes_appear():
     graphs = growing_series(n_start=30, n_end=60, steps=4, seed=1)
     config = _small_config()
-    series = run_method(graphs, config)
-    assert series.growth[0] is None
-    grew = [g for g in series.growth[1:] if g is not None]
+    steps = run_method(graphs, config)
+    assert steps[0].growth is None
+    grew = [s.growth for s in steps[1:] if s.growth is not None]
     assert grew, "node growth must trigger at least one plan"
     for entry in grew:
         assert entry["plan"]["encoder_sizes"][-1] == 4
         assert all("op" in op for op in entry["applied"])
     for t, snap in enumerate(graphs):
-        assert series.checkpoints[t].n == snap.node_count
-        assert series.embeddings[t].shape[0] == snap.node_count
+        assert steps[t].checkpoint.n == snap.node_count
+        assert steps[t].embedding.shape[0] == snap.node_count
 
 
 def test_dyngem_warm_steps_train_the_previous_model_in_place():
@@ -100,7 +100,7 @@ def test_dyngem_warm_steps_train_the_previous_model_in_place():
     graphs = DynamicGraph([grown[0], grown[1], grown[1], grown[2], grown[2]])
     hyper = Hyperparameters(d=4, base_lr=1e-4, epochs_first=3, epochs_warm=2, batch_size=16, seed=2)
     config = RunConfig(hyper=hyper, hidden_sizes=(16, 8), growth_noise=1e-4)
-    series = run_method(graphs, config)
+    steps = run_method(graphs, config)
     params = None
     for t, snap in enumerate(graphs):
         init_seed, train_seed, grow_seed = (
@@ -114,7 +114,7 @@ def test_dyngem_warm_steps_train_the_previous_model_in_place():
             params, _ = apply_plan(params, plan, config.growth_noise, grow_seed)
         epochs = hyper.epochs_first if t == 0 else hyper.epochs_warm
         params, _ = train_snapshot(params, snap, hyper, epochs, seed=train_seed)
-        np.testing.assert_array_equal(series.embeddings[t], embed(params, snap))
+        np.testing.assert_array_equal(steps[t].embedding, embed(params, snap))
 
 
 def test_kills_embedding_when_most_live_units_go_dead():
@@ -152,22 +152,22 @@ def test_a_warm_step_that_kills_its_embedding_trains_again_slower(monkeypatch):
     verdicts = iter([True, False, False])
     monkeypatch.setattr(engine, "_kills_embedding", lambda before, after: next(verdicts))
     calls = _record_training(monkeypatch, fail=lambda k: False)
-    series = run_method(graphs, config)
+    steps = run_method(graphs, config)
     lr, warm = hyper.base_lr, hyper.epochs_warm
     # the next step keeps the halved rate
     assert calls == [(lr, 3), (lr, warm), (lr / 2, 2 * warm), (lr / 2, 2 * warm)]
     batches = (graphs[1].edge_count + 31) // 32
-    assert series.iterations[1] == 3 * warm * batches
-    assert len(series.traces[1]) == 2 * warm
+    assert steps[1].iterations == 3 * warm * batches
+    assert len(steps[1].trace) == 2 * warm
     # the retry starts from the previous step's checkpoint, not the model the
     # discarded attempt left
-    params = plain.checkpoints[0].copy()
+    params = plain[0].checkpoint.copy()
     params, _ = train_snapshot(
         params, graphs[1], replace(hyper, base_lr=lr / 2), 2 * warm,
         seed=engine._step_seed(hyper.seed, 1, engine._SALT_TRAIN),
     )
-    np.testing.assert_array_equal(series.embeddings[1], embed(params, graphs[1]))
-    np.testing.assert_array_equal(series.embeddings[0], plain.embeddings[0])
+    np.testing.assert_array_equal(steps[1].embedding, embed(params, graphs[1]))
+    np.testing.assert_array_equal(steps[0].embedding, plain[0].embedding)
 
 
 def test_a_warm_step_that_overflows_backs_off_until_it_trains(monkeypatch):
@@ -175,10 +175,10 @@ def test_a_warm_step_that_overflows_backs_off_until_it_trains(monkeypatch):
     config = _small_config()
     lr, warm = config.hyper.base_lr, config.hyper.epochs_warm
     calls = _record_training(monkeypatch, fail=lambda k: k < 2)
-    series = run_method(graphs, config)
+    steps = run_method(graphs, config)
     assert calls[1:] == [(lr, warm), (lr / 2, 2 * warm), (lr / 4, 4 * warm)]
-    assert np.isfinite(series.embeddings[1]).all()
-    assert series.backoffs == [0, 2]
+    assert np.isfinite(steps[1].embedding).all()
+    assert [s.backoffs for s in steps] == [0, 2]
 
 
 def test_a_warm_step_gives_up_after_max_backoffs(monkeypatch):
@@ -219,20 +219,20 @@ def test_restored_checkpoint_continues_the_run_bit_for_bit(tmp_path):
     assert sparse == [True] * 5 + [False]
     hyper = Hyperparameters(d=4, base_lr=1e-4, epochs_first=3, epochs_warm=2, batch_size=16, seed=2)
     config = RunConfig(hyper=hyper, hidden_sizes=(24, 8), growth_noise=1e-4)
-    series = run_method(graphs, config)
-    assert [g is not None for g in series.growth] == [False, True, False, True, False, False]
+    steps = run_method(graphs, config)
+    assert [s.growth is not None for s in steps] == [False, True, False, True, False, False]
     # every stored model is the one its step trained: a later step that
     # trained it in place would change what it embeds
     retrained = run_method(graphs, replace(config, method="sdne_retrain"))
-    for run in (series, retrained):
-        for t, snap in enumerate(graphs):
-            np.testing.assert_array_equal(embed(run.checkpoints[t], snap), run.embeddings[t])
+    for run in (steps, retrained):
+        for s, snap in zip(run, graphs, strict=True):
+            np.testing.assert_array_equal(embed(s.checkpoint, snap), s.embedding)
     for t in range(len(graphs) - 1):
-        path = save_checkpoint(series.checkpoints[t], tmp_path / f"checkpoint_{t:04d}.npz")
-        step = engine._Step(series.embeddings[t], 0, [], checkpoint=load_checkpoint(path))
+        path = save_checkpoint(steps[t].checkpoint, tmp_path / f"checkpoint_{t:04d}.npz")
+        step = engine.Step(steps[t].embedding, 0, [], checkpoint=load_checkpoint(path))
         for later in range(t + 1, len(graphs)):
             step = engine._autoencoder_step(graphs[later], config, later, step)
-            np.testing.assert_array_equal(step.embedding, series.embeddings[later])
+            np.testing.assert_array_equal(step.embedding, steps[later].embedding)
 
 
 def test_retrain_is_independent_per_step_and_thread_safe():
@@ -241,14 +241,14 @@ def test_retrain_is_independent_per_step_and_thread_safe():
     for cold, warm_method in (("sdne_retrain", "dyngem"), ("gf", "gf_init")):
         sequential = run_method(graphs, _small_config(seed=3, method=cold))
         threaded = run_method(graphs, _small_config(seed=3, method=cold, jobs=3))
-        for a, b in zip(sequential.embeddings, threaded.embeddings, strict=True):
-            np.testing.assert_array_equal(a, b)
-        assert sequential.traces == threaded.traces
-        assert sequential.iterations == threaded.iterations
+        for a, b in zip(sequential, threaded, strict=True):
+            np.testing.assert_array_equal(a.embedding, b.embedding)
+            assert a.trace == b.trace
+            assert a.iterations == b.iterations
         warm = run_method(graphs, _small_config(seed=3, method=warm_method))
         # warm-started later steps differ from fresh retrains
-        np.testing.assert_array_equal(sequential.embeddings[0], warm.embeddings[0])
-        assert not np.array_equal(sequential.embeddings[1], warm.embeddings[1])
+        np.testing.assert_array_equal(sequential[0].embedding, warm[0].embedding)
+        assert not np.array_equal(sequential[1].embedding, warm[1].embedding)
 
 
 def test_procrustes_recovers_rotation():
@@ -270,8 +270,8 @@ def test_align_series_isometry_and_continuity():
     for _ in range(3):
         q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
         embeddings.append(embeddings[-1] @ q + rng.normal(0, 1e-3, base.shape))
-    aligned, rotations, _ = align_series(embeddings)
-    np.testing.assert_array_equal(rotations[0], np.eye(5))
+    aligned, _ = align_series(embeddings)
+    np.testing.assert_array_equal(aligned[0], embeddings[0])
     for t in range(4):
         # rotation preserves every pairwise distance
         def pdist(m):
@@ -279,8 +279,12 @@ def test_align_series_isometry_and_continuity():
             return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 
         np.testing.assert_allclose(pdist(aligned[t]), pdist(embeddings[t]), atol=1e-9)
-        np.testing.assert_allclose(rotations[t] @ rotations[t].T, np.eye(5), atol=1e-10)
     for t in range(1, 4):
+        # each step is its own embedding times an orthogonal R: the rotation
+        # Procrustes finds onto the aligned previous step
+        r, _ = procrustes_align(aligned[t - 1], embeddings[t])
+        np.testing.assert_allclose(r @ r.T, np.eye(5), atol=1e-10)
+        np.testing.assert_array_equal(aligned[t], embeddings[t] @ r)
         # consecutive aligned steps stay close for a slowly drifting series
         drift = np.linalg.norm(aligned[t] - aligned[t - 1])
         raw = np.linalg.norm(embeddings[t] - embeddings[t - 1])
@@ -292,7 +296,7 @@ def test_align_series_handles_growing_rows():
     a = rng.standard_normal((10, 3))
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
     b = np.vstack([a, rng.standard_normal((4, 3))]) @ q
-    aligned, _, _ = align_series([a, b])
+    aligned, _ = align_series([a, b])
     np.testing.assert_allclose(aligned[1][:10], a, atol=1e-8)
     assert aligned[1].shape == (14, 3)
 
@@ -301,17 +305,15 @@ def test_gf_objective_decreases_and_warm_start_differs():
     graphs = _series(seed=6)
     config = _small_config(seed=6, method="gf")
     cold = run_gf(graphs, config)
-    assert cold.method == "gf"
-    for trace in cold.traces:
-        assert trace[-1] < trace[0]
+    for step in cold:
+        assert step.trace[-1] < step.trace[0]
     warm = run_gf(graphs, replace(config, method="gf_init"))
-    assert warm.method == "gf_init"
-    np.testing.assert_array_equal(cold.embeddings[0], warm.embeddings[0])
-    assert not np.array_equal(cold.embeddings[1], warm.embeddings[1])
-    assert cold.iterations[0] == config.gf_iters * graphs[0].edge_count
+    np.testing.assert_array_equal(cold[0].embedding, warm[0].embedding)
+    assert not np.array_equal(cold[1].embedding, warm[1].embedding)
+    assert cold[0].iterations == config.gf_iters * graphs[0].edge_count
     again = run_gf(graphs, config)
-    for a, b in zip(cold.embeddings, again.embeddings):
-        np.testing.assert_array_equal(a, b)
+    for a, b in zip(cold, again, strict=True):
+        np.testing.assert_array_equal(a.embedding, b.embedding)
 
 
 def test_gf_rejects_empty_snapshot():
@@ -329,16 +331,15 @@ def test_gf_rejects_an_autoencoder_method():
 def test_run_method_dispatch():
     graphs = _series(seed=7, steps=3)
     for method in METHODS:
-        series = run_method(graphs, _small_config(seed=7, method=method))
-        assert series.method == method
-        assert len(series.embeddings) == 3
-        assert len(series.growth) == 3
+        steps = run_method(graphs, _small_config(seed=7, method=method))
+        assert len(steps) == 3
+        assert all(isinstance(s, engine.Step) for s in steps)
         if method != "dyngem":
-            assert series.growth == [None, None, None]
+            assert [s.growth for s in steps] == [None, None, None]
         if method.startswith("gf"):
-            assert series.checkpoints == [None, None, None]
+            assert [s.checkpoint for s in steps] == [None, None, None]
         else:
-            assert all(isinstance(c, AutoencoderParams) for c in series.checkpoints)
+            assert all(isinstance(s.checkpoint, AutoencoderParams) for s in steps)
 
 
 def test_aligned_variants_only_rotate():
@@ -348,8 +349,8 @@ def test_aligned_variants_only_rotate():
     for t in range(3):
         # same Gram matrix, different coordinates
         np.testing.assert_allclose(
-            aligned.embeddings[t] @ aligned.embeddings[t].T,
-            plain.embeddings[t] @ plain.embeddings[t].T,
+            aligned[t].embedding @ aligned[t].embedding.T,
+            plain[t].embedding @ plain[t].embedding.T,
             atol=1e-8,
         )
 
@@ -357,16 +358,16 @@ def test_aligned_variants_only_rotate():
 def test_aligned_variant_charges_each_step_its_own_alignment(monkeypatch):
     rng = np.random.default_rng(3)
     embeddings = [rng.standard_normal((6 + t, 3)) for t in range(3)]
-    _, _, align_seconds = align_series(embeddings)
+    _, align_seconds = align_series(embeddings)
     assert align_seconds[0] == 0.0 and all(s > 0 for s in align_seconds[1:])
 
     real = engine.align_series
 
     def slow_align(embeddings):
-        aligned, rotations, _ = real(embeddings)
-        return aligned, rotations, [0.0, 100.0, 200.0]
+        aligned, _ = real(embeddings)
+        return aligned, [0.0, 100.0, 200.0]
 
     monkeypatch.setattr(engine, "align_series", slow_align)
     out = run_method(_series(seed=8, steps=3), _small_config(seed=8, method="gf_align"))
-    assert out.seconds[0] < 100.0
-    assert 100.0 < out.seconds[1] < 200.0 < out.seconds[2] < 300.0
+    assert out[0].seconds < 100.0
+    assert 100.0 < out[1].seconds < 200.0 < out[2].seconds < 300.0

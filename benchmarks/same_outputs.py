@@ -13,14 +13,16 @@ with the train flags (the one eval that ranks with excluded pairs) and
 ``export``.  On the desk series of ``desk_warm`` each checkout also trains
 the methods of ``METHOD_RUNS`` (an aligned autoencoder, a warm-started
 factorization and a cold autoencoder on a thread pool), which no workload
-reaches.  Every file written is compared byte for byte, except that a
-manifest is compared without the keys that hold timings or the input path
-(``seconds``, ``total_seconds``, ``input``).  This checkout then runs the
-workload's ``eval`` commands on its own run again with
-``DYNGEM_PURE_PYTHON=1``, and each report must equal the compiled backend's
-byte for byte.  Each file that differs is printed, and the exit code is 1
-when any does.  BLAS runs on one thread, as in the benchmark, because the
-thread count changes the summation order.
+reaches, and runs ``METHOD_EVALS`` on each.  Every file written is compared
+byte for byte, except that a manifest is compared without the keys that
+hold timings or the input path (``seconds``, ``total_seconds``,
+``input``).  This checkout then runs the ``eval`` commands on its own
+workload runs again with ``DYNGEM_PURE_PYTHON=1``, and on every run the
+parent wrote (a cross-read: a run written before a change must read the
+same after it); each report must equal the compiled backend's, or the
+parent's, byte for byte.  Each file that differs is printed, and the exit
+code is 1 when any does.  BLAS runs on one thread, as in the benchmark,
+because the thread count changes the summation order.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ METHOD_RUNS = {
     "gf_init": ("--method", "gf_init", "--gf-iters", "5"),
     "sdne_retrain_jobs2": ("--method", "sdne_retrain", "--d", "32", "--epochs-first", "3", "--jobs", "2"),
 }
+METHOD_EVALS = ("reconstruction", "stability")
 
 
 def run_cli(checkout, *args, **env):
@@ -60,15 +63,15 @@ def run_cli(checkout, *args, **env):
                          f"{proc.stdout}{proc.stderr}")
 
 
-def run_evals(checkout, workload, run, series_dir, out, **env):
-    for kind in workload.evals:
+def run_evals(checkout, kinds, run, series_dir, out, **env):
+    for kind in kinds:
         run_cli(checkout, "eval", kind, "--run", run, "--data", series_dir, "--out", out / f"{kind}.json", **env)
 
 
 def write_outputs(checkout, workload, series_dir, out):
     run = out / "run"
     run_cli(checkout, "train", "--in", series_dir, "--out", run, *workload.train_args)
-    run_evals(checkout, workload, run, series_dir, out)
+    run_evals(checkout, workload.evals, run, series_dir, out)
     run_cli(checkout, "eval", "linkpred", "--data", series_dir, "--out", out / "linkpred.json",
             *workload.train_args)
     run_cli(checkout, "export", "--run", run, "--out", out / "export")
@@ -106,6 +109,26 @@ def count_differing(name, work):
     return differing
 
 
+def count_differing_reports(name, kinds, work, side, reference, how):
+    """Compare the eval reports under ``work/side`` with those under
+    ``work/reference``, print each that differs, and return how many do."""
+    differing = 0
+    for kind in kinds:
+        if comparable(work / side / f"{kind}.json") != comparable(work / reference / f"{kind}.json"):
+            differing += 1
+            print(f"{name}: {kind}.json differs {how}")
+    print(f"{name}: compared {len(kinds)} eval reports {how}")
+    return differing
+
+
+def count_differing_cross_reads(name, kinds, work, series_dir):
+    """Run this checkout's evals on the parent's run; count the reports
+    that differ from the parent's own."""
+    run_evals(ROOT, kinds, work / "parent" / "run", series_dir, work / "cross")
+    return count_differing_reports(name, kinds, work, "cross", "parent",
+                                   "when this checkout reads the parent's run")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
@@ -118,19 +141,19 @@ def main():
             write_outputs(parent, workload, work / "series", work / "parent")
             write_outputs(ROOT, workload, work / "series", work / "change")
             differing += count_differing(name, work)
-            run_evals(ROOT, workload, work / "change" / "run", work / "series", work / "python",
+            run_evals(ROOT, workload.evals, work / "change" / "run", work / "series", work / "python",
                       DYNGEM_PURE_PYTHON="1")
-            for kind in workload.evals:
-                if comparable(work / "python" / f"{kind}.json") != comparable(work / "change" / f"{kind}.json"):
-                    differing += 1
-                    print(f"{name}: {kind}.json differs between the compiled and the python backend")
-            print(f"{name}: compared {len(workload.evals)} eval reports across backends")
+            differing += count_differing_reports(name, workload.evals, work, "python", "change",
+                                                 "between the python and the compiled backend")
+            differing += count_differing_cross_reads(name, workload.evals, work, work / "series")
         desk = Path(tmp) / "desk_warm" / "series"
         for name, args in METHOD_RUNS.items():
             work = Path(tmp) / name
             for checkout, side in ((parent, "parent"), (ROOT, "change")):
-                run_cli(checkout, "train", "--in", desk, "--out", work / side, *args)
+                run_cli(checkout, "train", "--in", desk, "--out", work / side / "run", *args)
+                run_evals(checkout, METHOD_EVALS, work / side / "run", desk, work / side)
             differing += count_differing(name, work)
+            differing += count_differing_cross_reads(name, METHOD_EVALS, work, desk)
     print("same outputs" if not differing else f"{differing} files differ")
     return 1 if differing else 0
 

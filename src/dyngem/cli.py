@@ -36,8 +36,9 @@ SCHEMA_VERSION = 2
 EMB_FMT = "emb_{:04d}.csv"
 CKPT_FMT = "checkpoint_{:04d}.npz"
 
-# Methods whose stored decoder matches their stored embeddings; everything
-# else (rotated or factorized) is scored by embedding inner products.
+# Methods whose every step stores the model whose encoder gave its embedding,
+# so eval decodes it; every other run (rotated or factorized) stores no model
+# and is scored by embedding inner products.
 DECODER_SCORED = ("dyngem", "sdne_retrain")
 
 # glibc serves requests above a moving mmap threshold with fresh mappings
@@ -352,7 +353,11 @@ def cmd_train(ctx, input_dir, output_dir, from_manifest, **flags):
     click.echo(f"trained {config.method} on {len(series)} snapshots -> {output_dir}")
 
 
-def _load_run(run_dir):
+def _load_run(run_dir, data_dir=None):
+    """A train run's manifest, its embeddings, and per step a checkpoint path
+    for a ``DECODER_SCORED`` method, else None (an older run's checkpoints are
+    ignored).  Given ``data_dir``, the run must have one step per snapshot
+    file there, which is checked before any file is parsed."""
     run_dir = Path(run_dir)
     manifest_path = run_dir / "manifest.json"
     if not manifest_path.exists():
@@ -362,31 +367,32 @@ def _load_run(run_dir):
     if not isinstance(manifest, dict) or manifest.get("command") != "train":
         raise ConfigError(f"{manifest_path} is not the manifest of a train run")
     steps = manifest.get("per_step")
-    if not isinstance(steps, list) or not all(isinstance(e, dict) and "embedding" in e for e in steps):
-        raise ConfigError(f"{manifest_path} needs a per_step list with an embedding per step")
-    if manifest.get("method") not in METHODS or not isinstance(manifest.get("config"), dict):
+    if not (isinstance(steps, list) and steps
+            and all(isinstance(e, dict) and "embedding" in e for e in steps)):
+        raise ConfigError(f"{manifest_path} needs a non-empty per_step list with an embedding per step")
+    method = manifest.get("method")
+    if method not in METHODS or not isinstance(manifest.get("config"), dict):
         raise ConfigError(f"{manifest_path} needs a method out of {', '.join(METHODS)} and a config echo")
+    decoded = method in DECODER_SCORED
+    if decoded and not all(isinstance(e.get("checkpoint"), str) and e["checkpoint"] for e in steps):
+        raise ConfigError(f"{manifest_path} needs a checkpoint for every step of a {method} run")
     counts = manifest.get("node_counts")
     if not (isinstance(counts, list) and len(counts) == len(steps)
             and all(type(c) is int and c >= 0 for c in counts)):
         raise ConfigError(f"{manifest_path} needs node_counts: one non-negative integer per step")
-    embeddings = []
-    checkpoints = []
-    for entry, count in zip(steps, counts):
-        embeddings.append(_read_embedding_csv(run_dir / entry["embedding"], count))
-        name = entry.get("checkpoint")
-        checkpoints.append(run_dir / name if name else None)
+    if data_dir is not None and len(series_files(data_dir)) != len(steps):
+        raise ConfigError("run and data directories disagree on the number of steps")
+    embeddings = [_read_embedding_csv(run_dir / e["embedding"], c) for e, c in zip(steps, counts)]
+    checkpoints = [run_dir / e["checkpoint"] if decoded else None for e in steps]
     return manifest, embeddings, checkpoints
 
 
-def _step_scores(method, embedding, params):
-    """Pair scores of one step: the decoded embedding for the methods whose
-    decoder ``params`` match it, else embedding inner products."""
-    if method in DECODER_SCORED:
-        if params is None:
-            raise ConfigError(f"method {method!r} needs checkpoints for scoring")
-        return model.symmetrize_scores(model.reconstruct_scores(params, embedding))
-    return embedding @ embedding.T
+def _step_scores(embedding, params):
+    """Pair scores of one step: the embedding decoded by ``params``, the model
+    whose encoder gave it, or embedding inner products without a model."""
+    if params is None:
+        return embedding @ embedding.T
+    return model.symmetrize_scores(model.reconstruct_scores(params, embedding))
 
 
 @main.group("eval")
@@ -401,22 +407,14 @@ def cmd_eval():
 @_guarded
 def eval_reconstruction_cmd(run_dir, data_dir, out_path):
     """Average MAP of reconstructing each snapshot's neighborhoods."""
-    manifest, embeddings, checkpoints = _load_run(run_dir)
-    series = load_series(data_dir)
-    if len(series) != len(embeddings):
-        raise ConfigError("run and data directories disagree on the number of steps")
-    method = manifest["method"]
+    manifest, embeddings, checkpoints = _load_run(run_dir, data_dir)
     per_step = []
-    values = []
-    for t, snap in enumerate(series):
-        checkpoint = checkpoints[t] if method in DECODER_SCORED else None
+    for t, (snap, emb, checkpoint) in enumerate(zip(load_series(data_dir), embeddings, checkpoints)):
         params = model.load_checkpoint(checkpoint) if checkpoint is not None else None
-        scores = _step_scores(method, embeddings[t], params)
-        value = metrics.eval_reconstruction(scores, snap)
-        values.append(value)
+        value = metrics.eval_reconstruction(_step_scores(emb, params), snap)
         per_step.append({"step": t, "map": value})
-    aggregate = {"average_map": float(np.mean(values))}
-    _write_report(out_path, method, manifest["config"], per_step, aggregate)
+    aggregate = {"average_map": float(np.mean([e["map"] for e in per_step]))}
+    _write_report(out_path, manifest["method"], manifest["config"], per_step, aggregate)
     click.echo(f"average reconstruction MAP: {aggregate['average_map']:.6f}")
 
 
@@ -436,7 +434,7 @@ def eval_linkpred_cmd(data_dir, out_path, hide_fraction, hide_seed, **flags):
     train_last, hidden = hide_edges(series[last], hide_fraction, hide_seed)
     modified = DynamicGraph([series[t] for t in range(last)] + [train_last])
     step = run_method(modified, config)[last]
-    scores = _step_scores(config.method, step.embedding, step.checkpoint)
+    scores = _step_scores(step.embedding, step.checkpoint)
     value = metrics.eval_link_prediction(scores, train_last, hidden)
     per_step = [{"step": last, "map": value, "hidden_edges": len(hidden)}]
     aggregate = {"average_map": value, "hide_fraction": hide_fraction, "hide_seed": hide_seed}
@@ -451,13 +449,10 @@ def eval_linkpred_cmd(data_dir, out_path, hide_fraction, hide_seed, **flags):
 @_guarded
 def eval_stability_cmd(run_dir, data_dir, out_path):
     """Relative/absolute stability per transition plus the constant K_S."""
-    manifest, embeddings, _ = _load_run(run_dir)
-    series = load_series(data_dir)
-    if len(series) != len(embeddings):
-        raise ConfigError("run and data directories disagree on the number of steps")
-    if len(series) < 2:
+    manifest, embeddings, _ = _load_run(run_dir, data_dir)
+    if len(embeddings) < 2:
         raise ConfigError("stability needs at least two snapshots")
-    report = metrics.stability(embeddings, series)
+    report = metrics.stability(embeddings, load_series(data_dir))
     per_step = []
     for t, (s_abs, s_rel) in enumerate(zip(report.s_abs, report.s_rel)):
         entry = {"step": t + 1, "s_abs": s_abs, "s_rel": s_rel, "defined": s_rel is not None}
@@ -483,9 +478,7 @@ def eval_stability_cmd(run_dir, data_dir, out_path):
 @_guarded
 def eval_anomaly_cmd(run_dir, data_dir, out_path, rule, factor, threshold):
     """Embedding-drift deltas per transition with threshold flags."""
-    manifest, embeddings, _ = _load_run(run_dir)
-    if len(series_files(data_dir)) != len(embeddings):
-        raise ConfigError("run and data directories disagree on the number of steps")
+    manifest, embeddings, _ = _load_run(run_dir, data_dir)
     deltas = metrics.anomaly_series(embeddings)
     try:
         report = metrics.flag_anomalies(deltas, rule=rule, factor=factor, threshold=threshold)
@@ -553,8 +546,6 @@ def _load_ids(path):
 def cmd_export(run_dir, output_dir, ids_path):
     """Concatenate a run into long-format embeddings.csv plus deltas.csv."""
     _, embeddings, _ = _load_run(run_dir)
-    if not embeddings:
-        raise ConfigError(f"run {run_dir} holds no embeddings")
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     ext_of = _load_ids(ids_path) if ids_path else None

@@ -14,7 +14,7 @@ import numpy as np
 
 from dyngem import model
 from dyngem.errors import ConfigError, ConvergenceError
-from dyngem.growth import apply_plan, propsize_plan
+from dyngem.growth import apply_plan, derive_seed, propsize_plan
 from dyngem.kernels import gf_epoch, jacobi_svd
 from dyngem.model import Hyperparameters
 
@@ -62,8 +62,10 @@ class Step:
     """One snapshot's result: its embedding, the training iterations (a warm
     step counts the attempts it discarded), the per-epoch objective and the
     wall-clock seconds, alignment included.  ``checkpoint`` is the trained
-    model (None for factorization); a warm next step trains a copy, so it
-    stays as this step left it and its saved file trains on to the same bits.
+    model whose encoder gave ``embedding``: None for factorization and for
+    an aligned step, whose rotated embedding is no model's output.  A warm
+    next step trains a copy, so it stays as this step left it and its saved
+    file trains on to the same bits.
     ``growth`` is the plan applied before training (None where nothing grew)
     and ``backoffs`` the learning-rate halvings in effect (a warm step trained
     again halved the rate for itself and every later step)."""
@@ -75,10 +77,6 @@ class Step:
     growth: dict | None = None
     backoffs: int = 0
     seconds: float = 0.0
-
-
-def _step_seed(base, t, salt):
-    return int(np.random.SeedSequence([int(base), int(t), salt]).generate_state(1)[0])
 
 
 def _drive(series, config, step, warm):
@@ -108,7 +106,7 @@ def _grow(params, snap, config, t):
         return params, None
     hyper = config.hyper
     plan = propsize_plan(params.encoder_sizes[:-1], snap.node_count, hyper.rho, hyper.d)
-    seed = _step_seed(hyper.seed, t, _SALT_GROW)
+    seed = derive_seed(hyper.seed, t, _SALT_GROW)
     params, applied = apply_plan(params, plan, config.growth_noise, seed)
     return params, {"plan": plan.to_dict(), "applied": applied}
 
@@ -132,11 +130,11 @@ def _autoencoder_step(snap, config, t, prev):
     halved rate; at most MAX_BACKOFFS halvings in all.  The iteration count
     includes the attempts a step discarded."""
     hyper = config.hyper
-    seed = _step_seed(hyper.seed, t, _SALT_TRAIN)
+    seed = derive_seed(hyper.seed, t, _SALT_TRAIN)
     batches = (snap.edge_count + hyper.batch_size - 1) // hyper.batch_size
     if prev is None:
         params = model.build_autoencoder(
-            snap.node_count, config.hidden_sizes, hyper.d, _step_seed(hyper.seed, t, _SALT_INIT)
+            snap.node_count, config.hidden_sizes, hyper.d, derive_seed(hyper.seed, t, _SALT_INIT)
         )
         params, trace = model.train_snapshot(params, snap, hyper, hyper.epochs_first, seed=seed)
         return Step(model.embed(params, snap), hyper.epochs_first * batches, trace, params)
@@ -211,10 +209,10 @@ def _gf_step(snap, config, t, prev):
         raise ValueError(f"snapshot {t} has no edges to factorize")
     d = config.hyper.d
     y0 = np.empty((0, d)) if prev is None else prev.embedding
-    rng_init = np.random.default_rng(_step_seed(config.hyper.seed, t, _SALT_INIT))
+    rng_init = np.random.default_rng(derive_seed(config.hyper.seed, t, _SALT_INIT))
     y = np.vstack([y0, rng_init.uniform(-0.1, 0.1, (snap.node_count - y0.shape[0], d))])
     heads, tails, weights = snap.heads, snap.tails, snap.weights
-    rng = np.random.default_rng(_step_seed(config.hyper.seed, t, _SALT_TRAIN))
+    rng = np.random.default_rng(derive_seed(config.hyper.seed, t, _SALT_TRAIN))
     trace = []
     for it in range(config.gf_iters):
         order = rng.permutation(snap.edge_count).astype(np.intp)
@@ -244,7 +242,8 @@ def run_method(series, config):
     """Run ``config.method`` over the series: one Step per snapshot.
     ``dyngem`` and ``gf_init`` warm-start each step from the previous one;
     the other methods start every step cold.  The ``*_align`` methods then
-    rotate each step onto the previous one, charging each its own time."""
+    rotate each step onto the previous one, charging each its own time, and
+    drop its model, which no longer gives its embedding."""
     method = config.method
     if method.startswith("gf"):
         steps = run_gf(series, config)
@@ -253,5 +252,5 @@ def run_method(series, config):
     if not method.endswith("_align"):
         return steps
     aligned, align_seconds = align_series([s.embedding for s in steps])
-    return [replace(s, embedding=e, seconds=s.seconds + a)
+    return [replace(s, embedding=e, checkpoint=None, seconds=s.seconds + a)
             for s, e, a in zip(steps, aligned, align_seconds)]

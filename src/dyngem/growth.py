@@ -215,8 +215,9 @@ def _push_inserted(params, side, position, width):
     layers.insert(position + 1, LayerParams(np.eye(width)[: nxt.out_dim], np.zeros(nxt.out_dim)))
 
 
-def _op_seed(seed, counter):
-    return int(np.random.SeedSequence([int(seed), int(counter)]).generate_state(1)[0])
+def derive_seed(*keys):
+    """A 32-bit seed drawn from the integer ``keys`` by ``numpy.random.SeedSequence``."""
+    return int(np.random.SeedSequence([int(k) for k in keys]).generate_state(1)[0])
 
 
 def apply_plan(params, plan, noise_scale=0.0, seed=0):
@@ -235,7 +236,7 @@ def apply_plan(params, plan, noise_scale=0.0, seed=0):
     new_n = plan.encoder_sizes[0]
     if new_n > params.n:
         report.append({"op": "expand", "old_n": params.n, "new_n": int(new_n)})
-        expand_input_output(params, new_n, seed=_op_seed(seed, counter))
+        expand_input_output(params, new_n, seed=derive_seed(seed, counter))
         counter += 1
 
     for side, position, width in plan.deepen_ops:
@@ -244,7 +245,7 @@ def apply_plan(params, plan, noise_scale=0.0, seed=0):
             net2deeper(params, side, position)
             construction = "identity"
             if width > incoming:
-                net2wider(params, side, position + 1, width, noise_scale, _op_seed(seed, counter))
+                net2wider(params, side, position + 1, width, noise_scale, derive_seed(seed, counter))
                 construction = "identity_then_widen"
         else:
             _push_inserted(params, side, position, width)
@@ -261,7 +262,7 @@ def apply_plan(params, plan, noise_scale=0.0, seed=0):
         counter += 1
 
     for side, layer, old_width, new_width in plan.widen_ops:
-        mapping = net2wider(params, side, layer, new_width, noise_scale, _op_seed(seed, counter))
+        mapping = net2wider(params, side, layer, new_width, noise_scale, derive_seed(seed, counter))
         report.append(
             {
                 "op": "widen",

@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import dyngem
-from dyngem import cli, graph, kernels, model, nn
+from dyngem import cli, engine, graph, kernels, metrics, model, nn
 from dyngem.cli import main, retain_freed_memory
 from dyngem.errors import ConvergenceError
 
@@ -357,11 +357,17 @@ def test_eval_anomaly_report(workspace, tmp_path):
 
 
 @pytest.mark.parametrize("kind", ["reconstruction", "stability", "anomaly"])
-def test_eval_rejects_data_with_another_number_of_steps(workspace, tmp_path, kind):
+def test_eval_rejects_data_with_another_number_of_steps(workspace, tmp_path, kind, monkeypatch):
+    # the snapshot files are counted before any of them is parsed
     _, data, run = workspace
     short, out = tmp_path / "short", tmp_path / "report.json"
     shutil.copytree(data, short)
     (short / graph.SNAPSHOT_FMT.format(2)).unlink()
+
+    def refuse(path):
+        raise AssertionError(f"eval {kind} parsed {path}")
+
+    monkeypatch.setattr(graph, "load_snapshot", refuse)
     result = _invoke(["eval", kind, "--run", str(run), "--data", str(short), "--out", str(out)])
     assert result.exit_code == 2
     assert "run and data directories disagree on the number of steps" in result.output
@@ -381,6 +387,79 @@ def test_eval_anomaly_parses_no_snapshot(workspace, tmp_path, monkeypatch):
     result = _invoke(["eval", "anomaly", "--run", str(run), "--data", str(data), "--out", str(out)])
     assert result.exit_code == 0, result.output
     assert [e["step"] for e in json.loads(out.read_text())["per_step"]] == [1, 2]
+
+
+def test_an_aligned_run_stores_no_model_and_reads_as_an_older_one_did(workspace, tmp_path):
+    _, data, _ = workspace
+    aligned, retrained, older = tmp_path / "aligned", tmp_path / "retrained", tmp_path / "older"
+    for run, method in ((aligned, "sdne_align"), (retrained, "sdne_retrain")):
+        result = _invoke(["train", "--in", str(data), "--out", str(run), "--method", method, *FAST_TRAIN])
+        assert result.exit_code == 0, result.output
+    assert not list(aligned.glob("checkpoint_*"))
+    manifest = json.loads((aligned / "manifest.json").read_text())
+    assert [e["checkpoint"] for e in manifest["per_step"]] == [None, None, None]
+    # Older versions stored each aligned step's unrotated model, which is the
+    # sdne_retrain step it was rotated from.  Eval ignores those checkpoints.
+    shutil.copytree(aligned, older)
+    for t, entry in enumerate(manifest["per_step"]):
+        entry["checkpoint"] = cli.CKPT_FMT.format(t)
+        shutil.copy(retrained / entry["checkpoint"], older / entry["checkpoint"])
+    (older / "manifest.json").write_text(json.dumps(manifest))
+    reports = []
+    for run in (aligned, older):
+        out = tmp_path / f"{run.name}.json"
+        result = _invoke(["eval", "reconstruction", "--run", str(run), "--data", str(data), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    # linkpred scores the aligned step by inner products, as older versions did
+    out = tmp_path / "lp.json"
+    result = _invoke(["eval", "linkpred", "--data", str(data), "--out", str(out), "--method", "sdne_align",
+                      "--hide-fraction", "0.2", "--hide-seed", "3", *FAST_TRAIN])
+    assert result.exit_code == 0, result.output
+    series = graph.load_series(data)
+    train_last, hidden = graph.hide_edges(series[2], 0.2, 3)
+    hyper = model.Hyperparameters(d=4, epochs_first=2, epochs_warm=1, batch_size=64, base_lr=1e-5, seed=5)
+    config = engine.RunConfig(hyper=hyper, method="sdne_align", hidden_sizes=(8, 4), gf_iters=5)
+    step = engine.run_method(graph.DynamicGraph([series[0], series[1], train_last]), config)[2]
+    assert step.checkpoint is None
+    expected = metrics.eval_link_prediction(step.embedding @ step.embedding.T, train_last, hidden)
+    assert json.loads(out.read_text())["per_step"][0]["map"] == expected
+
+
+def _assert_every_reader_rejects(run, data, tmp_path, words):
+    """``eval reconstruction``, ``stability``, ``anomaly`` and ``export`` each
+    exit 2 on ``run``, naming its manifest and ``words``, and write nothing."""
+    out = tmp_path / "out"
+    commands = [["eval", kind, "--data", str(data), "--out", str(out / f"{kind}.json")]
+                for kind in ("reconstruction", "stability", "anomaly")]
+    for command in [*commands, ["export", "--out", str(out / "export")]]:
+        result = _invoke([*command, "--run", str(run)])
+        assert result.exit_code == 2, result.output
+        assert str(run / "manifest.json") in result.output
+        assert words in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["dyngem", "sdne_retrain"])
+def test_eval_and_export_reject_a_decoded_run_with_a_step_without_a_checkpoint(workspace, tmp_path, method):
+    _, data, run = workspace
+    broken = tmp_path / "broken"
+    shutil.copytree(run, broken)
+    manifest = json.loads((broken / "manifest.json").read_text())
+    manifest["method"] = manifest["config"]["method"] = method
+    manifest["per_step"][1]["checkpoint"] = None
+    (broken / "manifest.json").write_text(json.dumps(manifest))
+    _assert_every_reader_rejects(broken, data, tmp_path, "checkpoint")
+
+
+def test_eval_and_export_reject_a_run_without_steps(workspace, tmp_path):
+    _, data, run = workspace
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    manifest = json.loads((run / "manifest.json").read_text())
+    (empty / "manifest.json").write_text(json.dumps(dict(manifest, per_step=[], node_counts=[])))
+    _assert_every_reader_rejects(empty, data, tmp_path, "per_step")
 
 
 def test_eval_speedup_echo_and_report(tmp_path):

@@ -9,7 +9,7 @@ from dyngem import engine
 from dyngem.engine import METHODS, RunConfig, align_series, procrustes_align, run_gf, run_method
 from dyngem.errors import ConfigError, ConvergenceError
 from dyngem.graph import DynamicGraph, GraphSnapshot, SbmConfig, generate_sbm_series
-from dyngem.growth import apply_plan, propsize_plan
+from dyngem.growth import apply_plan, derive_seed, propsize_plan
 from dyngem.model import (
     AutoencoderParams,
     Hyperparameters,
@@ -104,7 +104,7 @@ def test_dyngem_warm_steps_train_the_previous_model_in_place():
     params = None
     for t, snap in enumerate(graphs):
         init_seed, train_seed, grow_seed = (
-            engine._step_seed(hyper.seed, t, salt)
+            derive_seed(hyper.seed, t, salt)
             for salt in (engine._SALT_INIT, engine._SALT_TRAIN, engine._SALT_GROW)
         )
         if params is None:
@@ -164,7 +164,7 @@ def test_a_warm_step_that_kills_its_embedding_trains_again_slower(monkeypatch):
     params = plain[0].checkpoint.copy()
     params, _ = train_snapshot(
         params, graphs[1], replace(hyper, base_lr=lr / 2), 2 * warm,
-        seed=engine._step_seed(hyper.seed, 1, engine._SALT_TRAIN),
+        seed=derive_seed(hyper.seed, 1, engine._SALT_TRAIN),
     )
     np.testing.assert_array_equal(steps[1].embedding, embed(params, graphs[1]))
     np.testing.assert_array_equal(steps[0].embedding, plain[0].embedding)
@@ -336,10 +336,11 @@ def test_run_method_dispatch():
         assert all(isinstance(s, engine.Step) for s in steps)
         if method != "dyngem":
             assert [s.growth for s in steps] == [None, None, None]
-        if method.startswith("gf"):
-            assert [s.checkpoint for s in steps] == [None, None, None]
-        else:
+        if method in ("dyngem", "sdne_retrain"):
             assert all(isinstance(s.checkpoint, AutoencoderParams) for s in steps)
+        else:
+            # factorized or rotated: no model's encoder gave the embedding
+            assert [s.checkpoint for s in steps] == [None, None, None]
 
 
 def test_aligned_variants_only_rotate():

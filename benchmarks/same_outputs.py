@@ -20,9 +20,12 @@ hold timings or the input path (``seconds``, ``total_seconds``,
 workload runs again with ``DYNGEM_PURE_PYTHON=1``, and on every run the
 parent wrote (a cross-read: a run written before a change must read the
 same after it); each report must equal the compiled backend's, or the
-parent's, byte for byte.  Each file that differs is printed, and the exit
-code is 1 when any does.  BLAS runs on one thread, as in the benchmark,
-because the thread count changes the summation order.
+parent's, byte for byte.  On the workloads of ``PYTHON_TRAINED`` this
+checkout also trains with ``DYNGEM_PURE_PYTHON=1``, and every embedding and
+checkpoint must equal the compiled run's byte for byte: autoencoder
+training does not depend on the backend.  Each file that differs is
+printed, and the exit code is 1 when any does.  BLAS runs on one thread, as
+in the benchmark, because the thread count changes the summation order.
 """
 
 from __future__ import annotations
@@ -51,6 +54,8 @@ METHOD_RUNS = {
     "sdne_retrain_jobs2": ("--method", "sdne_retrain", "--d", "32", "--epochs-first", "3", "--jobs", "2"),
 }
 METHOD_EVALS = ("reconstruction", "stability")
+# workloads trained again on the numpy backend; grow_2k trains on sparse rows
+PYTHON_TRAINED = ("grow_2k",)
 
 
 def run_cli(checkout, *args, **env):
@@ -121,6 +126,22 @@ def count_differing_reports(name, kinds, work, side, reference, how):
     return differing
 
 
+def count_differing_python_training(name, workload, work, series_dir):
+    """Train on the numpy backend; count the embeddings and checkpoints that
+    differ from the compiled run's (the manifests name their backends)."""
+    runs = {"compiled": work / "change" / "run", "python": work / "python" / "run"}
+    run_cli(ROOT, "train", "--in", series_dir, "--out", runs["python"], *workload.train_args,
+            DYNGEM_PURE_PYTHON="1")
+    files = sorted({p.name for run in runs.values() for p in run.iterdir()} - {"manifest.json"})
+    differing = 0
+    for file in files:
+        if comparable(runs["compiled"] / file) != comparable(runs["python"] / file):
+            differing += 1
+            print(f"{name}: run/{file} differs between the python and the compiled backend")
+    print(f"{name}: compared {len(files)} training files between the python and the compiled backend")
+    return differing
+
+
 def count_differing_cross_reads(name, kinds, work, series_dir):
     """Run this checkout's evals on the parent's run; count the reports
     that differ from the parent's own."""
@@ -146,6 +167,8 @@ def main():
             differing += count_differing_reports(name, workload.evals, work, "python", "change",
                                                  "between the python and the compiled backend")
             differing += count_differing_cross_reads(name, workload.evals, work, work / "series")
+            if name in PYTHON_TRAINED:
+                differing += count_differing_python_training(name, workload, work, work / "series")
         desk = Path(tmp) / "desk_warm" / "series"
         for name, args in METHOD_RUNS.items():
             work = Path(tmp) / name

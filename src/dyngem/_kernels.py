@@ -1,5 +1,6 @@
 """ctypes bindings for the compiled hot loops in ``_libkernels.c``:
-``gf_epoch``, ``truth_ranks`` and ``jacobi_sweeps``.
+``gf_epoch``, ``truth_ranks``, ``jacobi_sweeps`` and the two sparse
+products ``csr_matmul`` and ``csr_tmatmul``.
 
 The first import compiles that file with the system's ``cc`` and caches the
 library the way Python caches bytecode: in the package's ``__pycache__``
@@ -31,9 +32,10 @@ from pathlib import Path
 
 import numpy as np
 
-# -ffp-contract=off keeps every multiply-add unfused, so results do not
-# depend on the host's instruction set
-_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+# -O3 vectorizes the sparse products' row updates; -ffp-contract=off keeps
+# every multiply-add unfused, so results do not depend on the host's
+# instruction set
+_FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 _LIBS = ("-lm",)
 _SOURCE = Path(__file__).with_name("_libkernels.c")
 _SUFFIX = EXTENSION_SUFFIXES[0]
@@ -112,6 +114,11 @@ _lib.gf_epoch.argtypes = [
 _lib.truth_ranks.restype = ctypes.c_int
 _lib.truth_ranks.argtypes = [_array(np.float64, 2), *[_array(np.intp, 1)] * 4,
                              _array(np.intp, 1, writeable=True), _size, _size]
+for _product in (_lib.csr_matmul, _lib.csr_tmatmul):
+    _product.restype = ctypes.c_int
+    _product.argtypes = [_array(np.intp, 1), _array(np.intp, 1), _array(np.float64, 1),
+                         _array(np.float64, 2), _array(np.float64, 2, writeable=True),
+                         _size, _size, _size]
 _lib.jacobi_sweeps.restype = ctypes.c_int
 _lib.jacobi_sweeps.argtypes = [
     _array(np.float64, 2, writeable=True), _array(np.float64, 2, writeable=True),
@@ -150,6 +157,30 @@ def truth_ranks(scores, heads, tails, excluded):
     if _lib.truth_ranks(scores, heads, tails, indptr, indices, ranks, n, len(heads)) != 0:
         raise IndexError("truth_ranks: a pair or an excluded neighbour is out of range")
     return ranks
+
+
+def csr_matmul(x, wt):
+    """``_kernels_py.csr_matmul`` on a C-ordered float64 ``wt``, with the same
+    bits; raises IndexError when a column index of x is out of range."""
+    k, n = x.shape
+    if wt.ndim != 2 or wt.shape[0] != n:
+        raise ValueError("wt must have one row per column of x")
+    out = np.empty((k, wt.shape[1]))
+    if _lib.csr_matmul(x.indptr, x.indices, x.values, wt, out, k, n, wt.shape[1]) != 0:
+        raise IndexError("csr_matmul: a column index is out of range")
+    return out
+
+
+def csr_tmatmul(x, g):
+    """``_kernels_py.csr_tmatmul`` on a C-ordered float64 ``g``, with the same
+    bits; raises IndexError when a column index of x is out of range."""
+    k, n = x.shape
+    if g.ndim != 2 or g.shape[0] != k:
+        raise ValueError("g must have one row per row of x")
+    out = np.empty((n, g.shape[1]))
+    if _lib.csr_tmatmul(x.indptr, x.indices, x.values, g, out, k, n, g.shape[1]) != 0:
+        raise IndexError("csr_tmatmul: a column index is out of range")
+    return out
 
 
 def jacobi_sweeps(g, v, tol, max_sweeps):

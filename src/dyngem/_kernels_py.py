@@ -3,7 +3,8 @@
 Selected by :mod:`dyngem.kernels` when the compiled library is missing or
 disabled, and the reference the compiled kernels in ``_libkernels.c`` are
 tested against.  Results may differ from the compiled path only in last-bit
-rounding because numpy's dot products accumulate in a different order.
+rounding because numpy's dot products accumulate in a different order; the
+ranks and the two sparse products are bit-equal to it.
 """
 
 from __future__ import annotations
@@ -118,3 +119,55 @@ def truth_ranks(scores, heads, tails, excluded):
             blocked[owner[cols == t[owner]]] = True
         ranks[start : start + step] = np.where(blocked, 0, np.count_nonzero(ahead, axis=1) + 1)
     return ranks
+
+
+def _check_columns(x):
+    if x.indices.size and (x.indices.min() < 0 or x.indices.max() >= x.shape[1]):
+        raise IndexError("a column index of the sparse rows is out of range")
+
+
+def csr_matmul(x, wt):
+    """``X @ wt`` for the sparse rows ``x`` (CSR ``indptr``, ``indices``,
+    ``values`` and ``shape`` (k, n)) and a dense (n, h) ``wt``.
+
+    Each output row starts at zero and adds ``v * wt[j]`` for the row's
+    non-zeros (j, v) in order, as the C loop does; here the p-th non-zero of
+    every row is added at once.  Raises IndexError when a column index is
+    out of range.
+    """
+    k, n = x.shape
+    if wt.ndim != 2 or wt.shape[0] != n:
+        raise ValueError("wt must have one row per column of x")
+    _check_columns(x)
+    out = np.zeros((k, wt.shape[1]))
+    counts = np.diff(x.indptr)
+    rows = np.arange(k)
+    for p in range(counts.max(initial=0)):
+        rows = rows[counts[rows] > p]
+        at = x.indptr[rows] + p
+        out[rows] += x.values[at, None] * wt[x.indices[at]]
+    return out
+
+
+def csr_tmatmul(x, g):
+    """``X.T @ g`` for the sparse rows ``x`` (k, n) and a dense (k, h) ``g``.
+
+    The (n, h) output starts at zero, and each row i in order adds
+    ``v * g[i]`` into row j for its non-zeros (j, v) in order, as the C loop
+    does; here the r-th occurrence of every column is added at once, found
+    by a stable sort of the non-zeros by column.  Raises IndexError when a
+    column index is out of range.
+    """
+    k, n = x.shape
+    if g.ndim != 2 or g.shape[0] != k:
+        raise ValueError("g must have one row per row of x")
+    _check_columns(x)
+    out = np.zeros((n, g.shape[1]))
+    owner = np.repeat(np.arange(k), np.diff(x.indptr))
+    by_column = np.argsort(x.indices, kind="stable")
+    cols = x.indices[by_column]
+    occurrence = np.arange(cols.size) - np.searchsorted(cols, cols)
+    for r in range(occurrence.max(initial=-1) + 1):
+        at = by_column[occurrence == r]
+        out[x.indices[at]] += x.values[at, None] * g[owner[at]]
+    return out

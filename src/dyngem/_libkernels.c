@@ -1,12 +1,14 @@
 /* Compiled hot loops, loaded through ctypes by _kernels.py.
  *
- * Three loops are compiled: gf_epoch, truth_ranks and jacobi_sweeps.  Each
- * does what its namesake in _kernels_py.py does, in the same order; results
- * differ from it only where numpy sums a dot product in another order.
- * truth_ranks only compares and counts, so its ranks equal numpy's exactly
- * and eval reports do not depend on the backend.  Built with
- * -ffp-contract=off, so no multiply-add is fused and the results do not
- * depend on the build host's instruction set.
+ * Five loops are compiled: gf_epoch, truth_ranks, jacobi_sweeps, csr_matmul
+ * and csr_tmatmul.  Each does what its namesake in _kernels_py.py does, in
+ * the same order; results differ from it only where numpy sums a dot
+ * product in another order.  truth_ranks only compares and counts, and the
+ * two sparse products add each term in the fallback's order, so their
+ * results equal numpy's exactly: eval reports and autoencoder training do
+ * not depend on the backend.  Built with -ffp-contract=off, so no
+ * multiply-add is fused and the results do not depend on the build host's
+ * instruction set.
  * Matrices are row-major doubles; indices are ptrdiff_t (numpy's intp). */
 #include <float.h>
 #include <math.h>
@@ -76,6 +78,56 @@ int truth_ranks(const double *scores, const ptrdiff_t *heads, const ptrdiff_t *t
                 ahead -= c < t ? row[c] >= s : row[c] > s;
         }
         ranks[e] = blocked ? 0 : ahead + 1;
+    }
+    return 0;
+}
+
+/* out = X W^T for the k x n CSR matrix X (indptr over k rows, indices,
+ * values) and wt = W^T, an n x h matrix: each row i of out starts at zero
+ * and adds v * wt[j] for each non-zero (j, v) of row i, in order.  Returns
+ * 0, or -1 at the first column index out of range. */
+int csr_matmul(const ptrdiff_t *restrict indptr, const ptrdiff_t *restrict indices,
+               const double *restrict values, const double *restrict wt,
+               double *restrict out, ptrdiff_t k, ptrdiff_t n, ptrdiff_t h)
+{
+    for (ptrdiff_t i = 0; i < k; i++) {
+        double *restrict row = out + i * h;
+        for (ptrdiff_t l = 0; l < h; l++)
+            row[l] = 0.0;
+        for (ptrdiff_t p = indptr[i]; p < indptr[i + 1]; p++) {
+            ptrdiff_t j = indices[p];
+            if (j < 0 || j >= n)
+                return -1;
+            double v = values[p];
+            const double *restrict w = wt + j * h;
+            for (ptrdiff_t l = 0; l < h; l++)
+                row[l] += v * w[l];
+        }
+    }
+    return 0;
+}
+
+/* out = X^T G for the k x n CSR matrix X and the k x h matrix g: out (n x h)
+ * starts at zero, and each row i in order adds v * g[i] into out[j] for each
+ * non-zero (j, v) of row i, in order.  Returns 0, or -1 at the first column
+ * index out of range. */
+int csr_tmatmul(const ptrdiff_t *restrict indptr, const ptrdiff_t *restrict indices,
+                const double *restrict values, const double *restrict g,
+                double *restrict out, ptrdiff_t k, ptrdiff_t n, ptrdiff_t h)
+{
+    for (ptrdiff_t l = 0; l < n * h; l++)
+        out[l] = 0.0;
+    for (ptrdiff_t i = 0; i < k; i++) {
+        const double *restrict gi = g + i * h;
+        for (ptrdiff_t p = indptr[i]; p < indptr[i + 1]; p++) {
+            ptrdiff_t j = indices[p];
+            if (j < 0 || j >= n)
+                return -1;
+            double v = values[p];
+            double *restrict o = out + j * h;
+            for (ptrdiff_t l = 0; l < h; l++)
+                o[l] += v * gi[l];
+        }
     }
     return 0;
 }

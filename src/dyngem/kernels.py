@@ -1,14 +1,17 @@
 """Backend selection for the numerical hot loops, plus the Jacobi SVD driver.
 
-Three loops are compiled: ``gf_epoch``, ``truth_ranks`` (the rank of each
-true pair, which every MAP counts) and ``jacobi_sweeps``.  The C kernels
+Five loops are compiled: ``gf_epoch``, ``truth_ranks`` (the rank of each
+true pair, which every MAP counts), ``jacobi_sweeps``, and the first encoder
+layer's two products with sparse input rows, ``csr_matmul`` (X Wᵀ) and
+``csr_tmatmul`` (Gᵀ X).  The C kernels
 (``_libkernels.c``, built on first import and bound by ``_kernels``) are used
 wherever a C compiler is on ``PATH``; without one, or when the library cannot
 be built or cached, the pure-numpy fallback in ``_kernels_py`` is used, as it
 is when the environment variable ``DYNGEM_PURE_PYTHON=1`` is set before
-import.  ``BACKEND`` names the active implementation.  Ranks are equal on
-both, so eval reports do not depend on the backend; GF embeddings and Jacobi
-rotations may differ in their last bits.
+import.  ``BACKEND`` names the active implementation.  Ranks and the sparse
+products are equal on both, so eval reports and autoencoder training do not
+depend on the backend; GF embeddings and Jacobi rotations may differ in their
+last bits.
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ else:
 
 gf_epoch = _impl.gf_epoch
 truth_ranks = _impl.truth_ranks
+csr_matmul = _impl.csr_matmul
+csr_tmatmul = _impl.csr_tmatmul
 jacobi_sweeps = _impl.jacobi_sweeps
 
 

@@ -138,10 +138,9 @@ def build_autoencoder(n, hidden_sizes, d, seed):
 
 # Snapshots whose adjacency density 2 * edge_count / n^2 is below this
 # train on sparse CSR input rows, so the first encoder layer multiplies only
-# the non-zeros (scipy's CSR product); denser ones train on dense rows.
-# Measured at n = 300 to 2,000, sparse rows save 10-20% of a batch below 3%;
-# above it the saving shrinks to nothing at 7-15%, too little to pay for
-# importing scipy (about 0.2 s and 22 MB).  Details in CHANGES.md.
+# the non-zeros (the kernel's CSR products); denser ones train on dense rows.
+# Measured at n = 300 to 2,000, sparse rows save 10-20% of a batch below 3%.
+# Moving the threshold changes the bits of the runs that cross it.
 SPARSE_INPUT_DENSITY = 0.03
 
 
@@ -154,7 +153,7 @@ def _sparse_input(snapshot):
 class TrainBatch:
     """A minibatch of edges plus one adjacency row per distinct endpoint.
 
-    ``x`` holds the rows, as a dense array or a scipy CSR array.  ``rows``
+    ``x`` holds the rows, as a dense array or ``nn.SparseRows``.  ``rows``
     gives each of the 2m endpoints (the heads, then the tails) its row in
     ``x``, and ``counts`` each row's multiplicity among them.  ``nonzero``
     holds the flat positions of x's non-zeros in a row-major block of x's
@@ -199,9 +198,7 @@ def make_batch(snapshot, heads, tails, weights):
     indptr, cols, values = snapshot.csr_rows(nodes)
     nonzero = np.repeat(np.arange(0, nodes.size * n, n), np.diff(indptr)) + cols
     if _sparse_input(snapshot):
-        from scipy.sparse import csr_array
-
-        x = csr_array((values, cols, indptr), shape=(nodes.size, n))
+        x = nn.SparseRows(indptr, cols, values, (nodes.size, n))
     else:
         x = np.zeros((nodes.size, n))
         x.reshape(-1)[nonzero] = values
@@ -280,10 +277,12 @@ def train_snapshot(params, snapshot, hyper, epochs, seed=None):
     rng = np.random.default_rng(hyper.seed if seed is None else seed)
     # nn's penalty and Nesterov passes need each weight, its gradient and its
     # velocity in one layout.  Column-major, the first layer's transpose is
-    # the row-major operand scipy's CSR product reads without a copy, and
-    # scipy returns its gradient column-major too.  Dense rows, like every
-    # other layer, get row-major weights whatever the last snapshot was: BLAS
-    # rounds the two layouts differently, and a restored checkpoint is row-major.
+    # the row-major operand whose rows the kernel's CSR product reads without
+    # a copy, and the kernel writes its gradient column-major too; row-major
+    # weights would copy both, about 11 ms per 2,000-node batch.  Dense rows,
+    # like every other layer, get row-major weights whatever the last snapshot
+    # was: BLAS rounds the two layouts differently, and a restored checkpoint
+    # is row-major.
     first = params.encoder[0]
     layout = np.asfortranarray if _sparse_input(snapshot) else np.ascontiguousarray
     first.weights = layout(first.weights)

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from dyngem import kernels
 
 
 @dataclass
@@ -41,20 +42,41 @@ def relu(x, out=None):
     return np.maximum(x, 0.0, out=out)
 
 
-def _is_sparse(x):
-    # scipy is imported only by callers that build sparse inputs
-    sparse = sys.modules.get("scipy.sparse")
-    return sparse is not None and sparse.issparse(x)
+@dataclass
+class SparseRows:
+    """A (rows, width) matrix in CSR form: row i holds ``values[p]`` at column
+    ``indices[p]`` for p in ``indptr[i]:indptr[i + 1]``.  The constructor
+    checks the row pointers; the products check each column index."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    values: np.ndarray
+    shape: tuple
+
+    def __post_init__(self):
+        self.indptr = np.ascontiguousarray(self.indptr, dtype=np.intp)
+        self.indices = np.ascontiguousarray(self.indices, dtype=np.intp)
+        self.values = np.ascontiguousarray(self.values, dtype=np.float64)
+        rows, width = self.shape = tuple(int(s) for s in self.shape)
+        ptr = self.indptr
+        if not (min(rows, width) >= 0 and ptr.shape == (rows + 1,) and ptr[0] == 0
+                and np.all(np.diff(ptr) >= 0) and self.indices.shape == self.values.shape == (ptr[-1],)):
+            raise ValueError("indptr must rise from 0 to the non-zero count, one step per row")
+
+    @property
+    def ndim(self):
+        return 2
 
 
 def forward(layers, x):
     """Run x through the layer stack.
 
     Returns the activation list with the input at position 0 and the output
-    of layer k at position k; x is a (batch, in_dim) matrix or a scipy
-    sparse (batch, in_dim) array, which only the first layer reads.
+    of layer k at position k; x is a (batch, in_dim) matrix or
+    :class:`SparseRows`, which only the first layer reads, through
+    ``kernels.csr_matmul``.
     """
-    acts = [x if _is_sparse(x) else np.asarray(x, dtype=np.float64)]
+    acts = [x if isinstance(x, SparseRows) else np.asarray(x, dtype=np.float64)]
     if acts[0].ndim != 2:
         raise ValueError("x must be a (batch, in_dim) matrix")
     for layer in layers:
@@ -62,7 +84,11 @@ def forward(layers, x):
             raise ValueError(
                 f"input width {acts[-1].shape[1]} does not match layer in_dim {layer.in_dim}"
             )
-        z = acts[-1] @ layer.weights.T
+        if isinstance(acts[-1], SparseRows):
+            # the kernel reads Wᵀ row by row: a copy unless W is column-major
+            z = kernels.csr_matmul(acts[-1], np.ascontiguousarray(layer.weights.T))
+        else:
+            z = acts[-1] @ layer.weights.T
         z += layer.bias
         acts.append(relu(z, out=z))
     return acts
@@ -74,8 +100,9 @@ def backward(layers, activations, grad_out, input_grad=True):
     ``activations`` must come from a matching :func:`forward` call.  Returns
     ``(grads, grad_input)`` where grads is a list of (dW, db) per layer.
     With ``input_grad=False`` the first layer's input gradient is not formed
-    and grad_input is None.  A sparse input gets its weight gradient from
-    scipy's sparse product.  Each weight gradient takes its weights' layout.
+    and grad_input is None.  A :class:`SparseRows` input gets its weight
+    gradient from ``kernels.csr_tmatmul``, which writes it column-major.
+    Each weight gradient takes its weights' layout.
     ReLU masking uses activation > 0, which matches a zero subgradient at 0.
     """
     if len(activations) != len(layers) + 1:
@@ -84,7 +111,9 @@ def backward(layers, activations, grad_out, input_grad=True):
     grads = [None] * len(layers)
     for k in range(len(layers), 0, -1):
         order = "F" if layers[k - 1].weights.flags.f_contiguous else "C"
-        grads[k - 1] = (np.asarray(g.T @ activations[k - 1], order=order), g.sum(axis=0))
+        a = activations[k - 1]
+        gw = kernels.csr_tmatmul(a, np.ascontiguousarray(g)).T if isinstance(a, SparseRows) else g.T @ a
+        grads[k - 1] = (np.asarray(gw, order=order), g.sum(axis=0))
         if k == 1 and not input_grad:
             return grads, None
         g = g @ layers[k - 1].weights

@@ -171,6 +171,20 @@ def loss_local(y_i, y_j, s_ij):
     return float(s_ij) * float(np.sum(d * d))
 
 
+def sparse_rows(x):
+    """``nn.SparseRows`` holding the non-zeros of the dense matrix x."""
+    rows, cols = np.nonzero(x)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=x.shape[0]))])
+    return nn.SparseRows(indptr, cols, x[rows, cols], x.shape)
+
+
+def dense_matrix(x):
+    """The dense matrix that ``nn.SparseRows`` x stands for."""
+    out = np.zeros(x.shape)
+    out[np.repeat(np.arange(x.shape[0]), np.diff(x.indptr)), x.indices] = x.values
+    return out
+
+
 def random_snapshot(rng, n, p=0.3, max_weight=2.0):
     """Random undirected weighted graph, guaranteed at least one edge."""
     while True:

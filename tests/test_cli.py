@@ -198,28 +198,30 @@ def test_train_non_finite_parameters_exit_three(workspace, tmp_path, monkeypatch
     assert not (out / "manifest.json").exists()
 
 
-def test_dense_training_does_not_import_scipy(workspace, tmp_path):
-    # The desk-density series trains on dense rows; scipy's import alone
-    # would add about 22 MB to the process.
-    _, data, _ = workspace
-    sparse_data = tmp_path / "sparse"
-    _generate(sparse_data, ["--nodes", "300", "--p-in", "0.02", "--p-out", "0.002"])
+def test_sparse_training_and_eval_import_no_scipy(tmp_path):
+    # The sparse series trains on CSR rows through the C kernel or its numpy
+    # fallback; scipy's import alone would add about 22 MB to the process.
+    data = tmp_path / "sparse"
+    _generate(data, ["--nodes", "300", "--p-in", "0.02", "--p-out", "0.002"])
     script = (
         "import sys\n"
+        "from dyngem import kernels\n"
         "from dyngem.cli import main\n"
-        "def train(data, out):\n"
-        "    main(['train', '--in', data, '--out', out, *sys.argv[4:]], standalone_mode=False)\n"
-        "    return 'scipy' in sys.modules\n"
-        "out = sys.argv[3]\n"
-        "print('scipy' in sys.modules, train(sys.argv[1], out + '/d'), train(sys.argv[2], out + '/s'))\n"
+        "calls, product = [], kernels.csr_matmul\n"
+        "kernels.csr_matmul = lambda *args: calls.append(1) or product(*args)\n"
+        "data, out = sys.argv[1:3]\n"
+        "main(['train', '--in', data, '--out', out + '/run', *sys.argv[3:]], standalone_mode=False)\n"
+        "main(['eval', 'reconstruction', '--run', out + '/run', '--data', data, '--out', out + '/r.json'],\n"
+        "     standalone_mode=False)\n"
+        "print(bool(calls), 'scipy' in sys.modules)\n"
     )
     src = str(Path(dyngem.__file__).resolve().parent.parent)
     proc = subprocess.run(
-        [sys.executable, "-c", script, str(data), str(sparse_data), str(tmp_path), *FAST_TRAIN],
+        [sys.executable, "-c", script, str(data), str(tmp_path), *FAST_TRAIN],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
     )
-    # the sparse series imports it, so the check can see an import
-    assert proc.stdout.split()[-3:] == ["False", "False", "True"], proc.stdout + proc.stderr
+    # the sparse path ran, so the check could have seen an import
+    assert proc.stdout.split()[-2:] == ["True", "False"], proc.stdout + proc.stderr
 
 
 def test_train_non_finite_embedding_exits_three(workspace, tmp_path, monkeypatch):

@@ -8,12 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dyngem import _kernels_py, kernels
+from dyngem import _kernels_py, kernels, nn
 from dyngem.errors import ConvergenceError
 from dyngem.graph import GraphSnapshot, hide_edges
 from dyngem.kernels import BACKEND, _complete_basis, gf_epoch, jacobi_svd
 from dyngem.metrics import eval_link_prediction, eval_reconstruction
-from helpers import random_snapshot, random_symmetric_scores
+from helpers import random_snapshot, random_symmetric_scores, sparse_rows
 
 try:
     from dyngem import _kernels as _compiled
@@ -23,6 +23,8 @@ except ImportError:
 needs_compiled = pytest.mark.skipif(_compiled is None, reason="compiled extension unavailable")
 RANKERS = [pytest.param(_kernels_py.truth_ranks, id="python"),
            pytest.param(getattr(_compiled, "truth_ranks", None), id="compiled", marks=needs_compiled)]
+PRODUCTS = [pytest.param(_kernels_py, id="python"),
+            pytest.param(_compiled, id="compiled", marks=needs_compiled)]
 
 
 def _svd_checks(m, u, s, vt, atol=1e-9):
@@ -175,6 +177,49 @@ def test_backends_agree_on_map(monkeypatch):
             monkeypatch.setattr(kernels, "truth_ranks", impl.truth_ranks)
             values.append((eval_reconstruction(scores, snap), eval_link_prediction(scores, train, hidden)))
         assert values[0] == values[1]
+
+
+def _random_rows(rng, k, n):
+    """A k x n matrix of about 20% non-zeros of weight 0.5 to 3, with one
+    empty row."""
+    x = rng.uniform(0.5, 3.0, (k, n)) * (rng.random((k, n)) < 0.2)
+    x[k // 2] = 0.0
+    return x
+
+
+@pytest.mark.parametrize("impl", PRODUCTS)
+def test_sparse_products_match_dense_products(impl):
+    rng = np.random.default_rng(11)
+    x = _random_rows(rng, 9, 13)
+    w = np.asfortranarray(rng.standard_normal((5, 13)))
+    g = rng.standard_normal((9, 5))
+    np.testing.assert_allclose(impl.csr_matmul(sparse_rows(x), w.T), x @ w.T, rtol=1e-13, atol=1e-14)
+    np.testing.assert_allclose(impl.csr_tmatmul(sparse_rows(x), g), x.T @ g, rtol=1e-13, atol=1e-14)
+    empty = nn.SparseRows(np.zeros(3, dtype=np.intp), [], [], (2, 13))
+    np.testing.assert_array_equal(impl.csr_matmul(empty, w.T), np.zeros((2, 5)))
+    np.testing.assert_array_equal(impl.csr_tmatmul(empty, g[:2]), np.zeros((13, 5)))
+
+
+@needs_compiled
+def test_backends_agree_on_sparse_products():
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        k, n, h = (int(v) for v in rng.integers(1, (60, 300, 40)))
+        x = sparse_rows(_random_rows(rng, k, n))
+        wt = np.asfortranarray(rng.standard_normal((h, n))).T  # a column-major W
+        g = rng.standard_normal((k, h))
+        assert np.array_equal(_compiled.csr_matmul(x, wt), _kernels_py.csr_matmul(x, wt))
+        assert np.array_equal(_compiled.csr_tmatmul(x, g), _kernels_py.csr_tmatmul(x, g))
+
+
+@pytest.mark.parametrize("impl", PRODUCTS)
+def test_sparse_products_reject_out_of_range_columns(impl):
+    for bad in (-1, 4):
+        x = nn.SparseRows([0, 1, 2], [1, bad], [1.0, 2.0], (2, 4))
+        with pytest.raises(IndexError):
+            impl.csr_matmul(x, np.ones((4, 3)))
+        with pytest.raises(IndexError):
+            impl.csr_tmatmul(x, np.ones((2, 3)))
 
 
 def test_jacobi_svd_matches_lapack_values():
@@ -452,7 +497,7 @@ def test_compiled_backend_builds_with_the_system_compiler(package_copy):
     assert "skipped" not in tests.stdout, tests.stdout
     assert len(_libraries(pkg)) == 1
     check = (
-        "import ctypes, numpy as np, dyngem.kernels as k\n"
+        "import ctypes, numpy as np, dyngem.kernels as k, dyngem.nn as nn\n"
         "y, e, w = np.zeros((3, 2)), np.zeros(1, dtype=np.intp), np.ones(1)\n"
         "for args in ((np.asfortranarray(y), e, e + 1, w, e), (y, e.astype(np.int32), e + 1, w, e)):\n"
         "    try:\n"
@@ -468,6 +513,19 @@ def test_compiled_backend_builds_with_the_system_compiler(package_copy):
         "        continue\n"
         "    raise SystemExit('accepted scores the C kernel cannot read')\n"
         "print(k.truth_ranks(s, np.array([0, 2], dtype=np.intp), np.array([2, 0], dtype=np.intp), None))\n"
+        "x = nn.SparseRows([0, 2, 2], [0, 2], [2.0, -1.0], (2, 3))\n"
+        "wt, g = np.arange(6.0).reshape(3, 2), np.ones((2, 2))\n"
+        "for product, dense in ((k.csr_matmul, wt), (k.csr_tmatmul, g)):\n"
+        "    for bad in (np.asfortranarray(dense), dense.astype(np.float32)):\n"
+        "        try:\n"
+        "            product(x, bad)\n"
+        "        except ctypes.ArgumentError:\n"
+        "            continue\n"
+        "        raise SystemExit('accepted a dense operand the C kernel cannot read')\n"
+        "if k.csr_matmul(x, wt).tolist() != [[-4.0, -3.0], [0.0, 0.0]]:\n"
+        "    raise SystemExit('csr_matmul: wrong product')\n"
+        "if k.csr_tmatmul(x, g).tolist() != [[2.0, 2.0], [0.0, 0.0], [-1.0, -1.0]]:\n"
+        "    raise SystemExit('csr_tmatmul: wrong product')\n"
         "print(k.BACKEND, k.__file__)\n"
     )
     compiled = run(check)

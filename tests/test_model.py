@@ -24,6 +24,7 @@ from dyngem.model import (
     train_snapshot,
 )
 from helpers import (
+    dense_matrix,
     finite_difference_max_rel_error,
     hub_edges,
     jittered_case,
@@ -158,11 +159,11 @@ def test_deduplicated_batch_matches_the_per_endpoint_oracle(monkeypatch, shape, 
     monkeypatch.setattr(model, "SPARSE_INPUT_DENSITY", 1.0 if form == "sparse" else 0.0)
     idx = BATCH_SHAPES[shape](snap)
     batch = make_batch(snap, snap.heads[idx], snap.tails[idx], snap.weights[idx])
-    assert isinstance(batch.x, np.ndarray) is (form == "dense")
+    assert isinstance(batch.x, np.ndarray if form == "dense" else nn.SparseRows)
     # one row per distinct endpoint, and every endpoint finds its own row
     ends = np.concatenate([batch.heads, batch.tails])
     nodes = np.unique(ends)
-    x = batch.x if form == "dense" else batch.x.toarray()
+    x = batch.x if form == "dense" else dense_matrix(batch.x)
     np.testing.assert_array_equal(x, snap.dense_rows(nodes))
     np.testing.assert_array_equal(nodes[batch.rows], ends)
     np.testing.assert_array_equal(batch.nonzero, np.flatnonzero(x))
@@ -242,8 +243,8 @@ def test_sparse_and_dense_batches_agree(monkeypatch):
     snap = random_snapshot(np.random.default_rng(8), 40, p=0.1)
     pick = np.random.default_rng(9).choice(snap.edge_count, 12, replace=False)
     dense, sparse = _both_batches(monkeypatch, snap, snap.heads[pick], snap.tails[pick], snap.weights[pick])
-    assert isinstance(dense.x, np.ndarray) and not isinstance(sparse.x, np.ndarray)
-    np.testing.assert_array_equal(sparse.x.toarray(), dense.x)
+    assert isinstance(dense.x, np.ndarray) and isinstance(sparse.x, nn.SparseRows)
+    np.testing.assert_array_equal(dense_matrix(sparse.x), dense.x)
     np.testing.assert_array_equal(sparse.nonzero, np.flatnonzero(dense.x))
     np.testing.assert_array_equal(sparse.values, dense.x.reshape(-1)[dense.nonzero])
     params = build_autoencoder(40, (16, 8), 3, seed=5)
@@ -261,7 +262,7 @@ def test_sparse_and_dense_batches_agree(monkeypatch):
 
 
 def test_training_steps_on_a_sparse_batch_match_the_whole_array_oracle(monkeypatch):
-    # C-ordered weights with a sparse batch: scipy hands back a column-major
+    # C-ordered weights with a sparse batch: the kernel writes a column-major
     # first-layer gradient, which backward lays out like its weights, so the
     # streamed passes see one layout per weight
     snap = random_snapshot(np.random.default_rng(8), 40, p=0.1)
@@ -297,7 +298,7 @@ def test_sparse_batch_gradients_match_finite_differences(monkeypatch):
     monkeypatch.setattr(model, "SPARSE_INPUT_DENSITY", 1.0)
     for seed in (1, 2, 3):
         params, batch = jittered_model_and_batch(seed)
-        assert not isinstance(batch.x, np.ndarray)
+        assert isinstance(batch.x, nn.SparseRows)
         err = finite_difference_max_rel_error(params, batch, toy_hyper())
         assert err <= 1e-4, f"seed {seed}: rel err {err:.3e}"
 
@@ -309,10 +310,10 @@ def test_training_takes_the_sparse_path_below_the_density_threshold():
     dense = random_snapshot(np.random.default_rng(1), n, p=3000 / (n * (n - 1) / 2))
     for snap, want_sparse in ((sparse, True), (dense, False)):
         batch = make_batch(snap, snap.heads[:4], snap.tails[:4], snap.weights[:4])
-        assert isinstance(batch.x, np.ndarray) is not want_sparse
+        assert isinstance(batch.x, nn.SparseRows) is want_sparse
         params = build_autoencoder(n, (16, 8), 3, seed=0)
         train_snapshot(params, snap, toy_hyper(batch_size=64), epochs=1)
-        # scipy reads the sparse path's first layer transposed without a copy
+        # the kernel reads the sparse path's first layer transposed without a copy
         assert params.encoder[0].weights.flags.f_contiguous is want_sparse
 
 

@@ -14,7 +14,7 @@ from dyngem.nn import (
     regularizer_value_and_grads,
     relu,
 )
-from helpers import penalized_step_oracle
+from helpers import penalized_step_oracle, sparse_rows
 
 
 def test_relu_zero_and_negative():
@@ -119,14 +119,12 @@ def test_backward_without_input_grad_keeps_weight_grads():
 
 
 def test_weight_gradients_take_their_weights_layout():
-    # scipy's sparse product returns a column-major gradient and numpy's
+    # the kernel's sparse product writes a column-major gradient and numpy's
     # dense one a row-major gradient; each is laid out like its weights
-    from scipy.sparse import csr_array
-
     rng = np.random.default_rng(5)
     x = rng.standard_normal((6, 7)) * (rng.random((6, 7)) < 0.3)
     c = rng.standard_normal((6, 3))
-    for order, first_input in (("C", csr_array(x)), ("F", x)):
+    for order, first_input in (("C", sparse_rows(x)), ("F", x), ("F", sparse_rows(x))):
         layers = [LayerParams(np.asarray(rng.standard_normal((5, 7)), order=order), np.zeros(5)),
                   LayerParams(rng.standard_normal((3, 5)), np.zeros(3))]
         grads, _ = backward(layers, forward(layers, first_input), c, input_grad=False)
@@ -134,6 +132,15 @@ def test_weight_gradients_take_their_weights_layout():
         assert grads[1][0].flags.c_contiguous, order
         dense, _ = backward(layers, forward(layers, x), c, input_grad=False)
         np.testing.assert_allclose(grads[0][0], dense[0][0], rtol=1e-12, atol=1e-12)
+
+
+def test_sparse_rows_checks_its_row_pointers():
+    good = nn.SparseRows([0, 2, 2, 3], [0, 4, 1], [1.0, 2.0, 3.0], (3, 5))
+    assert good.ndim == 2 and good.shape == (3, 5) and good.indices.dtype == np.intp
+    for indptr, shape in (([0, 2, 3], (3, 5)), ([1, 2, 2, 3], (3, 5)), ([0, 2, 1, 3], (3, 5)),
+                          ([0, 2, 2, 2], (3, 5)), ([0, 2, 2, 3], (3,))):
+        with pytest.raises(ValueError):
+            nn.SparseRows(indptr, [0, 4, 1], [1.0, 2.0, 3.0], shape)
 
 
 def test_backward_activation_mismatch():

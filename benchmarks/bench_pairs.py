@@ -17,9 +17,11 @@ quartiles (over the pairs) of the end-to-end metrics of ``BENCHMARK.json``,
 how many pairs the change won, both sides' fingerprints at the first seed,
 whether their embedding checksums match (``embeddings_identical``), the
 metrics whose change median is worse than the parent's by more than their
-bound in ``BENCHMARK.json`` (``beyond_bound``), the kernel backend and
-``os.cpu_count()``.  Runs are sequential; nothing runs in parallel with
-them.
+bound in ``BENCHMARK.json`` (``beyond_bound``), the metrics that meet the
+rule a claimed gain is held to (``claim_rule_met``: the change won at least
+9 of 10 pairs, and its median is better than the parent's by more than the
+parent's q3 - q1), the kernel backend and ``os.cpu_count()``.  Runs are
+sequential; nothing runs in parallel with them.
 """
 
 from __future__ import annotations
@@ -68,6 +70,14 @@ def beyond_bound(parent, change, higher, bound):
     return change > parent * (1.0 + bound)
 
 
+def claim_rule_met(row, higher, pairs):
+    """True when the change won at least 9 of every 10 pairs and its median
+    beats the parent's by more than the parent's interquartile range."""
+    parent, change = row["parent"], row["change"]
+    gain = change["median"] - parent["median"] if higher else parent["median"] - change["median"]
+    return 10 * row["change_wins"] >= 9 * pairs and gain > parent["q3"] - parent["q1"]
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True)
@@ -90,6 +100,7 @@ def main():
 
     table = {}
     worse = []
+    claimable = []
     for name, (higher, bound) in METRICS.items():
         values = {side: [run[name] for run in runs[side]] for side in sides}
         wins = sum((c > p) if higher else (c < p) for p, c in zip(values["parent"], values["change"]))
@@ -97,6 +108,8 @@ def main():
         table[name]["change_wins"] = wins
         if beyond_bound(table[name]["parent"]["median"], table[name]["change"]["median"], higher, bound):
             worse.append(name)
+        if claim_rule_met(table[name], higher, len(SEEDS)):
+            claimable.append(name)
     fingerprint = {side: records[side]["result"]["iterations"][0]["fingerprint"] for side in sides}
     identical = fingerprint["parent"]["embedding_sha256"] == fingerprint["change"]["embedding_sha256"]
     environment = records["change"]["environment"]
@@ -114,6 +127,7 @@ def main():
         "fingerprint": fingerprint,
         "embeddings_identical": identical,
         "beyond_bound": worse,
+        "claim_rule_met": claimable,
         "backend": environment["backend"],
         "blas_threads": environment["blas_threads"],
         "cpu_count": os.cpu_count(),
@@ -122,11 +136,12 @@ def main():
     trajectory.append(entry)
     TRAJECTORY.write_text(json.dumps(trajectory, indent=1) + "\n")
     for name, row in table.items():
-        mark = "  BEYOND BOUND" if name in worse else ""
+        mark = ("  BEYOND BOUND" if name in worse else "") + ("  CLAIM RULE MET" if name in claimable else "")
         print(f"{name:<18} parent {row['parent']['median']:.6g} [{row['parent']['q1']:.6g}, "
               f"{row['parent']['q3']:.6g}]  change {row['change']['median']:.6g}  "
               f"wins {row['change_wins']}/{len(SEEDS)}{mark}")
     print(f"seed-{SEEDS[0]} embeddings: " + ("identical" if identical else "differ"))
+    print("claim rule met: " + (", ".join(claimable) or "none"))
 
 
 if __name__ == "__main__":

@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
+import os
+import threading
+from concurrent import futures
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,6 +100,49 @@ def forward(layers, x):
     return acts
 
 
+# A layer's input-gradient product runs on _HELPER, beside its weight
+# gradient on the calling thread, when it has at least this many
+# multiply-adds (rows * out * in).  Below it the hand-off costs more than it
+# saves: at 1 << 22 the desk model's products (at most 300 * 300 * 128)
+# overlapped and desk training got slower.
+OVERLAP_MIN_MACS = 1 << 24
+
+
+def _start_helper():
+    """A one-worker pool whose thread starts on first use; it only ever runs
+    ``np.matmul``.  A forked child starts its own, since the parent's worker
+    thread does not exist in it."""
+    global _HELPER
+    _HELPER = futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="dyngem-nn")
+
+
+_start_helper()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_start_helper)
+
+
+@functools.cache
+def _blas_threads():
+    """Threads per call of the scipy-openblas that numpy's wheels bundle in
+    ``numpy.libs/``, read once through ctypes; 0 for any other BLAS."""
+    for path in glob.glob(os.path.dirname(np.__file__) + ".libs/*scipy_openblas64_*"):
+        getter = getattr(ctypes.CDLL(path), "scipy_openblas_get_num_threads64_", None)
+        if getter is not None:
+            getter.restype = ctypes.c_int
+            return getter()
+    return 0
+
+
+def _overlaps(rows, layer):
+    """True when a layer's input-gradient product should run on _HELPER: it
+    is large, BLAS leaves the second core idle (one thread per call), and the
+    caller is the main thread (the engine's ``--jobs`` workers already fill
+    the cores)."""
+    return (rows * layer.out_dim * layer.in_dim >= OVERLAP_MIN_MACS
+            and threading.current_thread() is threading.main_thread()
+            and _blas_threads() == 1)
+
+
 def backward(layers, activations, grad_out, input_grad=True):
     """Backpropagate grad_out (d loss / d final activation) through the stack.
 
@@ -104,19 +153,35 @@ def backward(layers, activations, grad_out, input_grad=True):
     gradient from ``kernels.csr_tmatmul``, which writes it column-major.
     Each weight gradient takes its weights' layout.
     ReLU masking uses activation > 0, which matches a zero subgradient at 0.
+
+    A layer's weight gradient ``gᵀa`` and input gradient ``g W`` are
+    independent products.  When BLAS runs one thread per call, the caller is
+    the main thread and ``g W`` has at least ``OVERLAP_MIN_MACS``
+    multiply-adds, ``g W`` runs on a helper thread while this thread forms
+    the weight and bias gradients.  Each product is the same call on the same
+    arrays either way, so the results are bit-equal; an error in this
+    thread's products is raised only after the helper's product has ended.
     """
     if len(activations) != len(layers) + 1:
         raise ValueError("activation list does not match the layer stack")
     g = np.asarray(grad_out, dtype=np.float64) * (activations[-1] > 0)
     grads = [None] * len(layers)
     for k in range(len(layers), 0, -1):
-        order = "F" if layers[k - 1].weights.flags.f_contiguous else "C"
+        layer = layers[k - 1]
+        order = "F" if layer.weights.flags.f_contiguous else "C"
         a = activations[k - 1]
-        gw = kernels.csr_tmatmul(a, np.ascontiguousarray(g)).T if isinstance(a, SparseRows) else g.T @ a
-        grads[k - 1] = (np.asarray(gw, order=order), g.sum(axis=0))
-        if k == 1 and not input_grad:
+        need_input = k > 1 or input_grad
+        pending = _HELPER.submit(np.matmul, g, layer.weights) if need_input and _overlaps(g.shape[0], layer) else None
+        try:
+            gw = kernels.csr_tmatmul(a, np.ascontiguousarray(g)).T if isinstance(a, SparseRows) else g.T @ a
+            grads[k - 1] = (np.asarray(gw, order=order), g.sum(axis=0))
+        except BaseException:
+            if pending is not None:
+                futures.wait([pending])
+            raise
+        if not need_input:
             return grads, None
-        g = g @ layers[k - 1].weights
+        g = g @ layer.weights if pending is None else pending.result()
         if k - 1 > 0:
             g *= activations[k - 1] > 0
     return grads, g
@@ -128,6 +193,23 @@ def backward(layers, activations, grad_out, input_grad=True):
 # once per operation.
 SLICE_ELEMENTS = 1 << 15
 
+# Each thread keeps its chunk scratch buffers between calls; the list grows
+# to the widest chunk seen.  Allocating them per call cost more than the
+# passes' arithmetic wherever freed memory went back to the system.
+_SCRATCH = threading.local()
+
+
+def _scratch_buffers(count, width):
+    """This thread's first ``count`` kept buffers, each at least ``width``
+    float64s long; their contents are left from earlier calls."""
+    kept = _SCRATCH.__dict__.setdefault("buffers", [])
+    for i in range(count):
+        if i == len(kept):
+            kept.append(np.empty(width))
+        elif kept[i].size < width:
+            kept[i] = np.empty(width)
+    return kept[:count]
+
 
 def _flat_chunks(groups, scratch):
     """Walk each group of same-shaped arrays in matching chunks of flat
@@ -136,14 +218,16 @@ def _flat_chunks(groups, scratch):
     is checked before the first chunk, else ValueError.  Each view is cut into
     ``max(1, round(size / SLICE_ELEMENTS))`` near-equal chunks, each shorter
     than 1.5 * SLICE_ELEMENTS.  Yields per chunk the group's chunk views, then
-    ``scratch`` uninitialised buffers of the chunk's length."""
+    ``scratch`` buffers of the chunk's length, kept per thread across calls
+    and holding old values: write each before reading it, and do not walk
+    two generators at once on one thread."""
     groups = list(groups)
     for group in groups:
         if not (all(a.flags.c_contiguous for a in group) or all(a.flags.f_contiguous for a in group)):
             raise ValueError("arrays updated together must be all C- or all F-contiguous")
     counts = [max(1, round(group[0].size / SLICE_ELEMENTS)) for group in groups]
     width = max((-(-group[0].size // count) for group, count in zip(groups, counts)), default=0)
-    buffers = [np.empty(width) for _ in range(scratch)]
+    buffers = _scratch_buffers(scratch, width)
     for group, count in zip(groups, counts):
         flat = [a.ravel("K") for a in group]
         bounds = [flat[0].size * k // count for k in range(count + 1)]

@@ -1,5 +1,14 @@
 from __future__ import annotations
 
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
+from concurrent import futures
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -132,6 +141,149 @@ def test_weight_gradients_take_their_weights_layout():
         assert grads[1][0].flags.c_contiguous, order
         dense, _ = backward(layers, forward(layers, x), c, input_grad=False)
         np.testing.assert_allclose(grads[0][0], dense[0][0], rtol=1e-12, atol=1e-12)
+
+
+def _overlap_stack(rng, sparse):
+    """A three-layer stack with its forward pass and an output gradient; a
+    sparse first input comes with column-major first weights, as training
+    lays them out."""
+    x = rng.standard_normal((40, 70)) * (rng.random((40, 70)) < 0.2)
+    layers = [LayerParams(rng.standard_normal((o, i)), rng.standard_normal(o)) for i, o in ((70, 50), (50, 60), (60, 30))]
+    if sparse:
+        layers[0].weights = np.asfortranarray(layers[0].weights)
+    acts = forward(layers, sparse_rows(x) if sparse else x)
+    return layers, acts, rng.standard_normal((40, 30))
+
+
+def _spy_on_helper(monkeypatch):
+    """Counts the products handed to the helper; returns the list of calls."""
+    calls, submit = [], nn._HELPER.submit
+    monkeypatch.setattr(nn._HELPER, "submit", lambda fn, *args: calls.append(fn) or submit(fn, *args))
+    return calls
+
+
+def _open_gate(monkeypatch):
+    # tier-1 models are tiny and pytest leaves BLAS threaded: force the gate
+    monkeypatch.setattr(nn, "_blas_threads", lambda: 1)
+    monkeypatch.setattr(nn, "OVERLAP_MIN_MACS", 1)
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+@pytest.mark.parametrize("input_grad", [True, False])
+def test_overlapped_backward_is_bit_equal_to_serial(monkeypatch, sparse, input_grad):
+    layers, acts, c = _overlap_stack(np.random.default_rng(7), sparse)
+    serial = backward(layers, acts, c, input_grad=input_grad)
+    _open_gate(monkeypatch)
+    calls = _spy_on_helper(monkeypatch)
+    overlapped = backward(layers, acts, c, input_grad=input_grad)
+    # every layer but an input-gradient-free first one hands over its product
+    assert len(calls) == (3 if input_grad else 2)
+    for (sw, sb), (ow, ob) in zip(serial[0], overlapped[0]):
+        assert np.array_equal(sw, ow) and np.array_equal(sb, ob)
+        assert sw.flags.c_contiguous == ow.flags.c_contiguous and sw.flags.f_contiguous == ow.flags.f_contiguous
+    if input_grad:
+        assert np.array_equal(serial[1], overlapped[1])
+    else:
+        assert serial[1] is None and overlapped[1] is None
+
+
+def test_the_helper_is_not_used_off_the_main_thread_with_threaded_blas_or_below_the_threshold(monkeypatch):
+    layers, acts, c = _overlap_stack(np.random.default_rng(8), sparse=False)
+    expected = backward(layers, acts, c)
+    calls = _spy_on_helper(monkeypatch)
+
+    def check(result):
+        assert not calls
+        assert all(np.array_equal(a, b) for pair in zip(expected[0], result[0]) for a, b in zip(*pair))
+        assert np.array_equal(expected[1], result[1])
+
+    _open_gate(monkeypatch)
+    with futures.ThreadPoolExecutor(max_workers=1) as pool:  # as the engine's --jobs workers
+        check(pool.submit(backward, layers, acts, c).result())
+    monkeypatch.setattr(nn, "_blas_threads", lambda: 2)
+    check(backward(layers, acts, c))
+    monkeypatch.setattr(nn, "_blas_threads", lambda: 0)  # a BLAS the probe does not know
+    check(backward(layers, acts, c))
+    monkeypatch.setattr(nn, "_blas_threads", lambda: 1)
+    largest = max(40 * layer.out_dim * layer.in_dim for layer in layers)
+    monkeypatch.setattr(nn, "OVERLAP_MIN_MACS", largest + 1)
+    check(backward(layers, acts, c))
+    monkeypatch.setattr(nn, "OVERLAP_MIN_MACS", largest)  # the threshold itself overlaps
+    backward(layers, acts, c)
+    assert len(calls) == 1
+
+
+def test_an_error_on_the_calling_thread_waits_for_the_helper(monkeypatch):
+    # the first layer's weight gradient (the kernel's sparse product) fails
+    # while its input gradient runs on the helper; the error surfaces only
+    # once the helper's product has ended, and the next call is correct
+    layers, acts, c = _overlap_stack(np.random.default_rng(9), sparse=True)
+    expected = backward(layers, acts, c)
+    _open_gate(monkeypatch)
+    entered, finished = threading.Event(), threading.Event()
+    submit = nn._HELPER.submit
+
+    def slow(fn, *args):
+        def run():
+            entered.set()
+            time.sleep(0.2)
+            result = fn(*args)
+            finished.set()
+            return result
+        entered.clear()
+        finished.clear()
+        return submit(run)
+
+    def failing(*args):
+        assert entered.wait(5)
+        raise RuntimeError("product failed")
+
+    monkeypatch.setattr(nn._HELPER, "submit", slow)
+    product = nn.kernels.csr_tmatmul
+    monkeypatch.setattr(nn.kernels, "csr_tmatmul", failing)
+    with pytest.raises(RuntimeError, match="product failed"):
+        backward(layers, acts, c)
+    assert finished.is_set()
+    monkeypatch.setattr(nn.kernels, "csr_tmatmul", product)
+    grads, grad_in = backward(layers, acts, c)
+    assert finished.is_set()
+    assert all(np.array_equal(a, b) for pair in zip(expected[0], grads) for a, b in zip(*pair))
+    assert np.array_equal(expected[1], grad_in)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+def test_a_forked_child_gets_a_helper_of_its_own(monkeypatch):
+    # the parent's worker thread does not exist in a forked child, so a
+    # child that used the parent's pool would wait for it forever
+    layers, acts, c = _overlap_stack(np.random.default_rng(12), sparse=False)
+    _open_gate(monkeypatch)
+    expected = backward(layers, acts, c)  # the parent's helper has run
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            code = 0 if np.array_equal(backward(layers, acts, c)[1], expected[1]) else 1
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 30
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
+
+
+@pytest.mark.skipif(np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"] != "scipy-openblas"
+                    or (os.cpu_count() or 1) < 2, reason="numpy bundles no scipy-openblas, or one core")
+def test_the_blas_probe_reads_the_thread_count():
+    src = str(Path(nn.__file__).resolve().parent.parent)
+    for threads in ("1", "2"):
+        # OpenBLAS reads OPENBLAS_NUM_THREADS before OMP_NUM_THREADS
+        proc = subprocess.run([sys.executable, "-c", "from dyngem import nn; print(nn._blas_threads())"],
+                              env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src),
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.split() == [threads], proc.stderr
 
 
 def test_sparse_rows_checks_its_row_pointers():
@@ -294,6 +446,47 @@ def test_a_short_tail_joins_the_slice_before_it():
     # just above 1.5 slices: two chunks whose lengths differ by one
     n = 3 * SLICE_ELEMENTS // 2 + 1
     assert _chunks_cover_once(np.zeros(n), 2) == [n // 2, n - n // 2]
+
+
+def test_scratch_buffers_are_kept_per_thread_and_grow():
+    first = nn._scratch_buffers(2, 100)
+    again = nn._scratch_buffers(2, 50)  # a narrower chunk reuses them
+    assert all(a is b for a, b in zip(first, again)) and all(b.size >= 100 for b in again)
+    wider = nn._scratch_buffers(3, 200)
+    assert len(wider) == 3 and all(b.size >= 200 for b in wider)
+    with futures.ThreadPoolExecutor(max_workers=1) as pool:
+        theirs = pool.submit(nn._scratch_buffers, 2, 100).result()
+    assert not any(np.shares_memory(a, b) for a in theirs for b in wider)
+
+
+def test_passes_on_several_threads_match_the_serial_passes():
+    # each thread walks its own scratch buffers: passes run at once on more
+    # threads than cores give the serial bits
+    def run():
+        rng = np.random.default_rng(10)
+        layers = [LayerParams(rng.standard_normal((300, 250)), rng.standard_normal(300)),
+                  LayerParams(np.asfortranarray(rng.standard_normal((250, 40))), rng.standard_normal(250))]
+        grads = [np.asarray(rng.standard_normal(layer.weights.shape), order=order)
+                 for layer, order in zip(layers, "CF")]
+        params = [a for layer in layers for a in (layer.weights, layer.bias)]
+        state = OptimizerState.for_params(params, base_lr=0.01, momentum=0.9)
+        values = []
+        for _ in range(5):
+            values.append(regularizer_value_and_grads(layers, grads, 1e-3, 2e-3))
+            nesterov_step(params, [grads[0], np.ones(300), grads[1], np.ones(250)], state)
+        return values, params
+
+    expected = run()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with futures.ThreadPoolExecutor(max_workers=6) as pool:
+            results = [f.result(timeout=60) for f in [pool.submit(run) for _ in range(6)]]
+    finally:
+        sys.setswitchinterval(interval)
+    for values, params in results:
+        assert values == expected[0]
+        assert all(np.array_equal(a, b) for a, b in zip(params, expected[1]))
 
 
 def test_nesterov_two_step_hand_case():

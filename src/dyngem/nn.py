@@ -81,31 +81,64 @@ def forward(layers, x):
     of layer k at position k; x is a (batch, in_dim) matrix or
     :class:`SparseRows`, which only the first layer reads, through
     ``kernels.csr_matmul``.
+
+    A dense layer runs in two row blocks when BLAS runs one thread per call,
+    the caller is the main thread, the layer has at least
+    ``OVERLAP_MIN_MACS`` multiply-adds and the batch at least
+    ``2 * ROW_BLOCK`` rows: a helper thread forms the first half of the
+    rows, rounded down to a multiple of ``ROW_BLOCK``, while this thread
+    forms the rest.  Each block is large enough for the same BLAS kernel as
+    the whole product, so the activations are bit-equal either way.
     """
     acts = [x if isinstance(x, SparseRows) else np.asarray(x, dtype=np.float64)]
     if acts[0].ndim != 2:
         raise ValueError("x must be a (batch, in_dim) matrix")
     for layer in layers:
-        if acts[-1].shape[1] != layer.in_dim:
+        a = acts[-1]
+        if a.shape[1] != layer.in_dim:
             raise ValueError(
-                f"input width {acts[-1].shape[1]} does not match layer in_dim {layer.in_dim}"
+                f"input width {a.shape[1]} does not match layer in_dim {layer.in_dim}"
             )
-        if isinstance(acts[-1], SparseRows):
+        if isinstance(a, SparseRows):
             # the kernel reads Wᵀ row by row: a copy unless W is column-major
-            z = kernels.csr_matmul(acts[-1], np.ascontiguousarray(layer.weights.T))
+            z = kernels.csr_matmul(a, np.ascontiguousarray(layer.weights.T))
+            z += layer.bias
+            relu(z, out=z)
         else:
-            z = acts[-1] @ layer.weights.T
-        z += layer.bias
-        acts.append(relu(z, out=z))
+            rows = a.shape[0]
+            z = np.empty((rows, layer.out_dim))
+            cut = rows // 2 // ROW_BLOCK * ROW_BLOCK
+            if cut and _overlaps(rows * layer.out_dim * layer.in_dim, OVERLAP_MIN_MACS):
+                _handoff(functools.partial(_dense_layer, layer, a[:cut], z[:cut]),
+                         functools.partial(_dense_layer, layer, a[cut:], z[cut:]))
+            else:
+                _dense_layer(layer, a, z)
+        acts.append(z)
     return acts
 
 
-# A layer's input-gradient product runs on _HELPER, beside its weight
-# gradient on the calling thread, when it has at least this many
-# multiply-adds (rows * out * in).  Below it the hand-off costs more than it
-# saves: at 1 << 22 the desk model's products (at most 300 * 300 * 128)
-# overlapped and desk training got slower.
+def _dense_layer(layer, x, out):
+    """relu(x Wᵀ + b) into ``out``."""
+    np.matmul(x, layer.weights.T, out=out)
+    out += layer.bias
+    relu(out, out=out)
+
+
+# A layer's forward product runs in two row blocks, and its input-gradient
+# product beside its weight gradient, on _HELPER when it has at least this
+# many multiply-adds (rows * out * in).  Below it the hand-off costs more
+# than it saves: at 1 << 22 the desk model's products (at most
+# 300 * 300 * 128) overlapped and desk training got slower.
 OVERLAP_MIN_MACS = 1 << 24
+
+# The forward row cut falls on a multiple of OpenBLAS's AVX-512 row tile.
+# A row block computes the same bits as the whole product only while BLAS
+# takes it through the same kernel: a 1-row block goes to gemv, and a small
+# block (24 x 180 x 32 multiply-adds was one) to OpenBLAS's small-matrix
+# kernel, and both round differently.  Each block of a layer with
+# OVERLAP_MIN_MACS multiply-adds keeps at least a quarter of its rows, so
+# over four million multiply-adds.
+ROW_BLOCK = 24
 
 
 def _start_helper():
@@ -133,14 +166,34 @@ def _blas_threads():
     return 0
 
 
-def _overlaps(rows, layer):
-    """True when a layer's input-gradient product should run on _HELPER: it
-    is large, BLAS leaves the second core idle (one thread per call), and the
-    caller is the main thread (the engine's ``--jobs`` workers already fill
-    the cores)."""
-    return (rows * layer.out_dim * layer.in_dim >= OVERLAP_MIN_MACS
+def _overlaps(work, least):
+    """True when work of this size (multiply-adds or elements) should be
+    shared with _HELPER: it is at least ``least``, BLAS leaves the second
+    core idle (one thread per call), and the caller is the main thread (the
+    engine's ``--jobs`` workers already fill the cores)."""
+    return (work >= least
             and threading.current_thread() is threading.main_thread()
             and _blas_threads() == 1)
+
+
+def _handoff(theirs, mine):
+    """Run ``theirs()`` on _HELPER while this thread runs ``mine()``, and
+    return both results.  An error in ``mine`` is raised only once
+    ``theirs`` has ended, so no caller frees or reuses memory that the
+    helper still reads or writes."""
+    pending = _HELPER.submit(theirs)
+    try:
+        own = mine()
+    except BaseException:
+        futures.wait([pending])
+        raise
+    return pending.result(), own
+
+
+def _weight_grads(g, a, order):
+    """A layer's weight gradient ``gᵀa`` in ``order`` and its bias gradient."""
+    gw = kernels.csr_tmatmul(a, np.ascontiguousarray(g)).T if isinstance(a, SparseRows) else g.T @ a
+    return np.asarray(gw, order=order), g.sum(axis=0)
 
 
 def backward(layers, activations, grad_out, input_grad=True):
@@ -170,18 +223,17 @@ def backward(layers, activations, grad_out, input_grad=True):
         layer = layers[k - 1]
         order = "F" if layer.weights.flags.f_contiguous else "C"
         a = activations[k - 1]
-        need_input = k > 1 or input_grad
-        pending = _HELPER.submit(np.matmul, g, layer.weights) if need_input and _overlaps(g.shape[0], layer) else None
-        try:
-            gw = kernels.csr_tmatmul(a, np.ascontiguousarray(g)).T if isinstance(a, SparseRows) else g.T @ a
-            grads[k - 1] = (np.asarray(gw, order=order), g.sum(axis=0))
-        except BaseException:
-            if pending is not None:
-                futures.wait([pending])
-            raise
-        if not need_input:
+        if k == 1 and not input_grad:
+            grads[0] = _weight_grads(g, a, order)
             return grads, None
-        g = g @ layer.weights if pending is None else pending.result()
+        # g goes to the products unnamed: a name bound to it here would keep
+        # the old g alive through the next layer's products
+        if _overlaps(g.shape[0] * layer.out_dim * layer.in_dim, OVERLAP_MIN_MACS):
+            g, grads[k - 1] = _handoff(functools.partial(np.matmul, g, layer.weights),
+                                       functools.partial(_weight_grads, g, a, order))
+        else:
+            grads[k - 1] = _weight_grads(g, a, order)
+            g = g @ layer.weights
         if k - 1 > 0:
             g *= activations[k - 1] > 0
     return grads, g
@@ -192,6 +244,13 @@ def backward(layers, activations, grad_out, input_grad=True):
 # operands still in L2 cache instead of streaming whole arrays through memory
 # once per operation.
 SLICE_ELEMENTS = 1 << 15
+
+# The penalty and Nesterov passes walk their arrays in two runs, one on
+# _HELPER, when the arrays hold at least this many elements in all.  On a
+# 2-core host, the two passes of mirrored models took, serial against split:
+# 97k weights (the desk model) 0.61 against 0.78 ms, 270k 1.33 against
+# 1.41 ms, 428k 2.05 against 1.88-2.02 ms, 660k 3.1 against 2.7 ms.
+PASS_MIN_ELEMENTS = 1 << 19
 
 # Each thread keeps its chunk scratch buffers between calls; the list grows
 # to the widest chunk seen.  Allocating them per call cost more than the
@@ -215,16 +274,23 @@ def _flat_chunks(groups, scratch):
     """Walk each group of same-shaped arrays in matching chunks of flat
     memory.  A group's arrays must be all C- or all F-contiguous, so their
     ``ravel("K")`` views list the same elements in the same order; every group
-    is checked before the first chunk, else ValueError.  Each view is cut into
+    is checked when this is called, else ValueError.  Each view is cut into
     ``max(1, round(size / SLICE_ELEMENTS))`` near-equal chunks, each shorter
-    than 1.5 * SLICE_ELEMENTS.  Yields per chunk the group's chunk views, then
-    ``scratch`` buffers of the chunk's length, kept per thread across calls
-    and holding old values: write each before reading it, and do not walk
-    two generators at once on one thread."""
+    than 1.5 * SLICE_ELEMENTS.  The returned generator yields per chunk the
+    group's chunk views, then ``scratch`` buffers of the chunk's length, kept
+    per thread across calls (the walking thread's) and holding old values:
+    write each before reading it, and do not walk two generators at once on
+    one thread."""
     groups = list(groups)
     for group in groups:
         if not (all(a.flags.c_contiguous for a in group) or all(a.flags.f_contiguous for a in group)):
             raise ValueError("arrays updated together must be all C- or all F-contiguous")
+    return _chunks(groups, scratch)
+
+
+def _chunks(groups, scratch):
+    """The generator of :func:`_flat_chunks`; its scratch buffers are those
+    of the thread that walks it."""
     counts = [max(1, round(group[0].size / SLICE_ELEMENTS)) for group in groups]
     width = max((-(-group[0].size // count) for group, count in zip(groups, counts)), default=0)
     buffers = _scratch_buffers(scratch, width)
@@ -233,6 +299,29 @@ def _flat_chunks(groups, scratch):
         bounds = [flat[0].size * k // count for k in range(count + 1)]
         for start, end in zip(bounds, bounds[1:]):
             yield (*(a[start:end] for a in flat), *(b[: end - start] for b in buffers))
+
+
+def _balanced_cut(sizes):
+    """The k in 1..len(sizes) - 1 that splits ``sizes`` into the two runs
+    ``sizes[:k]`` and ``sizes[k:]`` of the most nearly equal sums."""
+    return 1 + int(np.argmin(np.abs(2 * np.cumsum(sizes[:-1]) - sum(sizes))))
+
+
+def _walk_in_two(groups, scratch, walk):
+    """Apply ``walk`` to the :func:`_flat_chunks` of ``groups`` and return
+    the list of its results, one per run walked.  When the groups' arrays
+    hold at least ``PASS_MIN_ELEMENTS`` elements and the gate of
+    :func:`_overlaps` is open, the groups are cut at the array boundary of
+    :func:`_balanced_cut`: _HELPER walks the first run, with its own scratch
+    buffers, while this thread walks the second.  Every group is checked
+    before any is walked."""
+    groups = list(groups)
+    sizes = [group[0].size for group in groups]
+    if len(groups) > 1 and _overlaps(sum(sizes), PASS_MIN_ELEMENTS):
+        cut = _balanced_cut(sizes)
+        first, second = _flat_chunks(groups[:cut], scratch), _flat_chunks(groups[cut:], scratch)
+        return list(_handoff(functools.partial(walk, first), functools.partial(walk, second)))
+    return [walk(_flat_chunks(groups, scratch))]
 
 
 def regularizer_value_and_grads(layers, grads, nu1, nu2):
@@ -245,6 +334,10 @@ def regularizer_value_and_grads(layers, grads, nu1, nu2):
     must share their shape and be both C- or both F-contiguous; they are
     walked one cache-sized chunk of flat memory at a time.  Any mismatch
     raises ValueError before a gradient is written.
+
+    Large models are walked in two runs of whole matrices, one on a helper
+    thread (see :func:`_walk_in_two`); ``l1`` and ``l2`` add each chunk's
+    sums in chunk order either way, so every result is bit-equal.
     """
     if nu1 < 0 or nu2 < 0:
         raise ValueError("penalty coefficients must be non-negative")
@@ -256,15 +349,25 @@ def regularizer_value_and_grads(layers, grads, nu1, nu2):
             raise ValueError("gradient shape does not match its weights")
     l1 = 0.0
     l2 = 0.0
-    for ws, gs, sign, penalty in _flat_chunks(zip(weights, grads), 2):
+    for run in _walk_in_two(zip(weights, grads), 2, functools.partial(_penalty_walk, nu1, nu2)):
+        for part1, part2 in run:
+            l1 += part1
+            l2 += part2
+    return l1, l2
+
+
+def _penalty_walk(nu1, nu2, chunks):
+    """Add the penalty gradient into each chunk's weight gradient; returns
+    each chunk's ``(sum|W|, sum W^2)``, in chunk order."""
+    parts = []
+    for ws, gs, sign, penalty in chunks:
         np.sign(ws, out=sign)
-        l1 += float(np.vdot(sign, ws))
-        l2 += float(np.vdot(ws, ws))
+        parts.append((float(np.vdot(sign, ws)), float(np.vdot(ws, ws))))
         sign *= nu1
         np.multiply(ws, 2.0 * nu2, out=penalty)
         sign += penalty
         gs += sign
-    return l1, l2
+    return parts
 
 
 @dataclass
@@ -299,21 +402,27 @@ def nesterov_step(params, grads, state):
     Each parameter, its gradient and its velocity must share their shape and
     be all C- or all F-contiguous; they are updated one cache-sized chunk of
     flat memory at a time.  Any mismatch raises ValueError before an array
-    is written.
+    is written.  Large models are updated in two runs of whole arrays, one
+    on a helper thread (see :func:`_walk_in_two`); each element gets the
+    same operations either way.
     """
     if len(params) != len(grads) or len(params) != len(state.velocities):
         raise ValueError("params, grads and velocities must align")
     for p, g, v in zip(params, grads, state.velocities):
         if not (p.shape == g.shape == v.shape):
             raise ValueError("parameter, gradient and velocity shapes differ")
-    lr = state.learning_rate()
-    mu = state.momentum
-    for ps, gs, vs, step, push in _flat_chunks(zip(params, grads, state.velocities), 2):
+    _walk_in_two(zip(params, grads, state.velocities), 2,
+                 functools.partial(_nesterov_walk, state.learning_rate(), state.momentum))
+    state.step_count += 1
+    return params, state
+
+
+def _nesterov_walk(lr, mu, chunks):
+    """The Nesterov update of each chunk's parameter and velocity."""
+    for ps, gs, vs, step, push in chunks:
         np.multiply(gs, lr, out=step)
         vs *= mu
         vs -= step
         np.multiply(vs, mu, out=push)
         ps += push
         ps -= step
-    state.step_count += 1
-    return params, state

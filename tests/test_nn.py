@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import ctypes
+import glob
 import os
 import signal
 import subprocess
@@ -143,23 +145,71 @@ def test_weight_gradients_take_their_weights_layout():
         np.testing.assert_allclose(grads[0][0], dense[0][0], rtol=1e-12, atol=1e-12)
 
 
-def _overlap_stack(rng, sparse):
-    """A three-layer stack with its forward pass and an output gradient; a
-    sparse first input comes with column-major first weights, as training
-    lays them out."""
-    x = rng.standard_normal((40, 70)) * (rng.random((40, 70)) < 0.2)
-    layers = [LayerParams(rng.standard_normal((o, i)), rng.standard_normal(o)) for i, o in ((70, 50), (50, 60), (60, 30))]
+def _overlap_stack(rng, sparse, rows=40, widths=(70, 50, 60, 30)):
+    """A dense stack with its forward pass and an output gradient; a sparse
+    first input comes with column-major first weights, as training lays them
+    out."""
+    x = rng.standard_normal((rows, widths[0])) * (rng.random((rows, widths[0])) < 0.2)
+    layers = [LayerParams(rng.standard_normal((o, i)), rng.standard_normal(o)) for i, o in zip(widths, widths[1:])]
     if sparse:
         layers[0].weights = np.asfortranarray(layers[0].weights)
     acts = forward(layers, sparse_rows(x) if sparse else x)
-    return layers, acts, rng.standard_normal((40, 30))
+    return layers, acts, rng.standard_normal((rows, widths[-1]))
+
+
+# A batch that forward cuts into 48 and 52 rows, with layers whose row blocks
+# are large enough for the BLAS kernel of the whole product.
+BLOCKS = {"rows": 100, "widths": (300, 200, 160, 250)}
 
 
 def _spy_on_helper(monkeypatch):
-    """Counts the products handed to the helper; returns the list of calls."""
+    """Counts the work handed to the helper; returns the list of calls."""
     calls, submit = [], nn._HELPER.submit
     monkeypatch.setattr(nn._HELPER, "submit", lambda fn, *args: calls.append(fn) or submit(fn, *args))
     return calls
+
+
+def _slow_helper(monkeypatch):
+    """Makes the helper sleep 0.2 s before each piece of work; returns the
+    events it sets when it enters and when it finishes one."""
+    entered, finished = threading.Event(), threading.Event()
+    submit = nn._HELPER.submit
+
+    def slow(fn, *args):
+        def run():
+            entered.set()
+            time.sleep(0.2)
+            result = fn(*args)
+            finished.set()
+            return result
+        entered.clear()
+        finished.clear()
+        return submit(run)
+
+    monkeypatch.setattr(nn._HELPER, "submit", slow)
+    return entered, finished
+
+
+@pytest.fixture
+def one_blas_thread():
+    """Pins numpy's bundled OpenBLAS to one thread per call for one test:
+    forward cuts rows only then, and the bits of a threaded product can
+    depend on its row count.  Skips where numpy bundles no scipy-openblas."""
+    for path in glob.glob(os.path.dirname(np.__file__) + ".libs/*scipy_openblas64_*"):
+        lib = ctypes.CDLL(path)
+        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+            break
+    else:
+        pytest.skip("numpy bundles no scipy-openblas")
+    lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+    lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+    lib.scipy_openblas_set_num_threads64_.restype = None
+    before = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(1)
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads64_(before)
 
 
 def _open_gate(monkeypatch):
@@ -187,30 +237,58 @@ def test_overlapped_backward_is_bit_equal_to_serial(monkeypatch, sparse, input_g
         assert serial[1] is None and overlapped[1] is None
 
 
+@pytest.mark.parametrize("case", ["dense", "dense_column_major", "sparse"])
+def test_forward_in_row_blocks_is_bit_equal_to_serial(monkeypatch, one_blas_thread, case):
+    layers, acts, _ = _overlap_stack(np.random.default_rng(13), case == "sparse", **BLOCKS)
+    if case == "dense_column_major":
+        for layer in layers:
+            layer.weights = np.asfortranarray(layer.weights)
+        acts = forward(layers, acts[0])
+    _open_gate(monkeypatch)
+    calls = _spy_on_helper(monkeypatch)
+    blocked = forward(layers, acts[0])
+    # each dense layer hands its first 48 rows over; a sparse first layer
+    # runs whole on this thread
+    assert len(calls) == (2 if case == "sparse" else 3)
+    assert blocked[0] is acts[0]
+    for serial, split in zip(acts[1:], blocked[1:]):
+        assert np.array_equal(serial, split) and split.flags.c_contiguous
+
+
 def test_the_helper_is_not_used_off_the_main_thread_with_threaded_blas_or_below_the_threshold(monkeypatch):
-    layers, acts, c = _overlap_stack(np.random.default_rng(8), sparse=False)
+    # neither the forward row blocks nor the backward products
+    layers, acts, c = _overlap_stack(np.random.default_rng(8), sparse=False, **BLOCKS)
     expected = backward(layers, acts, c)
+    short = acts[0][: 2 * nn.ROW_BLOCK - 1]  # too few rows for two blocks
+    short_expected = forward(layers, short)
     calls = _spy_on_helper(monkeypatch)
 
+    def passes():
+        return forward(layers, acts[0]), backward(layers, acts, c)
+
     def check(result):
+        fwd, (grads, grad_in) = result
         assert not calls
-        assert all(np.array_equal(a, b) for pair in zip(expected[0], result[0]) for a, b in zip(*pair))
-        assert np.array_equal(expected[1], result[1])
+        assert all(np.array_equal(a, b) for a, b in zip(acts, fwd))
+        assert all(np.array_equal(a, b) for pair in zip(expected[0], grads) for a, b in zip(*pair))
+        assert np.array_equal(expected[1], grad_in)
 
     _open_gate(monkeypatch)
     with futures.ThreadPoolExecutor(max_workers=1) as pool:  # as the engine's --jobs workers
-        check(pool.submit(backward, layers, acts, c).result())
+        check(pool.submit(passes).result())
     monkeypatch.setattr(nn, "_blas_threads", lambda: 2)
-    check(backward(layers, acts, c))
+    check(passes())
     monkeypatch.setattr(nn, "_blas_threads", lambda: 0)  # a BLAS the probe does not know
-    check(backward(layers, acts, c))
+    check(passes())
     monkeypatch.setattr(nn, "_blas_threads", lambda: 1)
-    largest = max(40 * layer.out_dim * layer.in_dim for layer in layers)
+    assert all(np.array_equal(a, b) for a, b in zip(short_expected, forward(layers, short)))
+    assert not calls
+    largest = max(BLOCKS["rows"] * layer.out_dim * layer.in_dim for layer in layers)
     monkeypatch.setattr(nn, "OVERLAP_MIN_MACS", largest + 1)
-    check(backward(layers, acts, c))
+    check(passes())
     monkeypatch.setattr(nn, "OVERLAP_MIN_MACS", largest)  # the threshold itself overlaps
-    backward(layers, acts, c)
-    assert len(calls) == 1
+    passes()
+    assert len(calls) == 2  # the largest layer's first row block and its input gradient
 
 
 def test_an_error_on_the_calling_thread_waits_for_the_helper(monkeypatch):
@@ -220,25 +298,12 @@ def test_an_error_on_the_calling_thread_waits_for_the_helper(monkeypatch):
     layers, acts, c = _overlap_stack(np.random.default_rng(9), sparse=True)
     expected = backward(layers, acts, c)
     _open_gate(monkeypatch)
-    entered, finished = threading.Event(), threading.Event()
-    submit = nn._HELPER.submit
-
-    def slow(fn, *args):
-        def run():
-            entered.set()
-            time.sleep(0.2)
-            result = fn(*args)
-            finished.set()
-            return result
-        entered.clear()
-        finished.clear()
-        return submit(run)
+    entered, finished = _slow_helper(monkeypatch)
 
     def failing(*args):
         assert entered.wait(5)
         raise RuntimeError("product failed")
 
-    monkeypatch.setattr(nn._HELPER, "submit", slow)
     product = nn.kernels.csr_tmatmul
     monkeypatch.setattr(nn.kernels, "csr_tmatmul", failing)
     with pytest.raises(RuntimeError, match="product failed"):
@@ -251,18 +316,45 @@ def test_an_error_on_the_calling_thread_waits_for_the_helper(monkeypatch):
     assert np.array_equal(expected[1], grad_in)
 
 
+def test_an_error_in_the_calling_threads_row_block_waits_for_the_helper(monkeypatch, one_blas_thread):
+    # this thread's row block fails while the helper forms the other; the
+    # error surfaces only once the helper's block has ended, and the next
+    # call is correct
+    layers, acts, _ = _overlap_stack(np.random.default_rng(14), sparse=False, **BLOCKS)
+    _open_gate(monkeypatch)
+    entered, finished = _slow_helper(monkeypatch)
+    dense_layer = nn._dense_layer
+
+    def failing(layer, x, out):
+        if threading.current_thread() is threading.main_thread():
+            assert entered.wait(5)
+            raise RuntimeError("block failed")
+        dense_layer(layer, x, out)
+
+    monkeypatch.setattr(nn, "_dense_layer", failing)
+    with pytest.raises(RuntimeError, match="block failed"):
+        forward(layers, acts[0])
+    assert finished.is_set()
+    monkeypatch.setattr(nn, "_dense_layer", dense_layer)
+    again = forward(layers, acts[0])
+    assert finished.is_set()
+    assert all(np.array_equal(a, b) for a, b in zip(acts, again))
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
 def test_a_forked_child_gets_a_helper_of_its_own(monkeypatch):
     # the parent's worker thread does not exist in a forked child, so a
     # child that used the parent's pool would wait for it forever
-    layers, acts, c = _overlap_stack(np.random.default_rng(12), sparse=False)
+    layers, acts, c = _overlap_stack(np.random.default_rng(12), sparse=False, **BLOCKS)
     _open_gate(monkeypatch)
-    expected = backward(layers, acts, c)  # the parent's helper has run
+    expected = forward(layers, acts[0])[-1], backward(layers, acts, c)[1]  # the parent's helper has run
     pid = os.fork()
     if pid == 0:
         code = 1
         try:
-            code = 0 if np.array_equal(backward(layers, acts, c)[1], expected[1]) else 1
+            same = (np.array_equal(forward(layers, acts[0])[-1], expected[0])
+                    and np.array_equal(backward(layers, acts, c)[1], expected[1]))
+            code = 0 if same else 1
         finally:
             os._exit(code)
     deadline = time.monotonic() + 30
@@ -272,6 +364,28 @@ def test_a_forked_child_gets_a_helper_of_its_own(monkeypatch):
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
     assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
+
+
+def test_row_blocks_cut_on_24_rows_stack_to_the_whole_product_bit_for_bit(one_blas_thread):
+    # forward's row blocks rely on this property of the bundled BLAS, so a
+    # numpy or OpenBLAS upgrade that breaks it fails here instead of moving
+    # the bits of every run.  It holds only while each block goes through
+    # the whole product's kernel: a 1-row block goes to gemv, and a small
+    # block (24 x 180 x 32 multiply-adds is one) to OpenBLAS's small-matrix
+    # kernel, and both round differently.  The shapes are the 2,000-node
+    # model's layers at the batch sizes its training and evaluation use.
+    rng = np.random.default_rng(0)
+    for i, o in ((2000, 600), (600, 180), (180, 600), (600, 2000)):
+        for order in "CF":
+            w = np.asarray(rng.standard_normal((o, i)), order=order)
+            for rows in (48, 71, 130, 444, 600):
+                x = rng.standard_normal((rows, i))
+                whole = x @ w.T
+                for cut in range(nn.ROW_BLOCK, rows // 2 + 1, nn.ROW_BLOCK):
+                    z = np.empty_like(whole)
+                    np.matmul(x[:cut], w.T, out=z[:cut])
+                    np.matmul(x[cut:], w.T, out=z[cut:])
+                    assert np.array_equal(z, whole), (i, o, order, rows, cut)
 
 
 @pytest.mark.skipif(np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"] != "scipy-openblas"
@@ -370,11 +484,11 @@ def test_streamed_passes_match_the_whole_array_oracle(case):
         assert layer.weights.flags[f"{w_order}_CONTIGUOUS"]
 
 
-def test_passes_reject_arrays_of_another_layout_before_writing_any():
+def test_passes_reject_arrays_of_another_layout_before_writing_any(monkeypatch):
     # a gradient or a velocity in the other layout, or a non-contiguous
     # parameter, raises ValueError and leaves every array as it was; the
     # first pair or triple is valid, so a pass that wrote as it checked
-    # would have changed it
+    # would have changed it, on this thread or, split, on the helper
     rng = np.random.default_rng(6)
     good = [rng.standard_normal((20, 30)) for _ in range(3)]
     base = rng.standard_normal((20, 60))
@@ -385,20 +499,23 @@ def test_passes_reject_arrays_of_another_layout_before_writing_any():
                      np.asfortranarray(rng.standard_normal((20, 30)))),
         "parameter": (base[:, ::2], rng.standard_normal((20, 30)), rng.standard_normal((20, 30))),
     }
-    for name, (p, g, v) in cases.items():
-        assert not (p.flags.c_contiguous and g.flags.c_contiguous and v.flags.c_contiguous)
-        arrays = good + [p, g, v]
-        before = [a.copy() for a in arrays]
-        state = OptimizerState([good[2], v], base_lr=0.1, momentum=0.9)
-        with pytest.raises(ValueError):
-            nesterov_step([good[0], p], [good[1], g], state)
-        assert state.step_count == 0, name
-        if name != "velocity":
-            layers = [LayerParams(good[0], np.zeros(20)), LayerParams(p, np.zeros(20))]
+    monkeypatch.setattr(nn, "_blas_threads", lambda: 1)
+    for least in (1 << 62, 0):  # serial, then split in two runs
+        monkeypatch.setattr(nn, "PASS_MIN_ELEMENTS", least)
+        for name, (p, g, v) in cases.items():
+            assert not (p.flags.c_contiguous and g.flags.c_contiguous and v.flags.c_contiguous)
+            arrays = good + [p, g, v]
+            before = [a.copy() for a in arrays]
+            state = OptimizerState([good[2], v], base_lr=0.1, momentum=0.9)
             with pytest.raises(ValueError):
-                regularizer_value_and_grads(layers, [good[1], g], 1e-3, 2e-3)
-        for a, b in zip(arrays, before):
-            assert np.array_equal(a, b), name
+                nesterov_step([good[0], p], [good[1], g], state)
+            assert state.step_count == 0, name
+            if name != "velocity":
+                layers = [LayerParams(good[0], np.zeros(20)), LayerParams(p, np.zeros(20))]
+                with pytest.raises(ValueError):
+                    regularizer_value_and_grads(layers, [good[1], g], 1e-3, 2e-3)
+            for a, b in zip(arrays, before):
+                assert np.array_equal(a, b), (name, least)
 
 
 def _chunks_cover_once(a, scratch):
@@ -487,6 +604,73 @@ def test_passes_on_several_threads_match_the_serial_passes():
     for values, params in results:
         assert values == expected[0]
         assert all(np.array_equal(a, b) for a, b in zip(params, expected[1]))
+
+
+def test_the_cut_splits_the_elements_most_nearly_in_half():
+    assert nn._balanced_cut([1, 1, 1, 1]) == 2
+    assert nn._balanced_cut([5, 1, 1, 1, 1]) == 1
+    assert nn._balanced_cut([1, 1, 5]) == 2
+    assert nn._balanced_cut([3, 4]) == 1
+
+
+def test_passes_in_two_runs_match_the_serial_walk(monkeypatch):
+    # the helper walks the arrays before the cut and this thread the rest;
+    # l1 and l2 add each chunk's partial sums in the serial order, so every
+    # value is exactly equal, whichever array boundary the cut falls on
+    spec = (((300, 250), "C"), ((250, 40), "F"), ((3, WIDE), "C"), ((64, 128), "F"))
+    monkeypatch.setattr(nn, "_blas_threads", lambda: 1)
+
+    def run():
+        rng = np.random.default_rng(15)
+        layers = [LayerParams(np.asarray(rng.standard_normal(shape), order=order), rng.standard_normal(shape[0]))
+                  for shape, order in spec]
+        grads = [np.asarray(rng.standard_normal(shape), order=order) for shape, order in spec]
+        params = [a for layer in layers for a in (layer.weights, layer.bias)]
+        state = OptimizerState.for_params(params, base_lr=0.01, momentum=0.9, decay=0.1)
+        values = []
+        for _ in range(3):
+            values.append(regularizer_value_and_grads(layers, grads, 1e-3, 2e-3))
+            nesterov_step(params, [g for gw, layer in zip(grads, layers) for g in (gw, np.ones(layer.out_dim))],
+                          state)
+        return values, params + grads + state.velocities
+
+    monkeypatch.setattr(nn, "PASS_MIN_ELEMENTS", 1 << 62)
+    serial = run()
+    monkeypatch.setattr(nn, "PASS_MIN_ELEMENTS", 0)
+    calls = _spy_on_helper(monkeypatch)
+    for cut in range(1, 2 * len(spec)):  # every boundary of the Nesterov pass's eight arrays
+        monkeypatch.setattr(nn, "_balanced_cut", lambda sizes: min(cut, len(sizes) - 1))
+        calls.clear()
+        values, arrays = run()
+        assert len(calls) == 6, cut  # each pass of each step hands a run over
+        assert values == serial[0], cut
+        assert all(np.array_equal(a, b) for a, b in zip(arrays, serial[1])), cut
+
+
+def test_passes_below_the_element_threshold_stay_on_this_thread(monkeypatch):
+    def passes(widths):
+        layers = [LayerParams(np.ones((o, i)), np.zeros(o)) for i, o in zip(widths, widths[1:])]
+        params = [a for layer in layers for a in (layer.weights, layer.bias)]
+        state = OptimizerState.for_params(params, base_lr=0.1)
+        regularizer_value_and_grads(layers, [np.zeros_like(layer.weights) for layer in layers], 1e-3, 1e-3)
+        nesterov_step(params, [np.zeros_like(p) for p in params], state)
+        return sum(layer.weights.size for layer in layers), sum(p.size for p in params)
+
+    monkeypatch.setattr(nn, "_blas_threads", lambda: 1)
+    calls = _spy_on_helper(monkeypatch)
+    # the desk model, 300-128-64-32 and back: about 97k weights
+    passes((300, 128, 64, 32, 64, 128, 300))
+    assert not calls
+    weights, params = passes((30, 20, 30))
+    monkeypatch.setattr(nn, "PASS_MIN_ELEMENTS", params + 1)
+    passes((30, 20, 30))
+    assert not calls
+    monkeypatch.setattr(nn, "PASS_MIN_ELEMENTS", params)  # the threshold itself splits
+    passes((30, 20, 30))
+    assert len(calls) == 1
+    monkeypatch.setattr(nn, "PASS_MIN_ELEMENTS", weights)
+    passes((30, 20, 30))
+    assert len(calls) == 3
 
 
 def test_nesterov_two_step_hand_case():

@@ -54,8 +54,9 @@ METHOD_RUNS = {
     "sdne_retrain_jobs2": ("--method", "sdne_retrain", "--d", "32", "--epochs-first", "3", "--jobs", "2"),
 }
 METHOD_EVALS = ("reconstruction", "stability")
-# workloads trained again on the numpy backend; grow_2k trains on sparse rows
-PYTHON_TRAINED = ("grow_2k",)
+# workloads trained again on the numpy backend: grow_2k trains on sparse
+# rows, desk_warm on dense rows
+PYTHON_TRAINED = ("grow_2k", "desk_warm")
 
 
 def run_cli(checkout, *args, **env):

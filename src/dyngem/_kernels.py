@@ -1,6 +1,7 @@
 """ctypes bindings for the compiled hot loops in ``_libkernels.c``:
-``gf_epoch``, ``truth_ranks``, ``jacobi_sweeps`` and the two sparse
-products ``csr_matmul`` and ``csr_tmatmul``.
+``gf_epoch``, ``truth_ranks``, ``jacobi_sweeps``, the two sparse products
+``csr_matmul`` and ``csr_tmatmul``, and the two per-parameter passes
+``penalty_pass`` and ``nesterov_update``.
 
 The first import compiles that file with the system's ``cc`` and caches the
 library the way Python caches bytecode: in the package's ``__pycache__``
@@ -119,6 +120,10 @@ for _product in (_lib.csr_matmul, _lib.csr_tmatmul):
     _product.argtypes = [_array(np.intp, 1), _array(np.intp, 1), _array(np.float64, 1),
                          _array(np.float64, 2), _array(np.float64, 2, writeable=True),
                          _size, _size, _size]
+_vector, _written = _array(np.float64, 1), _array(np.float64, 1, writeable=True)
+_lib.penalty_pass.restype = _lib.nesterov_update.restype = None
+_lib.penalty_pass.argtypes = [_vector, _written, _size, ctypes.c_double, ctypes.c_double, _written]
+_lib.nesterov_update.argtypes = [_written, _vector, _written, _size, ctypes.c_double, ctypes.c_double]
 _lib.jacobi_sweeps.restype = ctypes.c_int
 _lib.jacobi_sweeps.argtypes = [
     _array(np.float64, 2, writeable=True), _array(np.float64, 2, writeable=True),
@@ -181,6 +186,24 @@ def csr_tmatmul(x, g):
     if _lib.csr_tmatmul(x.indptr, x.indices, x.values, g, out, k, n, g.shape[1]) != 0:
         raise IndexError("csr_tmatmul: a column index is out of range")
     return out
+
+
+def penalty_pass(w, g, nu1, nu2):
+    """``_kernels_py.penalty_pass`` on contiguous float64 vectors, with the
+    same bits."""
+    if g.size != w.size:
+        raise ValueError("w and g must have one length")
+    sums = np.empty(2)
+    _lib.penalty_pass(w, g, w.size, nu1, nu2, sums)
+    return float(sums[0]), float(sums[1])
+
+
+def nesterov_update(p, g, v, lr, mu):
+    """``_kernels_py.nesterov_update`` on contiguous float64 vectors, with the
+    same bits."""
+    if not p.size == g.size == v.size:
+        raise ValueError("p, g and v must have one length")
+    _lib.nesterov_update(p, g, v, p.size, lr, mu)
 
 
 def jacobi_sweeps(g, v, tol, max_sweeps):

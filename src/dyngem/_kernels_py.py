@@ -2,9 +2,10 @@
 
 Selected by :mod:`dyngem.kernels` when the compiled library is missing or
 disabled, and the reference the compiled kernels in ``_libkernels.c`` are
-tested against.  Results may differ from the compiled path only in last-bit
-rounding because numpy's dot products accumulate in a different order; the
-ranks and the two sparse products are bit-equal to it.
+tested against.  Every loop but ``jacobi_sweeps`` is bit-equal to its
+compiled twin: each sum is added in the C loop's order.  ``jacobi_sweeps``
+may differ from it in the last bits, because numpy's dot products add in
+another order.
 """
 
 from __future__ import annotations
@@ -16,6 +17,12 @@ import numpy as np
 # truth_ranks compares blocks of this many score entries (1 MB of float64);
 # at n = 2,000 the time is flat from 2^16 to 2^19
 RANK_BLOCK_ELEMENTS = 1 << 17
+
+
+def _in_order_sum(a):
+    """The sum of the vector ``a`` added in element order, as the C loops add
+    (``np.sum`` adds pairwise)."""
+    return float(np.cumsum(a)[-1]) if a.size else 0.0
 
 
 def gf_epoch(y, heads, tails, weights, order, lr, lam):
@@ -31,9 +38,34 @@ def gf_epoch(y, heads, tails, weights, order, lr, lam):
         j = tails[k]
         yi = y[i].copy()
         yj = y[j].copy()
-        r = weights[k] - float(yi @ yj)
+        r = weights[k] - _in_order_sum(yi * yj)
         y[i] += two_lr * (r * yj - lam * yi)
         y[j] += two_lr * (r * yi - lam * yj)
+
+
+def penalty_pass(w, g, nu1, nu2):
+    """Add the gradient ``nu1 * sign(w) + 2 * nu2 * w`` of the weight penalty
+    into ``g`` in place, for vectors ``w`` and ``g`` of one length; returns
+    ``(sum|w|, sum w^2)``, each added in element order.  sign(0) is 0."""
+    if g.size != w.size:
+        raise ValueError("w and g must have one length")
+    penalty = np.sign(w)
+    penalty *= nu1
+    penalty += w * (2.0 * nu2)
+    g += penalty
+    return _in_order_sum(np.abs(w)), _in_order_sum(w * w)
+
+
+def nesterov_update(p, g, v, lr, mu):
+    """The Nesterov step of the parameters ``p``, in place with their velocity
+    ``v``, for the gradient ``g``: v <- mu*v - lr*g, then p <- p + mu*v - lr*g."""
+    if not p.size == g.size == v.size:
+        raise ValueError("p, g and v must have one length")
+    step = g * lr
+    v *= mu
+    v -= step
+    p += v * mu
+    p -= step
 
 
 def jacobi_sweeps(g, v, tol, max_sweeps):

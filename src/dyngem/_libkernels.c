@@ -1,14 +1,13 @@
 /* Compiled hot loops, loaded through ctypes by _kernels.py.
  *
- * Five loops are compiled: gf_epoch, truth_ranks, jacobi_sweeps, csr_matmul
- * and csr_tmatmul.  Each does what its namesake in _kernels_py.py does, in
- * the same order; results differ from it only where numpy sums a dot
- * product in another order.  truth_ranks only compares and counts, and the
- * two sparse products add each term in the fallback's order, so their
- * results equal numpy's exactly: eval reports and autoencoder training do
- * not depend on the backend.  Built with -ffp-contract=off, so no
- * multiply-add is fused and the results do not depend on the build host's
- * instruction set.
+ * Seven loops are compiled: gf_epoch, truth_ranks, jacobi_sweeps, csr_matmul,
+ * csr_tmatmul, penalty_pass and nesterov_update.  Each does what its
+ * namesake in _kernels_py.py does, in the same order.  All but jacobi_sweeps
+ * equal numpy's results exactly, so eval reports, GF embeddings and
+ * autoencoder training do not depend on the backend; jacobi_sweeps differs
+ * in the last bits, where numpy sums a dot product in another order.
+ * Built with -ffp-contract=off, so no multiply-add is fused and the results
+ * do not depend on the build host's instruction set.
  * Matrices are row-major doubles; indices are ptrdiff_t (numpy's intp). */
 #include <float.h>
 #include <math.h>
@@ -130,6 +129,34 @@ int csr_tmatmul(const ptrdiff_t *restrict indptr, const ptrdiff_t *restrict indi
         }
     }
     return 0;
+}
+
+/* Adds the gradient nu1*sign(w) + 2*nu2*w of the weight penalty into g, for
+ * the n elements of w and g, and writes sum |w| and sum w^2, each added in
+ * element order, to sums[0] and sums[1].  The sign is branchless: a branch
+ * mispredicts on random signs and made the loop several times slower. */
+void penalty_pass(const double *w, double *g, ptrdiff_t n, double nu1, double nu2, double *sums)
+{
+    double two_nu2 = 2.0 * nu2, l1 = 0.0, l2 = 0.0;
+    for (ptrdiff_t i = 0; i < n; i++) {
+        double x = w[i], sign = (double)(x > 0.0) - (double)(x < 0.0);
+        l1 += fabs(x);
+        l2 += x * x;
+        g[i] += sign * nu1 + x * two_nu2;
+    }
+    sums[0] = l1;
+    sums[1] = l2;
+}
+
+/* The Nesterov step of the n elements of p with gradient g and velocity v:
+ * v <- mu*v - lr*g, then p <- p + mu*v - lr*g with the new v. */
+void nesterov_update(double *p, const double *g, double *v, ptrdiff_t n, double lr, double mu)
+{
+    for (ptrdiff_t i = 0; i < n; i++) {
+        double step = g[i] * lr, vi = v[i] * mu - step;
+        v[i] = vi;
+        p[i] = p[i] + vi * mu - step;
+    }
 }
 
 static double col_dot(const double *g, ptrdiff_t n, ptrdiff_t d, ptrdiff_t p, ptrdiff_t q)

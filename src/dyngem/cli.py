@@ -310,8 +310,8 @@ def _write_run(out_dir, input_dir, series, config, steps):
         "method": config.method,
         "config": _config_to_dict(config),
         "input": str(input_dir),
-        # compiled and numpy kernels differ in their last bits, so a re-run
-        # is byte-identical only on the same backend and numpy
+        # the compiled and numpy Jacobi SVDs differ in their last bits, so
+        # an aligned re-run is byte-identical only on the same backend and numpy
         "backend": kernels.BACKEND,
         "numpy": np.__version__,
         "node_counts": [int(c) for c in series.node_counts],

@@ -1,17 +1,19 @@
 """Backend selection for the numerical hot loops, plus the Jacobi SVD driver.
 
-Five loops are compiled: ``gf_epoch``, ``truth_ranks`` (the rank of each
-true pair, which every MAP counts), ``jacobi_sweeps``, and the first encoder
+Seven loops are compiled: ``gf_epoch``, ``truth_ranks`` (the rank of each
+true pair, which every MAP counts), ``jacobi_sweeps``, the first encoder
 layer's two products with sparse input rows, ``csr_matmul`` (X Wᵀ) and
-``csr_tmatmul`` (Gᵀ X).  The C kernels
+``csr_tmatmul`` (Gᵀ X), and the two passes over every parameter of a
+training batch, ``penalty_pass`` (the L1 + L2 weight penalty) and
+``nesterov_update``.  The C kernels
 (``_libkernels.c``, built on first import and bound by ``_kernels``) are used
 wherever a C compiler is on ``PATH``; without one, or when the library cannot
 be built or cached, the pure-numpy fallback in ``_kernels_py`` is used, as it
 is when the environment variable ``DYNGEM_PURE_PYTHON=1`` is set before
-import.  ``BACKEND`` names the active implementation.  Ranks and the sparse
-products are equal on both, so eval reports and autoencoder training do not
-depend on the backend; GF embeddings and Jacobi rotations may differ in their
-last bits.
+import.  ``BACKEND`` names the active implementation.  Every loop but
+``jacobi_sweeps`` gives the same bits on both, so eval reports, GF
+embeddings and autoencoder training do not depend on the backend; Jacobi
+rotations, and so aligned embeddings, may differ in their last bits.
 """
 
 from __future__ import annotations
@@ -40,6 +42,8 @@ gf_epoch = _impl.gf_epoch
 truth_ranks = _impl.truth_ranks
 csr_matmul = _impl.csr_matmul
 csr_tmatmul = _impl.csr_tmatmul
+penalty_pass = _impl.penalty_pass
+nesterov_update = _impl.nesterov_update
 jacobi_sweeps = _impl.jacobi_sweeps
 
 

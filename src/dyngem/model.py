@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np

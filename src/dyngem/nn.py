@@ -8,7 +8,7 @@ import glob
 import os
 import threading
 from concurrent import futures
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,7 +108,7 @@ def forward(layers, x):
             rows = a.shape[0]
             z = np.empty((rows, layer.out_dim))
             cut = rows // 2 // ROW_BLOCK * ROW_BLOCK
-            if cut and _overlaps(rows * layer.out_dim * layer.in_dim, OVERLAP_MIN_MACS):
+            if cut and _overlaps(rows * layer.out_dim * layer.in_dim):
                 _handoff(functools.partial(_dense_layer, layer, a[:cut], z[:cut]),
                          functools.partial(_dense_layer, layer, a[cut:], z[cut:]))
             else:
@@ -166,12 +166,12 @@ def _blas_threads():
     return 0
 
 
-def _overlaps(work, least):
-    """True when work of this size (multiply-adds or elements) should be
-    shared with _HELPER: it is at least ``least``, BLAS leaves the second
+def _overlaps(macs):
+    """True when a product of this many multiply-adds should be shared with
+    _HELPER: it has at least ``OVERLAP_MIN_MACS``, BLAS leaves the second
     core idle (one thread per call), and the caller is the main thread (the
     engine's ``--jobs`` workers already fill the cores)."""
-    return (work >= least
+    return (macs >= OVERLAP_MIN_MACS
             and threading.current_thread() is threading.main_thread()
             and _blas_threads() == 1)
 
@@ -228,7 +228,7 @@ def backward(layers, activations, grad_out, input_grad=True):
             return grads, None
         # g goes to the products unnamed: a name bound to it here would keep
         # the old g alive through the next layer's products
-        if _overlaps(g.shape[0] * layer.out_dim * layer.in_dim, OVERLAP_MIN_MACS):
+        if _overlaps(g.shape[0] * layer.out_dim * layer.in_dim):
             g, grads[k - 1] = _handoff(functools.partial(np.matmul, g, layer.weights),
                                        functools.partial(_weight_grads, g, a, order))
         else:
@@ -239,89 +239,17 @@ def backward(layers, activations, grad_out, input_grad=True):
     return grads, g
 
 
-# The penalty and optimizer passes walk each parameter in chunks of about
-# this many float64s (256 KB), so every operation on a chunk finds its
-# operands still in L2 cache instead of streaming whole arrays through memory
-# once per operation.
-SLICE_ELEMENTS = 1 << 15
-
-# The penalty and Nesterov passes walk their arrays in two runs, one on
-# _HELPER, when the arrays hold at least this many elements in all.  On a
-# 2-core host, the two passes of mirrored models took, serial against split:
-# 97k weights (the desk model) 0.61 against 0.78 ms, 270k 1.33 against
-# 1.41 ms, 428k 2.05 against 1.88-2.02 ms, 660k 3.1 against 2.7 ms.
-PASS_MIN_ELEMENTS = 1 << 19
-
-# Each thread keeps its chunk scratch buffers between calls; the list grows
-# to the widest chunk seen.  Allocating them per call cost more than the
-# passes' arithmetic wherever freed memory went back to the system.
-_SCRATCH = threading.local()
-
-
-def _scratch_buffers(count, width):
-    """This thread's first ``count`` kept buffers, each at least ``width``
-    float64s long; their contents are left from earlier calls."""
-    kept = _SCRATCH.__dict__.setdefault("buffers", [])
-    for i in range(count):
-        if i == len(kept):
-            kept.append(np.empty(width))
-        elif kept[i].size < width:
-            kept[i] = np.empty(width)
-    return kept[:count]
-
-
-def _flat_chunks(groups, scratch):
-    """Walk each group of same-shaped arrays in matching chunks of flat
-    memory.  A group's arrays must be all C- or all F-contiguous, so their
-    ``ravel("K")`` views list the same elements in the same order; every group
-    is checked when this is called, else ValueError.  Each view is cut into
-    ``max(1, round(size / SLICE_ELEMENTS))`` near-equal chunks, each shorter
-    than 1.5 * SLICE_ELEMENTS.  The returned generator yields per chunk the
-    group's chunk views, then ``scratch`` buffers of the chunk's length, kept
-    per thread across calls (the walking thread's) and holding old values:
-    write each before reading it, and do not walk two generators at once on
-    one thread."""
+def _flat_views(groups):
+    """Each group of same-shaped arrays as flat views that list their
+    elements in one order.  Every array must be float64, and a group's
+    arrays all C- or all F-contiguous, so that ``ravel("K")`` is a view;
+    every group is checked before any view is returned, else ValueError."""
     groups = list(groups)
     for group in groups:
-        if not (all(a.flags.c_contiguous for a in group) or all(a.flags.f_contiguous for a in group)):
-            raise ValueError("arrays updated together must be all C- or all F-contiguous")
-    return _chunks(groups, scratch)
-
-
-def _chunks(groups, scratch):
-    """The generator of :func:`_flat_chunks`; its scratch buffers are those
-    of the thread that walks it."""
-    counts = [max(1, round(group[0].size / SLICE_ELEMENTS)) for group in groups]
-    width = max((-(-group[0].size // count) for group, count in zip(groups, counts)), default=0)
-    buffers = _scratch_buffers(scratch, width)
-    for group, count in zip(groups, counts):
-        flat = [a.ravel("K") for a in group]
-        bounds = [flat[0].size * k // count for k in range(count + 1)]
-        for start, end in zip(bounds, bounds[1:]):
-            yield (*(a[start:end] for a in flat), *(b[: end - start] for b in buffers))
-
-
-def _balanced_cut(sizes):
-    """The k in 1..len(sizes) - 1 that splits ``sizes`` into the two runs
-    ``sizes[:k]`` and ``sizes[k:]`` of the most nearly equal sums."""
-    return 1 + int(np.argmin(np.abs(2 * np.cumsum(sizes[:-1]) - sum(sizes))))
-
-
-def _walk_in_two(groups, scratch, walk):
-    """Apply ``walk`` to the :func:`_flat_chunks` of ``groups`` and return
-    the list of its results, one per run walked.  When the groups' arrays
-    hold at least ``PASS_MIN_ELEMENTS`` elements and the gate of
-    :func:`_overlaps` is open, the groups are cut at the array boundary of
-    :func:`_balanced_cut`: _HELPER walks the first run, with its own scratch
-    buffers, while this thread walks the second.  Every group is checked
-    before any is walked."""
-    groups = list(groups)
-    sizes = [group[0].size for group in groups]
-    if len(groups) > 1 and _overlaps(sum(sizes), PASS_MIN_ELEMENTS):
-        cut = _balanced_cut(sizes)
-        first, second = _flat_chunks(groups[:cut], scratch), _flat_chunks(groups[cut:], scratch)
-        return list(_handoff(functools.partial(walk, first), functools.partial(walk, second)))
-    return [walk(_flat_chunks(groups, scratch))]
+        if not (all(a.dtype == np.float64 for a in group)
+                and (all(a.flags.c_contiguous for a in group) or all(a.flags.f_contiguous for a in group))):
+            raise ValueError("arrays updated together must be float64 and all C- or all F-contiguous")
+    return [[a.ravel("K") for a in group] for group in groups]
 
 
 def regularizer_value_and_grads(layers, grads, nu1, nu2):
@@ -331,13 +259,11 @@ def regularizer_value_and_grads(layers, grads, nu1, nu2):
     layers, and adds the gradient ``nu1 * sign(W) + 2 * nu2 * W`` of the
     penalty ``nu1 * l1 + nu2 * l2`` into each layer's weight gradient in
     ``grads`` in place; sign(0) is 0.  Each weight matrix and its gradient
-    must share their shape and be both C- or both F-contiguous; they are
-    walked one cache-sized chunk of flat memory at a time.  Any mismatch
-    raises ValueError before a gradient is written.
-
-    Large models are walked in two runs of whole matrices, one on a helper
-    thread (see :func:`_walk_in_two`); ``l1`` and ``l2`` add each chunk's
-    sums in chunk order either way, so every result is bit-equal.
+    must share their shape and be float64 and both C- or both F-contiguous;
+    any mismatch raises ValueError before a gradient is written.  Each
+    matrix then takes one ``kernels.penalty_pass`` over its flat memory,
+    which sums it in element order; ``l1`` and ``l2`` add the matrices' sums
+    in layer order.
     """
     if nu1 < 0 or nu2 < 0:
         raise ValueError("penalty coefficients must be non-negative")
@@ -349,25 +275,11 @@ def regularizer_value_and_grads(layers, grads, nu1, nu2):
             raise ValueError("gradient shape does not match its weights")
     l1 = 0.0
     l2 = 0.0
-    for run in _walk_in_two(zip(weights, grads), 2, functools.partial(_penalty_walk, nu1, nu2)):
-        for part1, part2 in run:
-            l1 += part1
-            l2 += part2
+    for w, grad in _flat_views(zip(weights, grads)):
+        part1, part2 = kernels.penalty_pass(w, grad, nu1, nu2)
+        l1 += part1
+        l2 += part2
     return l1, l2
-
-
-def _penalty_walk(nu1, nu2, chunks):
-    """Add the penalty gradient into each chunk's weight gradient; returns
-    each chunk's ``(sum|W|, sum W^2)``, in chunk order."""
-    parts = []
-    for ws, gs, sign, penalty in chunks:
-        np.sign(ws, out=sign)
-        parts.append((float(np.vdot(sign, ws)), float(np.vdot(ws, ws))))
-        sign *= nu1
-        np.multiply(ws, 2.0 * nu2, out=penalty)
-        sign += penalty
-        gs += sign
-    return parts
 
 
 @dataclass
@@ -400,29 +312,17 @@ def nesterov_step(params, grads, state):
     v <- mu*v - lr_t*g and p <- p + mu*v - lr_t*g with
     lr_t = base_lr / (1 + decay*step_count); momentum 0 reduces to plain SGD.
     Each parameter, its gradient and its velocity must share their shape and
-    be all C- or all F-contiguous; they are updated one cache-sized chunk of
-    flat memory at a time.  Any mismatch raises ValueError before an array
-    is written.  Large models are updated in two runs of whole arrays, one
-    on a helper thread (see :func:`_walk_in_two`); each element gets the
-    same operations either way.
+    be float64 and all C- or all F-contiguous; any mismatch raises
+    ValueError before an array is written.  Each parameter then takes one
+    ``kernels.nesterov_update`` over its flat memory.
     """
     if len(params) != len(grads) or len(params) != len(state.velocities):
         raise ValueError("params, grads and velocities must align")
     for p, g, v in zip(params, grads, state.velocities):
         if not (p.shape == g.shape == v.shape):
             raise ValueError("parameter, gradient and velocity shapes differ")
-    _walk_in_two(zip(params, grads, state.velocities), 2,
-                 functools.partial(_nesterov_walk, state.learning_rate(), state.momentum))
+    lr = state.learning_rate()
+    for p, g, v in _flat_views(zip(params, grads, state.velocities)):
+        kernels.nesterov_update(p, g, v, lr, state.momentum)
     state.step_count += 1
     return params, state
-
-
-def _nesterov_walk(lr, mu, chunks):
-    """The Nesterov update of each chunk's parameter and velocity."""
-    for ps, gs, vs, step, push in chunks:
-        np.multiply(gs, lr, out=step)
-        vs *= mu
-        vs -= step
-        np.multiply(vs, mu, out=push)
-        ps += push
-        ps -= step

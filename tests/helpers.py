@@ -87,7 +87,7 @@ def stability_oracle(embeddings, graphs):
 
 def penalized_step_oracle(layers, grads, velocities, lr, mu, nu1, nu2):
     """The penalty and Nesterov passes as whole-array numpy operations, the
-    oracle for the streamed passes in ``nn``.
+    oracle for the passes in ``nn``, which run one kernel per array.
 
     The L1/L2 penalty gradient of every weight matrix is formed on its own
     and added into the weight gradient, then every weight and bias takes one

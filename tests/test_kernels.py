@@ -89,7 +89,31 @@ def test_backends_agree_on_gf_epoch():
     y_p = y_c.copy()
     _compiled.gf_epoch(y_c, heads, tails, weights, order, 0.01, 0.1)
     _kernels_py.gf_epoch(y_p, heads, tails, weights, order, 0.01, 0.1)
-    np.testing.assert_allclose(y_c, y_p, rtol=1e-13, atol=1e-15)
+    assert np.array_equal(y_c, y_p)
+
+
+@needs_compiled
+def test_backends_agree_on_penalty_and_nesterov():
+    # bit-equal gradients, parameters and velocities, down to the sign of a
+    # zero, and exactly equal sums
+    rng = np.random.default_rng(3)
+    for n in (0, 1, 7, 300_001):
+        w = rng.standard_normal(n)
+        w[rng.random(n) < 0.1] = 0.0
+        w[rng.random(n) < 0.1] = -0.0
+        g, p, v = (rng.standard_normal(n) for _ in range(3))
+        g[rng.random(n) < 0.1] = 0.0
+        g[rng.random(n) < 0.1] = -0.0
+        sides = []
+        for impl in (_compiled, _kernels_py):
+            mine = [a.copy() for a in (g, p, v)]
+            sums = impl.penalty_pass(w, mine[0], 1e-3, 2e-3)
+            impl.nesterov_update(mine[1], mine[0], mine[2], 0.05, 0.9)
+            sides.append((sums, [a.view(np.int64) for a in mine]))
+        (sums_c, arrays_c), (sums_p, arrays_p) = sides
+        assert sums_c == sums_p, n
+        assert all(np.array_equal(a, b) for a, b in zip(arrays_c, arrays_p)), n
+        assert sums_c == pytest.approx((np.abs(w).sum(), (w * w).sum()), rel=1e-12), n
 
 
 @needs_compiled
@@ -526,6 +550,21 @@ def test_compiled_backend_builds_with_the_system_compiler(package_copy):
         "    raise SystemExit('csr_matmul: wrong product')\n"
         "if k.csr_tmatmul(x, g).tolist() != [[2.0, 2.0], [0.0, 0.0], [-1.0, -1.0]]:\n"
         "    raise SystemExit('csr_tmatmul: wrong product')\n"
+        "u = np.ones(4)\n"
+        "for bad in (u.astype(np.float32), np.ones(8)[::2]):\n"
+        "    for call in (lambda: k.penalty_pass(bad, u.copy(), 0.1, 0.1),\n"
+        "                 lambda: k.nesterov_update(u.copy(), bad, u.copy(), 0.1, 0.9)):\n"
+        "        try:\n"
+        "            call()\n"
+        "        except ctypes.ArgumentError:\n"
+        "            continue\n"
+        "        raise SystemExit('accepted a vector the C pass cannot read')\n"
+        "q, v = np.ones(4), np.zeros(4)\n"
+        "if k.penalty_pass(q, u, 0.5, 0.25) != (4.0, 4.0) or u.tolist() != [2.0] * 4:\n"
+        "    raise SystemExit('penalty_pass: wrong sums or gradient')\n"
+        "k.nesterov_update(q, u, v, 0.25, 0.5)\n"
+        "if v.tolist() != [-0.5] * 4 or q.tolist() != [0.25] * 4:\n"
+        "    raise SystemExit('nesterov_update: wrong update')\n"
         "print(k.BACKEND, k.__file__)\n"
     )
     compiled = run(check)

@@ -264,7 +264,7 @@ def test_sparse_and_dense_batches_agree(monkeypatch):
 def test_training_steps_on_a_sparse_batch_match_the_whole_array_oracle(monkeypatch):
     # C-ordered weights with a sparse batch: the kernel writes a column-major
     # first-layer gradient, which backward lays out like its weights, so the
-    # streamed passes see one layout per weight
+    # penalty and Nesterov passes see one layout per weight
     snap = random_snapshot(np.random.default_rng(8), 40, p=0.1)
     pick = np.random.default_rng(9).choice(snap.edge_count, 12, replace=False)
     _, sparse = _both_batches(monkeypatch, snap, snap.heads[pick], snap.tails[pick], snap.weights[pick])
@@ -274,7 +274,7 @@ def test_training_steps_on_a_sparse_batch_match_the_whole_array_oracle(monkeypat
     flat = [a for layer in params.layers() for a in (layer.weights, layer.bias)]
     state = nn.OptimizerState.for_params(flat, hyper.base_lr, hyper.momentum, hyper.decay)
     oracle_vel = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in theirs.layers()]
-    streamed = nn.regularizer_value_and_grads
+    regularizer = nn.regularizer_value_and_grads
     for step in range(4):
         lr = state.learning_rate()
         _, parts, (enc, dec) = loss_net_batch(params, sparse, hyper)
@@ -283,7 +283,7 @@ def test_training_steps_on_a_sparse_batch_match_the_whole_array_oracle(monkeypat
         # the oracle starts from the raw backprop gradients
         monkeypatch.setattr(nn, "regularizer_value_and_grads", lambda *args: (0.0, 0.0))
         _, _, (o_enc, o_dec) = loss_net_batch(theirs, sparse, hyper)
-        monkeypatch.setattr(nn, "regularizer_value_and_grads", streamed)
+        monkeypatch.setattr(nn, "regularizer_value_and_grads", regularizer)
         l1, l2 = penalized_step_oracle(theirs.layers(), o_enc + o_dec, oracle_vel, lr, hyper.momentum,
                                        hyper.nu1, hyper.nu2)
         assert parts["l1"] == pytest.approx(l1, rel=1e-12) and parts["l2"] == pytest.approx(l2, rel=1e-12)

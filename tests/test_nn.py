@@ -16,7 +16,6 @@ import pytest
 
 from dyngem import nn
 from dyngem.nn import (
-    SLICE_ELEMENTS,
     LayerParams,
     OptimizerState,
     backward,
@@ -433,23 +432,22 @@ def test_regularizer_hand_case():
         regularizer_value_and_grads([layer, layer], [np.zeros((2, 2))], 0.1, 0.0)
 
 
-WIDE = SLICE_ELEMENTS + 5  # one row (or column) longer than a whole chunk
+WIDE = 32773  # rows (or columns) of over 2**15 elements
 
 # Each case: per layer (weight shape, weight order, gradient order), then
-# momentum, nu1, nu2.  The shapes span several chunks.
+# momentum, nu1, nu2.
 ORACLE_CASES = {
     "row_major": ([((300, 250), "C", "C"), ((250, 40), "C", "C")], 0.9, 1e-3, 2e-3),
     "column_major": ([((300, 250), "F", "F"), ((250, 40), "F", "F")], 0.9, 1e-3, 2e-3),
     "rows_wider_than_a_slice": ([((3, WIDE), "C", "C"), ((WIDE, 3), "F", "F"), ((2, WIDE), "C", "C")],
                                 0.9, 1e-3, 2e-3),
-    # just above 1.5 and 2.5 chunks: two and three chunks of uneven length
-    "uneven_chunks": ([((1, 3 * SLICE_ELEMENTS // 2 + 7), "C", "C"),
-                       ((5 * SLICE_ELEMENTS // 2 + 3, 1), "F", "F")], 0.9, 1e-3, 2e-3),
+    # one long row and one long column, of odd lengths
+    "uneven_chunks": ([((1, 49159), "C", "C"), ((81923, 1), "F", "F")], 0.9, 1e-3, 2e-3),
     "momentum_zero": ([((300, 250), "C", "C"), ((250, 300), "F", "F")], 0.0, 1e-3, 2e-3),
     "no_penalty": ([((300, 250), "C", "C"), ((250, 300), "F", "F")], 0.9, 0.0, 0.0),
-    # every array fits in one chunk; a single row is both C- and F-contiguous
+    # small arrays; a single row is both C- and F-contiguous
     "single_slice": ([((128, 64), "C", "C"), ((64, 128), "F", "F"), ((32, 64), "F", "F"),
-                      ((1, SLICE_ELEMENTS), "F", "C")], 0.9, 1e-3, 2e-3),
+                      ((1, 32768), "F", "C")], 0.9, 1e-3, 2e-3),
 }
 
 
@@ -484,11 +482,11 @@ def test_streamed_passes_match_the_whole_array_oracle(case):
         assert layer.weights.flags[f"{w_order}_CONTIGUOUS"]
 
 
-def test_passes_reject_arrays_of_another_layout_before_writing_any(monkeypatch):
+def test_passes_reject_arrays_of_another_layout_before_writing_any():
     # a gradient or a velocity in the other layout, or a non-contiguous
     # parameter, raises ValueError and leaves every array as it was; the
     # first pair or triple is valid, so a pass that wrote as it checked
-    # would have changed it, on this thread or, split, on the helper
+    # would have changed it
     rng = np.random.default_rng(6)
     good = [rng.standard_normal((20, 30)) for _ in range(3)]
     base = rng.standard_normal((20, 60))
@@ -499,85 +497,24 @@ def test_passes_reject_arrays_of_another_layout_before_writing_any(monkeypatch):
                      np.asfortranarray(rng.standard_normal((20, 30)))),
         "parameter": (base[:, ::2], rng.standard_normal((20, 30)), rng.standard_normal((20, 30))),
     }
-    monkeypatch.setattr(nn, "_blas_threads", lambda: 1)
-    for least in (1 << 62, 0):  # serial, then split in two runs
-        monkeypatch.setattr(nn, "PASS_MIN_ELEMENTS", least)
-        for name, (p, g, v) in cases.items():
-            assert not (p.flags.c_contiguous and g.flags.c_contiguous and v.flags.c_contiguous)
-            arrays = good + [p, g, v]
-            before = [a.copy() for a in arrays]
-            state = OptimizerState([good[2], v], base_lr=0.1, momentum=0.9)
+    for name, (p, g, v) in cases.items():
+        assert not (p.flags.c_contiguous and g.flags.c_contiguous and v.flags.c_contiguous)
+        arrays = good + [p, g, v]
+        before = [a.copy() for a in arrays]
+        state = OptimizerState([good[2], v], base_lr=0.1, momentum=0.9)
+        with pytest.raises(ValueError):
+            nesterov_step([good[0], p], [good[1], g], state)
+        assert state.step_count == 0, name
+        if name != "velocity":
+            layers = [LayerParams(good[0], np.zeros(20)), LayerParams(p, np.zeros(20))]
             with pytest.raises(ValueError):
-                nesterov_step([good[0], p], [good[1], g], state)
-            assert state.step_count == 0, name
-            if name != "velocity":
-                layers = [LayerParams(good[0], np.zeros(20)), LayerParams(p, np.zeros(20))]
-                with pytest.raises(ValueError):
-                    regularizer_value_and_grads(layers, [good[1], g], 1e-3, 2e-3)
-            for a, b in zip(arrays, before):
-                assert np.array_equal(a, b), (name, least)
-
-
-def _chunks_cover_once(a, scratch):
-    """Chunk ``a`` alone; check that the chunks are views of its memory, each
-    under 1.5 slices with buffers of its length, and that together they cover
-    every element exactly once.  Returns the chunk lengths."""
-    chunks = list(nn._flat_chunks([(a,)], scratch))
-    for view, *buffers in chunks:
-        assert view.base is not None and np.shares_memory(view, a) or a.size == 0, a.shape
-        assert 0 < view.size < SLICE_ELEMENTS * 3 // 2 or a.size == 0, a.shape
-        assert len(buffers) == scratch and all(b.shape == view.shape for b in buffers), a.shape
-        view += 1
-    assert (a == 1).all(), a.shape
-    assert len(chunks) == max(1, round(a.size / SLICE_ELEMENTS)), a.shape
-    return [view.size for view, *_ in chunks]
-
-
-def test_scratch_slices_take_their_arrays_layout():
-    # chunks walk each array's own memory order, C or F, and come with
-    # scratch buffers of their length
-    for shape, order in (((300, 250), "C"), ((300, 250), "F"), ((70000,), "C"), ((0, 4), "C")):
-        a = np.zeros(shape, order=order)
-        sizes = _chunks_cover_once(a, 2)
-        assert len(sizes) > 1 or a.size == 0, shape
-    # a pair in one layout is cut at the same flat positions, element for element
-    w = np.asfortranarray(np.arange(300 * 250, dtype=float).reshape(300, 250))
-    g = np.asfortranarray(-w)
-    for ws, gs in nn._flat_chunks([(w, g)], 0):
-        assert np.array_equal(ws, -gs)
-
-
-def test_scratch_covers_a_row_wider_than_a_slice():
-    # a row (column) longer than a chunk is cut inside it: chunks follow
-    # flat memory, not rows
-    for a in (np.zeros((3, WIDE)), np.zeros((WIDE, 3), order="F")):
-        sizes = _chunks_cover_once(a, 1)
-        assert sizes == [WIDE] * 3, a.shape
-
-
-def test_a_short_tail_joins_the_slice_before_it():
-    # 128x300 (38,400 elements, under 1.5 slices) runs as one chunk; larger
-    # arrays split into near-equal chunks instead of a full one and a tail
-    for rows, expected in ((128, [38400]), (170, [25500, 25500]), (240, [36000, 36000])):
-        assert _chunks_cover_once(np.zeros((rows, 300)), 1) == expected, rows
-    # just above 1.5 slices: two chunks whose lengths differ by one
-    n = 3 * SLICE_ELEMENTS // 2 + 1
-    assert _chunks_cover_once(np.zeros(n), 2) == [n // 2, n - n // 2]
-
-
-def test_scratch_buffers_are_kept_per_thread_and_grow():
-    first = nn._scratch_buffers(2, 100)
-    again = nn._scratch_buffers(2, 50)  # a narrower chunk reuses them
-    assert all(a is b for a, b in zip(first, again)) and all(b.size >= 100 for b in again)
-    wider = nn._scratch_buffers(3, 200)
-    assert len(wider) == 3 and all(b.size >= 200 for b in wider)
-    with futures.ThreadPoolExecutor(max_workers=1) as pool:
-        theirs = pool.submit(nn._scratch_buffers, 2, 100).result()
-    assert not any(np.shares_memory(a, b) for a in theirs for b in wider)
+                regularizer_value_and_grads(layers, [good[1], g], 1e-3, 2e-3)
+        for a, b in zip(arrays, before):
+            assert np.array_equal(a, b), name
 
 
 def test_passes_on_several_threads_match_the_serial_passes():
-    # each thread walks its own scratch buffers: passes run at once on more
+    # the passes keep no state between calls: passes run at once on more
     # threads than cores give the serial bits
     def run():
         rng = np.random.default_rng(10)
@@ -604,73 +541,6 @@ def test_passes_on_several_threads_match_the_serial_passes():
     for values, params in results:
         assert values == expected[0]
         assert all(np.array_equal(a, b) for a, b in zip(params, expected[1]))
-
-
-def test_the_cut_splits_the_elements_most_nearly_in_half():
-    assert nn._balanced_cut([1, 1, 1, 1]) == 2
-    assert nn._balanced_cut([5, 1, 1, 1, 1]) == 1
-    assert nn._balanced_cut([1, 1, 5]) == 2
-    assert nn._balanced_cut([3, 4]) == 1
-
-
-def test_passes_in_two_runs_match_the_serial_walk(monkeypatch):
-    # the helper walks the arrays before the cut and this thread the rest;
-    # l1 and l2 add each chunk's partial sums in the serial order, so every
-    # value is exactly equal, whichever array boundary the cut falls on
-    spec = (((300, 250), "C"), ((250, 40), "F"), ((3, WIDE), "C"), ((64, 128), "F"))
-    monkeypatch.setattr(nn, "_blas_threads", lambda: 1)
-
-    def run():
-        rng = np.random.default_rng(15)
-        layers = [LayerParams(np.asarray(rng.standard_normal(shape), order=order), rng.standard_normal(shape[0]))
-                  for shape, order in spec]
-        grads = [np.asarray(rng.standard_normal(shape), order=order) for shape, order in spec]
-        params = [a for layer in layers for a in (layer.weights, layer.bias)]
-        state = OptimizerState.for_params(params, base_lr=0.01, momentum=0.9, decay=0.1)
-        values = []
-        for _ in range(3):
-            values.append(regularizer_value_and_grads(layers, grads, 1e-3, 2e-3))
-            nesterov_step(params, [g for gw, layer in zip(grads, layers) for g in (gw, np.ones(layer.out_dim))],
-                          state)
-        return values, params + grads + state.velocities
-
-    monkeypatch.setattr(nn, "PASS_MIN_ELEMENTS", 1 << 62)
-    serial = run()
-    monkeypatch.setattr(nn, "PASS_MIN_ELEMENTS", 0)
-    calls = _spy_on_helper(monkeypatch)
-    for cut in range(1, 2 * len(spec)):  # every boundary of the Nesterov pass's eight arrays
-        monkeypatch.setattr(nn, "_balanced_cut", lambda sizes: min(cut, len(sizes) - 1))
-        calls.clear()
-        values, arrays = run()
-        assert len(calls) == 6, cut  # each pass of each step hands a run over
-        assert values == serial[0], cut
-        assert all(np.array_equal(a, b) for a, b in zip(arrays, serial[1])), cut
-
-
-def test_passes_below_the_element_threshold_stay_on_this_thread(monkeypatch):
-    def passes(widths):
-        layers = [LayerParams(np.ones((o, i)), np.zeros(o)) for i, o in zip(widths, widths[1:])]
-        params = [a for layer in layers for a in (layer.weights, layer.bias)]
-        state = OptimizerState.for_params(params, base_lr=0.1)
-        regularizer_value_and_grads(layers, [np.zeros_like(layer.weights) for layer in layers], 1e-3, 1e-3)
-        nesterov_step(params, [np.zeros_like(p) for p in params], state)
-        return sum(layer.weights.size for layer in layers), sum(p.size for p in params)
-
-    monkeypatch.setattr(nn, "_blas_threads", lambda: 1)
-    calls = _spy_on_helper(monkeypatch)
-    # the desk model, 300-128-64-32 and back: about 97k weights
-    passes((300, 128, 64, 32, 64, 128, 300))
-    assert not calls
-    weights, params = passes((30, 20, 30))
-    monkeypatch.setattr(nn, "PASS_MIN_ELEMENTS", params + 1)
-    passes((30, 20, 30))
-    assert not calls
-    monkeypatch.setattr(nn, "PASS_MIN_ELEMENTS", params)  # the threshold itself splits
-    passes((30, 20, 30))
-    assert len(calls) == 1
-    monkeypatch.setattr(nn, "PASS_MIN_ELEMENTS", weights)
-    passes((30, 20, 30))
-    assert len(calls) == 3
 
 
 def test_nesterov_two_step_hand_case():

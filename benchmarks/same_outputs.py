@@ -16,16 +16,17 @@ factorization and a cold autoencoder on a thread pool), which no workload
 reaches, and runs ``METHOD_EVALS`` on each.  Every file written is compared
 byte for byte, except that a manifest is compared without the keys that
 hold timings or the input path (``seconds``, ``total_seconds``,
-``input``).  This checkout then runs the ``eval`` commands on its own
-workload runs again with ``DYNGEM_PURE_PYTHON=1``, and on every run the
-parent wrote (a cross-read: a run written before a change must read the
-same after it); each report must equal the compiled backend's, or the
-parent's, byte for byte.  On the workloads of ``PYTHON_TRAINED`` this
-checkout also trains with ``DYNGEM_PURE_PYTHON=1``, and every embedding and
-checkpoint must equal the compiled run's byte for byte: autoencoder
-training does not depend on the backend.  Each file that differs is
-printed, and the exit code is 1 when any does.  BLAS runs on one thread, as
-in the benchmark, because the thread count changes the summation order.
+``input``).  This checkout then runs the ``eval`` commands on its own runs,
+the workloads' and those of ``METHOD_RUNS``, again with
+``DYNGEM_PURE_PYTHON=1``, and on every run the parent wrote (a cross-read:
+a run written before a change must read the same after it); each report
+must equal the compiled backend's, or the parent's, byte for byte.  On the
+workloads of ``PYTHON_TRAINED`` this checkout also trains with
+``DYNGEM_PURE_PYTHON=1``, and every embedding and checkpoint must equal the
+compiled run's byte for byte: autoencoder training does not depend on the
+backend.  Each file that differs is printed, and the exit code is 1 when
+any does.  BLAS runs on one thread, as in the benchmark, because the thread
+count changes the summation order.
 """
 
 from __future__ import annotations
@@ -143,6 +144,14 @@ def count_differing_python_training(name, workload, work, series_dir):
     return differing
 
 
+def count_differing_python_reads(name, kinds, work, series_dir):
+    """Run this checkout's evals on its own run with the numpy backend; count
+    the reports that differ from the compiled backend's."""
+    run_evals(ROOT, kinds, work / "change" / "run", series_dir, work / "python", DYNGEM_PURE_PYTHON="1")
+    return count_differing_reports(name, kinds, work, "python", "change",
+                                   "between the python and the compiled backend")
+
+
 def count_differing_cross_reads(name, kinds, work, series_dir):
     """Run this checkout's evals on the parent's run; count the reports
     that differ from the parent's own."""
@@ -163,10 +172,7 @@ def main():
             write_outputs(parent, workload, work / "series", work / "parent")
             write_outputs(ROOT, workload, work / "series", work / "change")
             differing += count_differing(name, work)
-            run_evals(ROOT, workload.evals, work / "change" / "run", work / "series", work / "python",
-                      DYNGEM_PURE_PYTHON="1")
-            differing += count_differing_reports(name, workload.evals, work, "python", "change",
-                                                 "between the python and the compiled backend")
+            differing += count_differing_python_reads(name, workload.evals, work, work / "series")
             differing += count_differing_cross_reads(name, workload.evals, work, work / "series")
             if name in PYTHON_TRAINED:
                 differing += count_differing_python_training(name, workload, work, work / "series")
@@ -177,6 +183,7 @@ def main():
                 run_cli(checkout, "train", "--in", desk, "--out", work / side / "run", *args)
                 run_evals(checkout, METHOD_EVALS, work / side / "run", desk, work / side)
             differing += count_differing(name, work)
+            differing += count_differing_python_reads(name, METHOD_EVALS, work, desk)
             differing += count_differing_cross_reads(name, METHOD_EVALS, work, desk)
     print("same outputs" if not differing else f"{differing} files differ")
     return 1 if differing else 0

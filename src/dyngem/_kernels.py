@@ -113,14 +113,14 @@ _lib.gf_epoch.argtypes = [
     _size, _size, _size, _size, ctypes.c_double, ctypes.c_double,
 ]
 _lib.truth_ranks.restype = ctypes.c_int
-_lib.truth_ranks.argtypes = [_array(np.float64, 2), *[_array(np.intp, 1)] * 4,
+_vector, _written = _array(np.float64, 1), _array(np.float64, 1, writeable=True)
+_lib.truth_ranks.argtypes = [_array(np.float64, 2), *[_array(np.intp, 1)] * 4, _written,
                              _array(np.intp, 1, writeable=True), _size, _size]
 for _product in (_lib.csr_matmul, _lib.csr_tmatmul):
     _product.restype = ctypes.c_int
     _product.argtypes = [_array(np.intp, 1), _array(np.intp, 1), _array(np.float64, 1),
                          _array(np.float64, 2), _array(np.float64, 2, writeable=True),
                          _size, _size, _size]
-_vector, _written = _array(np.float64, 1), _array(np.float64, 1, writeable=True)
 _lib.penalty_pass.restype = _lib.nesterov_update.restype = None
 _lib.penalty_pass.argtypes = [_vector, _written, _size, ctypes.c_double, ctypes.c_double, _written]
 _lib.nesterov_update.argtypes = [_written, _vector, _written, _size, ctypes.c_double, ctypes.c_double]
@@ -149,8 +149,8 @@ def gf_epoch(y, heads, tails, weights, order, lr, lam):
 
 def truth_ranks(scores, heads, tails, excluded):
     """``_kernels_py.truth_ranks`` on C-ordered float64 ``scores``, with the
-    same ranks; raises IndexError when a pair or an excluded neighbour is out
-    of range."""
+    same ranks; each head's symmetric scores are formed in one scratch row.
+    Raises IndexError when a pair or an excluded neighbour is out of range."""
     n = scores.shape[0]
     if scores.shape != (n, n) or len(tails) != len(heads):
         raise ValueError("scores must be square and heads and tails of one length")
@@ -159,7 +159,7 @@ def truth_ranks(scores, heads, tails, excluded):
     else:
         indptr, indices, _ = excluded.csr_rows(np.arange(n))
     ranks = np.empty(len(heads), dtype=np.intp)
-    if _lib.truth_ranks(scores, heads, tails, indptr, indices, ranks, n, len(heads)) != 0:
+    if _lib.truth_ranks(scores, heads, tails, indptr, indices, np.empty(n), ranks, n, len(heads)) != 0:
         raise IndexError("truth_ranks: a pair or an excluded neighbour is out of range")
     return ranks
 

@@ -3,9 +3,9 @@
 Selected by :mod:`dyngem.kernels` when the compiled library is missing or
 disabled, and the reference the compiled kernels in ``_libkernels.c`` are
 tested against.  Every loop but ``jacobi_sweeps`` is bit-equal to its
-compiled twin: each sum is added in the C loop's order.  ``jacobi_sweeps``
-may differ from it in the last bits, because numpy's dot products add in
-another order.
+compiled twin: each sum, and ``truth_ranks``' mean of two scores, is formed
+in the C loop's order.  ``jacobi_sweeps`` may differ from it in the last
+bits, because numpy's dot products add in another order.
 """
 
 from __future__ import annotations
@@ -124,12 +124,13 @@ def jacobi_sweeps(g, v, tol, max_sweeps):
 def truth_ranks(scores, heads, tails, excluded):
     """Rank of each true pair ``(heads[e], tails[e])`` in its head's ranking.
 
-    Node i ranks every other node that is not its neighbour in ``excluded``
-    (a snapshot, or None) by descending score, ties broken by ascending id,
-    so a pair's rank is one more than the number of candidates that score
-    higher plus the number that tie with it and have a lower id.  A pair
-    whose tail is no candidate gets rank 0.  Pairs are taken in blocks, each
-    row compared once per pair.
+    The pair (i, j) scores ``(scores[i, j] + scores[j, i]) * 0.5``.  Node i
+    ranks every other node that is not its neighbour in ``excluded`` (a
+    snapshot, or None) by descending score, ties by ascending id, so a pair's
+    rank is one more than the number of candidates that score higher plus
+    the number that tie with it and have a lower id.  A pair whose tail is no
+    candidate gets rank 0.  Pairs are taken in blocks; a block forms each of
+    its heads' scores once and compares them once per pair.
     """
     n = scores.shape[0]
     ids = np.arange(n)
@@ -138,7 +139,8 @@ def truth_ranks(scores, heads, tails, excluded):
     for start in range(0, heads.size, step):
         h, t = heads[start : start + step], tails[start : start + step]
         pairs = np.arange(h.size)
-        rows = scores[h]
+        u, head_row = np.unique(h, return_inverse=True)
+        rows = ((scores[u] + scores[:, u].T) * 0.5)[head_row]
         s = rows[pairs, t][:, None]
         ahead = rows > s
         ahead |= (rows == s) & (ids < t[:, None])

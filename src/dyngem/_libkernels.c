@@ -1,6 +1,7 @@
 /* Compiled hot loops, loaded through ctypes by _kernels.py.
  *
- * Seven loops are compiled: gf_epoch, truth_ranks, jacobi_sweeps, csr_matmul,
+ * Seven loops are compiled: gf_epoch, truth_ranks (which ranks pairs by the
+ * mean of their two directed scores), jacobi_sweeps, csr_matmul,
  * csr_tmatmul, penalty_pass and nesterov_update.  Each does what its
  * namesake in _kernels_py.py does, in the same order.  All but jacobi_sweeps
  * equal numpy's results exactly, so eval reports, GF embeddings and
@@ -41,23 +42,30 @@ int gf_epoch(double *y, const ptrdiff_t *heads, const ptrdiff_t *tails,
     return 0;
 }
 
-/* Rank of each of the m true pairs (heads[e], tails[e]) in its head's row of
- * the n x n scores: the head ranks every other node that is not in its row
- * of the excluded CSR (indptr over n rows, indices), by descending score,
- * ties by ascending id.  One pass over row h counts the j < t scoring at
- * least s[h,t] and the j > t scoring more; the head and every excluded
- * neighbour counted there are taken off again.  A tail in the head's
- * excluded row gets rank 0.  Returns 0, or -1 at the first pair or excluded
- * index out of range. */
+/* Rank of each of the m true pairs (heads[e], tails[e]) in its head's
+ * ranking, where a pair scores the mean of its two directed scores in the
+ * n x n scores: whenever the head changes, row[j] = (s[h,j] + s[j,h]) * 0.5
+ * fills the scratch row of n doubles (callers pass heads in order).  The head
+ * ranks every other node that is not in its row of the excluded CSR (indptr
+ * over n rows, indices), by descending score, ties by ascending id.  One pass
+ * over the row counts the j < t scoring at least row[t] and the j > t scoring
+ * more; the head and every excluded neighbour counted there are taken off
+ * again.  A tail in the head's excluded row gets rank 0.  Returns 0, or -1
+ * at the first pair or excluded index out of range. */
 int truth_ranks(const double *scores, const ptrdiff_t *heads, const ptrdiff_t *tails,
-                const ptrdiff_t *indptr, const ptrdiff_t *indices, ptrdiff_t *ranks,
-                ptrdiff_t n, ptrdiff_t m)
+                const ptrdiff_t *indptr, const ptrdiff_t *indices, double *row,
+                ptrdiff_t *ranks, ptrdiff_t n, ptrdiff_t m)
 {
+    ptrdiff_t formed = -1;
     for (ptrdiff_t e = 0; e < m; e++) {
         ptrdiff_t h = heads[e], t = tails[e];
         if (h < 0 || h >= n || t < 0 || t >= n)
             return -1;
-        const double *row = scores + h * n;
+        if (h != formed) {
+            for (ptrdiff_t j = 0; j < n; j++)
+                row[j] = (scores[h * n + j] + scores[j * n + h]) * 0.5;
+            formed = h;
+        }
         double s = row[t];
         ptrdiff_t ahead = 0;
         for (ptrdiff_t j = 0; j < t; j++)

@@ -388,11 +388,11 @@ def _load_run(run_dir, data_dir=None):
 
 
 def _step_scores(embedding, params):
-    """Pair scores of one step: the embedding decoded by ``params``, the model
-    whose encoder gave it, or embedding inner products without a model."""
+    """Directed scores of one step: the embedding decoded by ``params``, the
+    model whose encoder gave it, or embedding inner products without a model."""
     if params is None:
         return embedding @ embedding.T
-    return model.symmetrize_scores(model.reconstruct_scores(params, embedding))
+    return model.reconstruct_scores(params, embedding)
 
 
 @main.group("eval")
@@ -518,19 +518,20 @@ def eval_speedup_cmd(n_s, n_i, big_t, out_path):
 
 
 def _load_ids(path):
-    mapping = {}
+    mapping, data_lines = {}, 0
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
+            data_lines += 1
             parts = [p.strip() for p in line.split(",")]
             if len(parts) != 2:
                 raise ParseError(f"{path}:{lineno}: expected 'external,internal'")
             try:
                 internal = int(parts[1])
             except ValueError:
-                if lineno == 1:
+                if data_lines == 1:  # the header
                     continue
                 raise ParseError(f"{path}:{lineno}: internal index {parts[1]!r} is not an integer") from None
             mapping[internal] = parts[0]

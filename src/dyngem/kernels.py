@@ -1,11 +1,11 @@
 """Backend selection for the numerical hot loops, plus the Jacobi SVD driver.
 
 Seven loops are compiled: ``gf_epoch``, ``truth_ranks`` (the rank of each
-true pair, which every MAP counts), ``jacobi_sweeps``, the first encoder
-layer's two products with sparse input rows, ``csr_matmul`` (X Wᵀ) and
-``csr_tmatmul`` (Gᵀ X), and the two passes over every parameter of a
-training batch, ``penalty_pass`` (the L1 + L2 weight penalty) and
-``nesterov_update``.  The C kernels
+true pair by the mean of its two directed scores, which every MAP counts),
+``jacobi_sweeps``, the first encoder layer's two products with sparse input
+rows, ``csr_matmul`` (X Wᵀ) and ``csr_tmatmul`` (Gᵀ X), and the two passes
+over every parameter of a training batch, ``penalty_pass`` (the L1 + L2
+weight penalty) and ``nesterov_update``.  The C kernels
 (``_libkernels.c``, built on first import and bound by ``_kernels``) are used
 wherever a C compiler is on ``PATH``; without one, or when the library cannot
 be built or cached, the pure-numpy fallback in ``_kernels_py`` is used, as it

@@ -50,11 +50,11 @@ def _mean_average_precision(scores, truth, excluded=None):
 
 
 def eval_reconstruction(scores, snapshot):
-    """MAP of neighborhood reconstruction from a symmetric pair-score matrix.
+    """MAP of neighborhood reconstruction from (n, n) directed scores.
 
-    For every node the candidates are all other nodes and the truth is its
-    neighbor set; nodes without neighbors are skipped.  Non-finite scores
-    raise FloatingPointError.
+    Every node ranks all other nodes by the mean of their two directed
+    scores, and its truth is its neighbor set; nodes without neighbors are
+    skipped.  Non-finite scores raise FloatingPointError.
     """
     scores = _finite_scores(scores, snapshot.node_count)
     if snapshot.edge_count == 0:
@@ -65,10 +65,10 @@ def eval_reconstruction(scores, snapshot):
 def eval_link_prediction(scores, train_snapshot, hidden):
     """MAP of ranking the hidden edges among the unobserved pairs.
 
-    Candidates for node i exclude i itself and every edge present in the
-    training snapshot; the truth is the hidden edges incident to i.  Nodes
-    without hidden edges are skipped; an empty ``hidden`` is an error, and
-    non-finite scores raise FloatingPointError.
+    Node i ranks every node but itself and its neighbours in the training
+    snapshot, scored as in :func:`eval_reconstruction`; its truth is its
+    hidden edges.  Nodes without hidden edges are skipped; an empty
+    ``hidden`` is an error, and non-finite scores raise FloatingPointError.
     """
     n = train_snapshot.node_count
     scores = _finite_scores(scores, n)

@@ -306,47 +306,29 @@ def train_snapshot(params, snapshot, hyper, epochs, seed=None):
     return params, trace
 
 
-def embed(params, snapshot, block=512):
-    """Encode every adjacency row; returns the (node_count, d) embedding matrix."""
+# rows per stack pass in embed and reconstruct_scores, bounding their temporaries
+STACK_ROWS = 512
+
+
+def embed(params, snapshot):
+    """Encode every adjacency row, ``STACK_ROWS`` rows at a time; returns the
+    (node_count, d) embedding matrix."""
     if snapshot.node_count != params.n:
         raise ValueError("snapshot node count does not match the model input width")
     n = snapshot.node_count
     out = np.empty((n, params.d))
-    for start in range(0, n, block):
-        rows = snapshot.dense_rows(np.arange(start, min(start + block, n)))
+    for start in range(0, n, STACK_ROWS):
+        rows = snapshot.dense_rows(np.arange(start, min(start + STACK_ROWS, n)))
         out[start : start + rows.shape[0]] = nn.forward(params.encoder, rows)[-1]
     return out
 
 
-def reconstruct_scores(params, embedding, block=512):
-    """Decoder outputs for every row of an (n, d) embedding, in blocks of
-    ``block`` rows; entry (i, j) scores j as a neighbor of i."""
+def reconstruct_scores(params, embedding):
+    """Decoder outputs for every row of an (n, d) embedding, ``STACK_ROWS``
+    rows at a time; entry (i, j) scores j as a neighbor of i."""
     out = np.empty((embedding.shape[0], params.n))
-    for start in range(0, embedding.shape[0], block):
-        out[start : start + block] = nn.forward(params.decoder, embedding[start : start + block])[-1]
-    return out
-
-
-# 200 beat 128, 160 and 256 from n = 300 to 2,000: a power-of-two width maps
-# a transposed tile's rows onto the same cache sets
-SYMMETRIZE_TILE = 200
-
-
-def symmetrize_scores(scores):
-    """Symmetric pair scores (s_ij + s_ji) / 2 used for ranking, bit-identical
-    to ``0.5 * (scores + scores.T)``; each tile and its mirror are summed and
-    halved once, with no full-size temporary or strided whole transpose."""
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 2 or scores.shape[0] != scores.shape[1]:
-        raise ValueError("scores must be a square matrix")
-    n = scores.shape[0]
-    out = np.empty((n, n))
-    for i in range(0, n, SYMMETRIZE_TILE):
-        for j in range(i, n, SYMMETRIZE_TILE):
-            a, b = slice(i, i + SYMMETRIZE_TILE), slice(j, j + SYMMETRIZE_TILE)
-            v = scores[a, b] + scores[b, a].T
-            v *= 0.5
-            out[a, b], out[b, a] = v, v.T
+    for start in range(0, embedding.shape[0], STACK_ROWS):
+        out[start : start + STACK_ROWS] = nn.forward(params.decoder, embedding[start : start + STACK_ROWS])[-1]
     return out
 
 

@@ -28,7 +28,7 @@ from dyngem.metrics import (
     flag_anomalies,
     stability,
 )
-from dyngem.model import Hyperparameters, build_autoencoder, reconstruct_scores, symmetrize_scores
+from dyngem.model import Hyperparameters, build_autoencoder, reconstruct_scores
 from dyngem import nn
 from helpers import (
     exhaustive_ap,
@@ -172,7 +172,7 @@ def test_05_reconstruction_map_beats_null(desk_runs):
     rng = np.random.default_rng(99)
     values, nulls = [], []
     for t, snap in enumerate(run.graphs):
-        scores = symmetrize_scores(reconstruct_scores(run.dyn[t].checkpoint, run.dyn[t].embedding))
+        scores = reconstruct_scores(run.dyn[t].checkpoint, run.dyn[t].embedding)
         values.append(eval_reconstruction(scores, snap))
         null = rng.standard_normal((snap.node_count, snap.node_count))
         nulls.append(eval_reconstruction((null + null.T) / 2, snap))
@@ -213,7 +213,7 @@ def test_07_link_prediction_beats_null():
         train_last, hidden = hide_edges(graphs[last], 0.15, seed + 50)
         modified = DynamicGraph([graphs[t] for t in range(last)] + [train_last])
         step = run_method(modified, RunConfig(hyper=_desk_hyper(seed), method="dyngem"))[last]
-        scores = symmetrize_scores(reconstruct_scores(step.checkpoint, step.embedding))
+        scores = reconstruct_scores(step.checkpoint, step.embedding)
         maps.append(eval_link_prediction(scores, train_last, hidden))
         rng = np.random.default_rng(seed + 1000)
         null = rng.standard_normal(scores.shape)

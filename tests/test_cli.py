@@ -5,6 +5,7 @@ import resource
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -502,6 +503,41 @@ def test_export_with_external_ids(workspace, tmp_path):
     emb = (out / "embeddings.csv").read_text().splitlines()
     assert emb[0] == "t,node,external_id,y1,y2,y3,y4"
     assert emb[1].startswith("0,0,host00,")
+
+
+def test_export_ids_header_may_follow_comments(workspace, tmp_path):
+    _, _, run = workspace
+    ids = tmp_path / "ids.csv"
+    ids.write_text("# ids\nexternal,internal\nalice,0\nbob,1\n")
+    out = tmp_path / "export_ids"
+    result = _invoke(["export", "--run", str(run), "--out", str(out), "--ids", str(ids)])
+    assert result.exit_code == 0, result.output
+    emb = (out / "embeddings.csv").read_text().splitlines()
+    assert emb[1].startswith("0,0,alice,") and emb[2].startswith("0,1,bob,")
+    # only the first line that holds data may be a header
+    ids.write_text("# ids\nexternal,internal\nalice,0\nbob,one\n")
+    result = _invoke(["export", "--run", str(run), "--out", str(out), "--ids", str(ids)])
+    assert result.exit_code == 2
+    assert "ids.csv:4: internal index 'one' is not an integer" in result.output
+
+
+def test_eval_reconstruction_of_a_decoded_step_holds_one_score_matrix():
+    # the decoder's directed scores are ranked as they are: each pair's mean
+    # score is formed inside the ranking, so no second n x n matrix is made
+    n = 1100
+    assert n > 2 * model.STACK_ROWS  # three decode blocks
+    rng = np.random.default_rng(0)
+    params = model.build_autoencoder(n, (64,), 16, seed=0)
+    pairs = rng.integers(0, n, (4 * n, 2))
+    snap = graph.GraphSnapshot(n, {(min(i, j), max(i, j)): 1.0 for i, j in pairs if i != j})
+    embedding = rng.standard_normal((n, 16))
+    tracemalloc.start()
+    try:
+        metrics.eval_reconstruction(cli._step_scores(embedding, params), snap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.8 * n * n * 8
 
 
 def test_eval_rejects_empty_or_corrupt_run(tmp_path, workspace):

@@ -139,14 +139,14 @@ def _pairs(*pairs):
 def test_truth_ranks_hand_cases(truth_ranks):
     scores = np.array([
         [9.0, 5.0, 7.0, 5.0, 3.0],
-        [0.0, 0.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 0.0, 0.0],
-        [1.0, 1.0, 0.0, 1.0, 1.0],
-        [0.0, 0.0, 0.0, 0.0, 0.0],
+        [5.0, 0.0, 0.0, 1.0, 0.0],
+        [7.0, 0.0, 0.0, 0.0, 0.0],
+        [5.0, 1.0, 0.0, 1.0, 1.0],
+        [3.0, 0.0, 0.0, 1.0, 0.0],
     ])
     heads, tails = _pairs((0, 2), (0, 1), (0, 3), (0, 4), (3, 4), (3, 0), (3, 2))
     # node 0 ranks 2, 1, 3, 4 (its own top score does not count; 1 and 3 tie
-    # and go by id); node 3 ranks 0, 1, 4, 2, its own tie ignored
+    # and go by id); node 3 ranks 0, 1, 4, 2 (1 and 4 tie), its own tie ignored
     np.testing.assert_array_equal(truth_ranks(scores, heads, tails, None), [1, 2, 3, 4, 3, 1, 4])
     # excluded: 2 ranks ahead of the tails 1 and 3, 4 behind them; 2 and 4
     # are no candidates of node 0, so their pairs get rank 0
@@ -168,6 +168,29 @@ def test_truth_ranks_rejects_out_of_range_pairs(truth_ranks):
             truth_ranks(scores, *_pairs(pair), None)
         with pytest.raises(IndexError):
             truth_ranks(scores, *_pairs(pair), GraphSnapshot(3, [(0, 1, 1.0)]))
+
+
+@pytest.mark.parametrize("truth_ranks", RANKERS)
+@pytest.mark.parametrize("n", [1, 2, 7, 257])
+def test_truth_ranks_rank_each_pair_by_its_symmetric_mean(truth_ranks, n):
+    # the ranks of the directed scores S are those of 0.5 * (S + S.T), also
+    # where a mean of two scores rounds: signed zeros and subnormals, tied
+    # with rounded normal scores
+    rng = np.random.default_rng(n)
+    s = np.round(rng.standard_normal((n, n)), 1)
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-310, -1e-310])
+    mask = rng.random((n, n)) < 0.3
+    s[mask] = rng.choice(special, mask.sum())
+    symmetric = 0.5 * (s + s.T)
+    heads = rng.integers(0, n, 3 * n).astype(np.intp)  # unsorted, and repeated
+    tails = rng.integers(0, n, 3 * n).astype(np.intp)
+    by_head = np.argsort(heads, kind="stable")
+    for excluded in (None, random_snapshot(rng, n, p=0.2) if n > 1 else GraphSnapshot(1)):
+        for h, t in ((heads, tails), (heads[by_head], tails[by_head])):
+            before = s.tobytes()
+            np.testing.assert_array_equal(truth_ranks(s, h, t, excluded),
+                                          truth_ranks(symmetric, h, t, excluded))
+            assert s.tobytes() == before
 
 
 @needs_compiled

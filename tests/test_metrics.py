@@ -68,7 +68,7 @@ def test_map_skips_empty_truths():
     # isolated nodes 2 and 3 contribute nothing
     snap = GraphSnapshot(4, [(0, 1, 1.0)])
     scores = np.zeros((4, 4))
-    scores[0, 2] = 2.0
+    scores[0, 2] = scores[2, 0] = 2.0
     scores[0, 1] = scores[1, 0] = 1.0
     assert eval_reconstruction(scores, snap) == pytest.approx(0.75, abs=1e-15)
     with pytest.raises(UndefinedMetricError):

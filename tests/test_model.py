@@ -10,7 +10,6 @@ from dyngem import model, nn
 from dyngem.errors import ConfigError, ParseError
 from dyngem.graph import GraphSnapshot
 from dyngem.model import (
-    SYMMETRIZE_TILE,
     AutoencoderParams,
     Hyperparameters,
     build_autoencoder,
@@ -20,7 +19,6 @@ from dyngem.model import (
     make_batch,
     reconstruct_scores,
     save_checkpoint,
-    symmetrize_scores,
     train_snapshot,
 )
 from helpers import (
@@ -428,41 +426,21 @@ def test_checkpoint_parse_errors(tmp_path):
         assert needle in str(info.value)
 
 
-def test_embed_and_reconstruct_shapes_and_blocks():
+def test_embed_and_reconstruct_shapes_and_blocks(monkeypatch):
     rng = np.random.default_rng(6)
     snap = random_snapshot(rng, 23)
     params = build_autoencoder(23, (12, 6), 4, seed=3)
     y = embed(params, snap)
     assert y.shape == (23, 4)
-    np.testing.assert_array_equal(y, embed(params, snap, block=5))
-    rows = snap.dense_rows(np.arange(23))
-    np.testing.assert_allclose(y, nn.forward(params.encoder, rows)[-1], atol=1e-15)
     scores = reconstruct_scores(params, y)
     assert scores.shape == (23, 23)
-    np.testing.assert_array_equal(scores, reconstruct_scores(params, y, block=7))
+    monkeypatch.setattr(model, "STACK_ROWS", 5)
+    np.testing.assert_array_equal(y, embed(params, snap))
+    monkeypatch.setattr(model, "STACK_ROWS", 7)
+    np.testing.assert_array_equal(scores, reconstruct_scores(params, y))
+    rows = snap.dense_rows(np.arange(23))
+    np.testing.assert_allclose(y, nn.forward(params.encoder, rows)[-1], atol=1e-15)
     # the dense route: encode every adjacency row, decode the codes
     np.testing.assert_array_equal(scores, nn.forward(params.decoder, nn.forward(params.encoder, rows)[-1])[-1])
     with pytest.raises(ValueError):
         embed(params, random_snapshot(rng, 9))
-
-
-def test_symmetrize_scores():
-    s = np.array([[0.0, 2.0], [4.0, 0.0]])
-    np.testing.assert_array_equal(symmetrize_scores(s), [[0.0, 3.0], [3.0, 0.0]])
-    with pytest.raises(ValueError):
-        symmetrize_scores(np.zeros((2, 3)))
-
-
-@pytest.mark.parametrize("n", sorted({1, 255, 256, 257, 600, SYMMETRIZE_TILE - 1, SYMMETRIZE_TILE,
-                                       SYMMETRIZE_TILE + 1, 3 * SYMMETRIZE_TILE}))
-def test_symmetrize_scores_is_bit_equal_across_tile_edges(n):
-    rng = np.random.default_rng(n)
-    s = rng.standard_normal((n, n))
-    special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-310, -1e-310])
-    mask = rng.random((n, n)) < 0.3
-    s[mask] = rng.choice(special, mask.sum())
-    for scores in (s, np.asfortranarray(s)):
-        before = scores.tobytes()
-        got = symmetrize_scores(scores)
-        assert got.tobytes() == (0.5 * (scores + scores.T)).tobytes()
-        assert scores.tobytes() == before

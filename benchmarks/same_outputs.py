@@ -21,12 +21,15 @@ the workloads' and those of ``METHOD_RUNS``, again with
 ``DYNGEM_PURE_PYTHON=1``, and on every run the parent wrote (a cross-read:
 a run written before a change must read the same after it); each report
 must equal the compiled backend's, or the parent's, byte for byte.  On the
-workloads of ``PYTHON_TRAINED`` this checkout also trains with
-``DYNGEM_PURE_PYTHON=1``, and every embedding and checkpoint must equal the
-compiled run's byte for byte: autoencoder training does not depend on the
-backend.  Each file that differs is printed, and the exit code is 1 when
-any does.  BLAS runs on one thread, as in the benchmark, because the thread
-count changes the summation order.
+workloads and method runs of ``PYTHON_TRAINED`` this checkout also trains
+with ``DYNGEM_PURE_PYTHON=1``: every embedding and checkpoint must equal the
+compiled run's byte for byte, and so must each step's ``final_objective`` in
+the manifest, because autoencoder training and unaligned factorization do
+not depend on the backend.  Each file that differs is printed; for a
+manifest, so is each key that differs, with the largest relative difference
+of its numeric values.  The exit code is 1 when any file differs.  BLAS runs
+on one thread, as in the benchmark, because the thread count changes the
+summation order.
 """
 
 from __future__ import annotations
@@ -55,9 +58,10 @@ METHOD_RUNS = {
     "sdne_retrain_jobs2": ("--method", "sdne_retrain", "--d", "32", "--epochs-first", "3", "--jobs", "2"),
 }
 METHOD_EVALS = ("reconstruction", "stability")
-# workloads trained again on the numpy backend: grow_2k trains on sparse
-# rows, desk_warm on dense rows
-PYTHON_TRAINED = ("grow_2k", "desk_warm")
+# workloads and method runs trained again on the numpy backend: grow_2k
+# trains on sparse rows, desk_warm on dense rows, and gf_init factorizes
+# without the Jacobi SVD that alignment runs
+PYTHON_TRAINED = ("grow_2k", "desk_warm", "gf_init")
 
 
 def run_cli(checkout, *args, **env):
@@ -102,16 +106,58 @@ def comparable(path):
     return json.dumps(_compared_part(json.loads(path.read_text(encoding="utf-8"))), sort_keys=True)
 
 
+_MISSING = object()
+
+
+def _differing_leaves(a, b, path):
+    """Yield ``(key, a, b)`` for each leaf where two JSON trees differ; the
+    key writes list indices as ``[*]``, so one key gathers every step."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for k in sorted(a.keys() | b.keys()):
+            yield from _differing_leaves(a.get(k, _MISSING), b.get(k, _MISSING), f"{path}.{k}" if path else k)
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for x, y in zip(a, b):
+            yield from _differing_leaves(x, y, f"{path}[*]")
+    elif a != b:
+        yield path, a, b
+
+
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def describe_manifest_difference(parent, change):
+    """One line per key where the compared parts of the manifests at two
+    paths differ: how many values differ and, for numbers, the largest
+    relative difference."""
+    trees = (_compared_part(json.loads(p.read_text(encoding="utf-8"))) for p in (parent, change))
+    keys = {}
+    for key, a, b in _differing_leaves(*trees, ""):
+        keys.setdefault(key, []).append((a, b))
+    lines = []
+    for key, pairs in keys.items():
+        line = f"{key}: {len(pairs)} differing value(s)"
+        if all(_is_number(a) and _is_number(b) for a, b in pairs):
+            worst = max(abs(a - b) / max(abs(a), abs(b)) for a, b in pairs)
+            line += f", largest relative difference {worst:.2e}"
+        lines.append(line)
+    return lines
+
+
 def count_differing(name, work):
     """Compare the files under ``work/parent`` and ``work/change``, print
-    each that differs, and return how many do."""
+    each that differs (and, for a manifest, how), and return how many do."""
     files = sorted({p.relative_to(side) for side in (work / "parent", work / "change")
                     for p in side.rglob("*") if p.is_file()})
     differing = 0
     for rel in files:
-        if comparable(work / "parent" / rel) != comparable(work / "change" / rel):
+        parent, change = work / "parent" / rel, work / "change" / rel
+        if comparable(parent) != comparable(change):
             differing += 1
             print(f"{name}: {rel} differs")
+            if rel.name == "manifest.json" and parent.is_file() and change.is_file():
+                for line in describe_manifest_difference(parent, change):
+                    print(f"    {line}")
     print(f"{name}: compared {len(files)} files")
     return differing
 
@@ -128,11 +174,17 @@ def count_differing_reports(name, kinds, work, side, reference, how):
     return differing
 
 
-def count_differing_python_training(name, workload, work, series_dir):
+def final_objectives(run):
+    manifest = json.loads((run / "manifest.json").read_text(encoding="utf-8"))
+    return [step["final_objective"] for step in manifest["per_step"]]
+
+
+def count_differing_python_training(name, train_args, work, series_dir):
     """Train on the numpy backend; count the embeddings and checkpoints that
-    differ from the compiled run's (the manifests name their backends)."""
+    differ from the compiled run's, and the manifest when a step's final
+    objective does (the manifests name their backends)."""
     runs = {"compiled": work / "change" / "run", "python": work / "python" / "run"}
-    run_cli(ROOT, "train", "--in", series_dir, "--out", runs["python"], *workload.train_args,
+    run_cli(ROOT, "train", "--in", series_dir, "--out", runs["python"], *train_args,
             DYNGEM_PURE_PYTHON="1")
     files = sorted({p.name for run in runs.values() for p in run.iterdir()} - {"manifest.json"})
     differing = 0
@@ -140,7 +192,11 @@ def count_differing_python_training(name, workload, work, series_dir):
         if comparable(runs["compiled"] / file) != comparable(runs["python"] / file):
             differing += 1
             print(f"{name}: run/{file} differs between the python and the compiled backend")
-    print(f"{name}: compared {len(files)} training files between the python and the compiled backend")
+    if final_objectives(runs["compiled"]) != final_objectives(runs["python"]):
+        differing += 1
+        print(f"{name}: run/manifest.json's final objectives differ between the python and the compiled backend")
+    print(f"{name}: compared {len(files)} training files and the final objectives "
+          "between the python and the compiled backend")
     return differing
 
 
@@ -175,7 +231,7 @@ def main():
             differing += count_differing_python_reads(name, workload.evals, work, work / "series")
             differing += count_differing_cross_reads(name, workload.evals, work, work / "series")
             if name in PYTHON_TRAINED:
-                differing += count_differing_python_training(name, workload, work, work / "series")
+                differing += count_differing_python_training(name, workload.train_args, work, work / "series")
         desk = Path(tmp) / "desk_warm" / "series"
         for name, args in METHOD_RUNS.items():
             work = Path(tmp) / name
@@ -185,6 +241,8 @@ def main():
             differing += count_differing(name, work)
             differing += count_differing_python_reads(name, METHOD_EVALS, work, desk)
             differing += count_differing_cross_reads(name, METHOD_EVALS, work, desk)
+            if name in PYTHON_TRAINED:
+                differing += count_differing_python_training(name, args, work, desk)
     print("same outputs" if not differing else f"{differing} files differ")
     return 1 if differing else 0
 

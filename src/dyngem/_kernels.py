@@ -1,5 +1,6 @@
 """ctypes bindings for the compiled hot loops in ``_libkernels.c``:
-``gf_epoch``, ``truth_ranks``, ``jacobi_sweeps``, the two sparse products
+``gf_epoch`` (which returns the objective of the embedding it leaves),
+``truth_ranks``, ``jacobi_sweeps``, the two sparse products
 ``csr_matmul`` and ``csr_tmatmul``, and the two per-parameter passes
 ``penalty_pass`` and ``nesterov_update``.
 
@@ -110,7 +111,7 @@ _lib.gf_epoch.restype = ctypes.c_int
 _lib.gf_epoch.argtypes = [
     _array(np.float64, 2, writeable=True),
     _array(np.intp, 1), _array(np.intp, 1), _array(np.float64, 1), _array(np.intp, 1),
-    _size, _size, _size, _size, ctypes.c_double, ctypes.c_double,
+    _size, _size, _size, _size, ctypes.c_double, ctypes.c_double, ctypes.POINTER(ctypes.c_double),
 ]
 _lib.truth_ranks.restype = ctypes.c_int
 _vector, _written = _array(np.float64, 1), _array(np.float64, 1, writeable=True)
@@ -132,7 +133,9 @@ _lib.jacobi_sweeps.argtypes = [
 
 
 def gf_epoch(y, heads, tails, weights, order, lr, lam):
-    """One epoch of per-edge SGD for graph factorization, updating y in place.
+    """``_kernels_py.gf_epoch``: one epoch of per-edge SGD for graph
+    factorization, updating y in place, and the objective of the updated y,
+    with the same bits.
 
     ``y`` is a C-ordered float64 matrix; ``heads``, ``tails`` and ``order``
     are intp vectors and ``weights`` a float64 vector.  Raises IndexError
@@ -141,10 +144,12 @@ def gf_epoch(y, heads, tails, weights, order, lr, lam):
     m = len(heads)
     if len(tails) != m or len(weights) != m:
         raise ValueError("heads, tails and weights must have one length")
+    objective = ctypes.c_double()
     status = _lib.gf_epoch(y, heads, tails, weights, order, y.shape[0], y.shape[1], m,
-                           len(order), lr, lam)
+                           len(order), lr, lam, ctypes.byref(objective))
     if status != 0:
         raise IndexError("gf_epoch: an edge or node index is out of range")
+    return objective.value
 
 
 def truth_ranks(scores, heads, tails, excluded):

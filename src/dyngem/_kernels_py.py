@@ -3,9 +3,10 @@
 Selected by :mod:`dyngem.kernels` when the compiled library is missing or
 disabled, and the reference the compiled kernels in ``_libkernels.c`` are
 tested against.  Every loop but ``jacobi_sweeps`` is bit-equal to its
-compiled twin: each sum, and ``truth_ranks``' mean of two scores, is formed
-in the C loop's order.  ``jacobi_sweeps`` may differ from it in the last
-bits, because numpy's dot products add in another order.
+compiled twin: each sum (``gf_epoch``'s objective among them), and
+``truth_ranks``' mean of two scores, is formed in the C loop's order.
+``jacobi_sweeps`` may differ from it in the last bits, because numpy's dot
+products add in another order.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ import numpy as np
 RANK_BLOCK_ELEMENTS = 1 << 17
 
 
-def _in_order_sum(a):
+def _in_order_sum(a, out=None):
     """The sum of the vector ``a`` added in element order, as the C loops add
-    (``np.sum`` adds pairwise)."""
-    return float(np.cumsum(a)[-1]) if a.size else 0.0
+    (``np.sum`` adds pairwise); the running sums go to ``out`` when given."""
+    return float(np.cumsum(a, out=out)[-1]) if a.size else 0.0
 
 
 def gf_epoch(y, heads, tails, weights, order, lr, lam):
@@ -30,8 +31,17 @@ def gf_epoch(y, heads, tails, weights, order, lr, lam):
 
     For each edge (i, j, w) visited in ``order``:
     r = w - <y_i, y_j>, then y_i += 2*lr*(r*y_j - lam*y_i) and symmetrically
-    for y_j, both computed from the pre-update rows.
+    for y_j, both computed from the pre-update rows.  Returns the objective
+    of the updated y, ``sum_e (w_e - <y_i, y_j>)^2 + lam * ||y||^2``, added
+    as the C loop adds: each dot in coordinate order, the squared residuals
+    in edge order, then the squares of y in element order.  Raises
+    IndexError when an edge or node index is out of range.
     """
+    if len(tails) != len(heads) or len(weights) != len(heads):
+        raise ValueError("heads, tails and weights must have one length")
+    for index, bound in ((order, len(heads)), (heads, y.shape[0]), (tails, y.shape[0])):
+        if index.size and (index.min() < 0 or index.max() >= bound):
+            raise IndexError("gf_epoch: an edge or node index is out of range")
     two_lr = 2.0 * lr
     for k in order:
         i = heads[k]
@@ -41,6 +51,9 @@ def gf_epoch(y, heads, tails, weights, order, lr, lam):
         r = weights[k] - _in_order_sum(yi * yj)
         y[i] += two_lr * (r * yj - lam * yi)
         y[j] += two_lr * (r * yi - lam * yj)
+    products = y[heads] * y[tails]
+    resid = weights - np.cumsum(products, axis=1, out=products)[:, -1]
+    return _in_order_sum(resid * resid) + lam * _in_order_sum((y * y).ravel())
 
 
 def penalty_pass(w, g, nu1, nu2):
@@ -49,11 +62,15 @@ def penalty_pass(w, g, nu1, nu2):
     ``(sum|w|, sum w^2)``, each added in element order.  sign(0) is 0."""
     if g.size != w.size:
         raise ValueError("w and g must have one length")
-    penalty = np.sign(w)
-    penalty *= nu1
-    penalty += w * (2.0 * nu2)
-    g += penalty
-    return _in_order_sum(np.abs(w)), _in_order_sum(w * w)
+    # two array-sized buffers: the penalty's two terms, then each sum's terms
+    # and running sums
+    terms = np.sign(w)
+    terms *= nu1
+    running = np.multiply(w, 2.0 * nu2)
+    terms += running
+    g += terms
+    l1 = _in_order_sum(np.abs(w, out=terms), running)
+    return l1, _in_order_sum(np.multiply(w, w, out=terms), running)
 
 
 def nesterov_update(p, g, v, lr, mu):

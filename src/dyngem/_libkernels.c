@@ -1,10 +1,11 @@
 /* Compiled hot loops, loaded through ctypes by _kernels.py.
  *
- * Seven loops are compiled: gf_epoch, truth_ranks (which ranks pairs by the
- * mean of their two directed scores), jacobi_sweeps, csr_matmul,
- * csr_tmatmul, penalty_pass and nesterov_update.  Each does what its
- * namesake in _kernels_py.py does, in the same order.  All but jacobi_sweeps
- * equal numpy's results exactly, so eval reports, GF embeddings and
+ * Seven loops are compiled: gf_epoch (which also takes the objective of the
+ * embedding it leaves), truth_ranks (which ranks pairs by the mean of their
+ * two directed scores), jacobi_sweeps, csr_matmul, csr_tmatmul,
+ * penalty_pass and nesterov_update.  Each does what its namesake in
+ * _kernels_py.py does, in the same order.  All but jacobi_sweeps equal
+ * numpy's results exactly, so eval reports, GF embeddings and objectives and
  * autoencoder training do not depend on the backend; jacobi_sweeps differs
  * in the last bits, where numpy sums a dot product in another order.
  * Built with -ffp-contract=off, so no multiply-add is fused and the results
@@ -14,14 +15,29 @@
 #include <math.h>
 #include <stddef.h>
 
+/* <a, b> for two rows of d doubles, added in coordinate order. */
+static double row_dot(const double *a, const double *b, ptrdiff_t d)
+{
+    double sum = 0.0;
+    for (ptrdiff_t l = 0; l < d; l++)
+        sum += a[l] * b[l];
+    return sum;
+}
+
 /* One epoch of per-edge SGD for graph factorization on the n x d matrix y:
  * for each of the k edges e = order[o], r = w_e - <y_i, y_j>, then
  * y_i += 2*lr*(r*y_j - lam*y_i) and y_j += 2*lr*(r*y_i - lam*y_j), both from
- * the pre-update rows.  Returns 0, or -1 at the first edge (index into the m
- * edges) or node index out of range, before that edge's update. */
+ * the pre-update rows.  Then one pass over the m edges in index order writes
+ * the objective of the updated y, sum_e (w_e - <y_i, y_j>)^2 + lam * ||y||^2,
+ * to *objective: each dot is added in coordinate order, the squared
+ * residuals in edge order and the squares of y in element order.  Returns 0,
+ * or -1 at the first edge (index into the m edges) or node index out of
+ * range: in the epoch before that edge's update, in the objective pass before
+ * *objective is written. */
 int gf_epoch(double *y, const ptrdiff_t *heads, const ptrdiff_t *tails,
              const double *weights, const ptrdiff_t *order, ptrdiff_t n,
-             ptrdiff_t d, ptrdiff_t m, ptrdiff_t k, double lr, double lam)
+             ptrdiff_t d, ptrdiff_t m, ptrdiff_t k, double lr, double lam,
+             double *objective)
 {
     double two_lr = 2.0 * lr;
     for (ptrdiff_t o = 0; o < k; o++) {
@@ -29,16 +45,23 @@ int gf_epoch(double *y, const ptrdiff_t *heads, const ptrdiff_t *tails,
         if (e < 0 || e >= m || heads[e] < 0 || heads[e] >= n || tails[e] < 0 || tails[e] >= n)
             return -1;
         double *yi = y + heads[e] * d, *yj = y + tails[e] * d;
-        double dot = 0.0;
-        for (ptrdiff_t l = 0; l < d; l++)
-            dot += yi[l] * yj[l];
-        double r = weights[e] - dot;
+        double r = weights[e] - row_dot(yi, yj, d);
         for (ptrdiff_t l = 0; l < d; l++) {
             double a = yi[l], b = yj[l];
             yi[l] = a + two_lr * (r * b - lam * a);
             yj[l] += two_lr * (r * a - lam * b);
         }
     }
+    double resid = 0.0, norm = 0.0;
+    for (ptrdiff_t e = 0; e < m; e++) {
+        if (heads[e] < 0 || heads[e] >= n || tails[e] < 0 || tails[e] >= n)
+            return -1;
+        double r = weights[e] - row_dot(y + heads[e] * d, y + tails[e] * d, d);
+        resid += r * r;
+    }
+    for (ptrdiff_t q = 0; q < n * d; q++)
+        norm += y[q] * y[q];
+    *objective = resid + lam * norm;
     return 0;
 }
 

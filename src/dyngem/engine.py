@@ -195,12 +195,6 @@ def align_series(embeddings):
     return aligned, seconds
 
 
-def _gf_objective(y, heads, tails, weights, lam):
-    scores = np.einsum("ij,ij->i", y[heads], y[tails])
-    resid = weights - scores
-    return float(resid @ resid) + lam * float(np.sum(y * y))
-
-
 def _gf_step(snap, config, t, prev):
     """Run ``config.gf_iters`` factorization epochs on one snapshot, from a
     seeded random init or, warm, from the previous step's embedding with
@@ -216,8 +210,7 @@ def _gf_step(snap, config, t, prev):
     trace = []
     for it in range(config.gf_iters):
         order = rng.permutation(snap.edge_count).astype(np.intp)
-        gf_epoch(y, heads, tails, weights, order, config.gf_lr, config.gf_lambda)
-        value = _gf_objective(y, heads, tails, weights, config.gf_lambda)
+        value = gf_epoch(y, heads, tails, weights, order, config.gf_lr, config.gf_lambda)
         if not math.isfinite(value):
             raise ConvergenceError(f"snapshot {t}: factorization objective is {value} in iteration {it}")
         trace.append(value)

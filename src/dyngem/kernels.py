@@ -1,19 +1,22 @@
 """Backend selection for the numerical hot loops, plus the Jacobi SVD driver.
 
-Seven loops are compiled: ``gf_epoch``, ``truth_ranks`` (the rank of each
-true pair by the mean of its two directed scores, which every MAP counts),
-``jacobi_sweeps``, the first encoder layer's two products with sparse input
-rows, ``csr_matmul`` (X Wᵀ) and ``csr_tmatmul`` (Gᵀ X), and the two passes
-over every parameter of a training batch, ``penalty_pass`` (the L1 + L2
-weight penalty) and ``nesterov_update``.  The C kernels
-(``_libkernels.c``, built on first import and bound by ``_kernels``) are used
-wherever a C compiler is on ``PATH``; without one, or when the library cannot
-be built or cached, the pure-numpy fallback in ``_kernels_py`` is used, as it
-is when the environment variable ``DYNGEM_PURE_PYTHON=1`` is set before
-import.  ``BACKEND`` names the active implementation.  Every loop but
+Seven loops are compiled: ``gf_epoch`` (one epoch of factorization SGD,
+which returns the objective of the embedding it leaves, from one more pass
+over the edges), ``truth_ranks`` (the rank of each true pair by the mean of
+its two directed scores, which every MAP counts), ``jacobi_sweeps``, the
+first encoder layer's two products with sparse input rows, ``csr_matmul``
+(X Wᵀ) and ``csr_tmatmul`` (Gᵀ X), and the two passes over every parameter
+of a training batch, ``penalty_pass`` (the L1 + L2 weight penalty) and
+``nesterov_update``.  The C kernels (``_libkernels.c``, built on first
+import and bound by ``_kernels``) are used wherever a C compiler is on
+``PATH``; without one, or when the library cannot be built or cached, the
+pure-numpy fallback in ``_kernels_py`` is used, as it is when the
+environment variable ``DYNGEM_PURE_PYTHON=1`` is set before import.
+``BACKEND`` names the active implementation.  Every loop but
 ``jacobi_sweeps`` gives the same bits on both, so eval reports, GF
-embeddings and autoencoder training do not depend on the backend; Jacobi
-rotations, and so aligned embeddings, may differ in their last bits.
+embeddings and objectives and autoencoder training do not depend on the
+backend; Jacobi rotations, and so aligned embeddings, may differ in their
+last bits.
 """
 
 from __future__ import annotations

@@ -181,6 +181,16 @@ def test_train_non_finite_objective_exits_three(workspace, tmp_path, monkeypatch
     assert not (out / "manifest.json").exists()
 
 
+def test_train_overflowing_factorization_exits_three(workspace, tmp_path):
+    _, data, _ = workspace
+    out = tmp_path / "overflow"
+    result = _invoke(["train", "--in", str(data), "--out", str(out), *FAST_TRAIN,
+                      "--method", "gf", "--gf-lr", "1e10"])
+    assert result.exit_code == 3
+    assert "snapshot 0: factorization objective is nan in iteration 0" in result.output
+    assert not (out / "manifest.json").exists()
+
+
 def test_train_non_finite_parameters_exit_three(workspace, tmp_path, monkeypatch):
     _, data, _ = workspace
     real = nn.nesterov_step

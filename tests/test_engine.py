@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dyngem import engine
+from dyngem import _kernels_py, engine
 from dyngem.engine import METHODS, RunConfig, align_series, procrustes_align, run_gf, run_method
 from dyngem.errors import ConfigError, ConvergenceError
 from dyngem.graph import DynamicGraph, GraphSnapshot, SbmConfig, generate_sbm_series
@@ -314,6 +314,15 @@ def test_gf_objective_decreases_and_warm_start_differs():
     again = run_gf(graphs, config)
     for a, b in zip(cold, again, strict=True):
         np.testing.assert_array_equal(a.embedding, b.embedding)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("epoch", [pytest.param(engine.gf_epoch, id="active"),
+                                   pytest.param(_kernels_py.gf_epoch, id="python")])
+def test_gf_overflow_raises_naming_the_snapshot_and_iteration(monkeypatch, epoch):
+    monkeypatch.setattr(engine, "gf_epoch", epoch)
+    with pytest.raises(ConvergenceError, match=r"^snapshot 0: factorization objective is nan in iteration 0$"):
+        run_gf(_series(seed=6), _small_config(method="gf", gf_lr=1e10))
 
 
 def test_gf_rejects_empty_snapshot():

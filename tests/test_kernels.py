@@ -42,9 +42,11 @@ def test_gf_epoch_hand_case():
     tails = np.array([1], dtype=np.intp)
     weights = np.array([2.0])
     order = np.array([0], dtype=np.intp)
-    gf_epoch(y, heads, tails, weights, order, 0.1, 0.05)
+    objective = gf_epoch(y, heads, tails, weights, order, 0.1, 0.05)
     # r = 2 - 0.5; y0 += 0.2*(1.5*[0.5,0] - 0.05*[1,0]); y1 from the old y0
     np.testing.assert_allclose(y, [[1.14, 0.0], [0.795, 0.0]], atol=1e-12)
+    # the objective of the updated rows: (w - <y0, y1>)^2 + lam * ||y||^2
+    assert objective == pytest.approx((2.0 - 1.14 * 0.795) ** 2 + 0.05 * (1.14**2 + 0.795**2), rel=1e-12)
 
 
 def test_gf_epoch_uses_pre_update_rows_per_edge():
@@ -79,17 +81,33 @@ def test_gf_epoch_respects_order():
 
 @needs_compiled
 def test_backends_agree_on_gf_epoch():
+    # equal embeddings and equal objectives, bit for bit, on shapes down to
+    # one coordinate and one edge
     rng = np.random.default_rng(1)
-    n, m = 30, 80
-    heads = rng.integers(0, n, m).astype(np.intp)
-    tails = ((heads + 1 + rng.integers(0, n - 1, m)) % n).astype(np.intp)
-    weights = rng.uniform(0.5, 2.0, m)
-    order = rng.permutation(m).astype(np.intp)
-    y_c = np.ascontiguousarray(rng.uniform(-0.1, 0.1, (n, 4)))
-    y_p = y_c.copy()
-    _compiled.gf_epoch(y_c, heads, tails, weights, order, 0.01, 0.1)
-    _kernels_py.gf_epoch(y_p, heads, tails, weights, order, 0.01, 0.1)
-    assert np.array_equal(y_c, y_p)
+    for n, m, d in ((30, 80, 4), (30, 80, 1), (2, 1, 3), (2, 1, 1), (50, 400, 17)):
+        heads = rng.integers(0, n, m).astype(np.intp)
+        tails = ((heads + 1 + rng.integers(0, n - 1, m)) % n).astype(np.intp)
+        weights = rng.uniform(0.5, 2.0, m)
+        order = rng.permutation(m).astype(np.intp)
+        y_c = np.ascontiguousarray(rng.uniform(-0.1, 0.1, (n, d)))
+        y_p = y_c.copy()
+        objective_c = _compiled.gf_epoch(y_c, heads, tails, weights, order, 0.01, 0.1)
+        objective_p = _kernels_py.gf_epoch(y_p, heads, tails, weights, order, 0.01, 0.1)
+        assert np.array_equal(y_c, y_p), (n, m, d)
+        assert objective_c == objective_p, (n, m, d)
+        resid = weights - np.einsum("ij,ij->i", y_c[heads], y_c[tails])
+        assert objective_c == pytest.approx(resid @ resid + 0.1 * np.sum(y_c * y_c), rel=1e-12)
+
+
+@pytest.mark.parametrize("impl", PRODUCTS)
+def test_gf_epoch_rejects_out_of_range_edges(impl):
+    y, one = np.zeros((3, 2)), np.ones(1)
+    edge, head, tail = (np.array([v], dtype=np.intp) for v in (0, 0, 1))
+    # the last case visits no edge, so only the objective's pass reads the bad head
+    for order, heads, tails in ((edge + 1, head, tail), (edge, head - 1, tail), (edge, head, tail + 2),
+                                (edge[:0], head - 1, tail)):
+        with pytest.raises(IndexError):
+            impl.gf_epoch(y, heads, tails, one, order, 0.1, 0.0)
 
 
 @needs_compiled
@@ -552,6 +570,9 @@ def test_compiled_backend_builds_with_the_system_compiler(package_copy):
         "    except ctypes.ArgumentError:\n"
         "        continue\n"
         "    raise SystemExit('accepted an array the C kernel cannot read')\n"
+        "y[0, 0] = y[1, 0] = 1.0\n"
+        "if k.gf_epoch(y, e, e + 1, w, e, 0.25, 1.0) != 1.0625 or y[:, 0].tolist() != [0.5, 0.5, 0.0]:\n"
+        "    raise SystemExit('gf_epoch: wrong update or objective')\n"
         "s = np.array([[0.0, 2.0, 1.0], [0.0, 0.0, 0.0], [1.0, 3.0, 0.0]])\n"
         "for bad in (np.asfortranarray(s), s.astype(np.float32)):\n"
         "    try:\n"
